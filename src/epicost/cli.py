@@ -166,19 +166,20 @@ def cmd_import_dist(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
             draws = sample_imports(scenario, seed, trials)
             counts = np.bincount(draws, minlength=int(nus[-1]) + 1)
             freq = counts[nus] / trials
-        table = []
+        link_rows = []
         for j, nu in enumerate(nus):
             row = [link.origin, link.destination, int(nu),
                    float(probs[j]), float(tails[j])]
             if freq is not None:
                 row.append(float(freq[j]))
-            rows.append(row)
-            table.append(dict(zip(header[2:], row[2:])))
-        link_reports.append({"origin": link.origin, "destination": link.destination,
-                             "travelers": link.travelers,
-                             "expected_imports": expected_imports(
-                                 link.travelers, origin.prevalence),
-                             "rows": table})
+            link_rows.append(row)
+        rows.extend(link_rows)
+        if fmt == "json":
+            link_reports.append({
+                "origin": link.origin, "destination": link.destination,
+                "travelers": link.travelers,
+                "expected_imports": expected_imports(link.travelers, origin.prevalence),
+                "rows": [dict(zip(header[2:], row[2:])) for row in link_rows]})
 
     if fmt == "csv":
         path = _write_csv(out / "import_dist.csv", header, rows, cfg.raw)

@@ -17,11 +17,12 @@ expected-import level before solving.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .costs import CostCurveSet
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, NumericalFailure
 from .importation import expected_imports
 from .optimize import (BOUNDARY_OPEN, CostBreakdown, golden_section,
                        minimize_over_screening)
@@ -308,6 +309,47 @@ def _steady_prevalence(region: RegionState, cases: float,
     return min(1.0, infectious_days * cases / region.population)
 
 
+def _sweep_costs(curves: CostCurveSet, cases, threats, fs: np.ndarray,
+                 border: np.ndarray) -> np.ndarray:
+    """``_link_breakdown(...).total`` broadcast over cases, threats and F."""
+    load = cases + (curves.import_multiplier * threats) * fs
+    flat = load.ravel()  # the numba kernels index x[i] as a scalar: 1-D only
+    costs = (curves.transmission.cost_arr(flat).reshape(load.shape) + border
+             + curves.outbreak.cost_arr(flat).reshape(load.shape))
+    if not np.all(np.isfinite(costs)):
+        raise NumericalFailure("non-finite cost in the cooperative grid sweep")
+    return costs
+
+
+def _coop_grid_winner(r1: RegionState, r2: RegionState, xs: np.ndarray,
+                      fs: np.ndarray, threats1: np.ndarray,
+                      threats2: np.ndarray) -> tuple[float, float, float, float]:
+    """Grid point ``(x1, f1, x2, f2)`` with the least joint total cost.
+
+    ``threats1[i]`` is the threat into region 1 when region 2 holds
+    ``xs[i]`` cases, and vice versa. Each x1 row is two G x G cost arrays
+    over (x2, F), one per region; F is minimized out per region, smallest F
+    first on ties, and the first strict joint minimum in row-major (x1, x2)
+    order wins.
+    """
+    # border cost depends on F alone; take it from the scalar breakdown
+    border1, border2 = (np.array([_link_breakdown(r.curves, 0.0, 0.0, f).border
+                                  for f in fs]) for r in (r1, r2))
+    rows = np.arange(len(xs))
+    best = None
+    for i1, x1 in enumerate(xs):
+        costs1 = _sweep_costs(r1.curves, x1, threats1[:, None], fs, border1)
+        costs2 = _sweep_costs(r2.curves, xs[:, None], threats2[i1], fs, border2)
+        j1 = np.argmin(costs1, axis=1)
+        j2 = np.argmin(costs2, axis=1)
+        joint = costs1[rows, j1] + costs2[rows, j2]
+        i2 = int(np.argmin(joint))
+        if best is None or joint[i2] < best[0]:
+            best = (joint[i2], float(x1), float(fs[j1[i2]]), float(xs[i2]),
+                    float(fs[j2[i2]]))
+    return best[1:]
+
+
 def cooperative_optimum(state: GameState, grid_points: int = 25,
                         infectious_days: float = DEFAULT_INFECTIOUS_DAYS,
                         polish_rounds: int = 40, tol: float = 1e-10) -> CoopResult:
@@ -315,13 +357,18 @@ def cooperative_optimum(state: GameState, grid_points: int = 25,
 
     Prevalence is endogenous at steady state, ``min(1, infectious_days * x /
     N)``, so zero chosen cases mean zero import threat to the partner. The
-    solver sweeps an exhaustive policy grid, then polishes each coordinate
-    by golden section; with increasing transmission and outbreak curves the
-    optimum lands on zero cases and open borders for both regions.
+    solver sweeps an exhaustive G x G x G policy grid one x1 row at a time
+    (two G x G cost arrays per row, so memory is O(G^2)); ties resolve to the
+    smallest F, then to the first (x1, x2) in row-major order. It then
+    polishes each coordinate by golden section; with increasing transmission
+    and outbreak curves the optimum lands on zero cases and open borders for
+    both regions.
     """
     r1, r2 = state.regions
     link_in = {r.name: state.inbound_link(r.name) for r in state.regions}
 
+    # the polish holds all but one coordinate fixed, so threats repeat
+    @cache
     def threat_into(name: str, other_cases: float) -> float:
         link = link_in[name]
         if link is None:
@@ -336,21 +383,9 @@ def cooperative_optimum(state: GameState, grid_points: int = 25,
     x_max = max(1.0, r1.domestic_cases, r2.domestic_cases)
     xs = np.linspace(0.0, x_max, grid_points)
     fs = np.linspace(0.0, 1.0, grid_points)
-    threats1 = [threat_into(r1.name, xv) for xv in xs]  # depends on r2's cases
-    threats2 = [threat_into(r2.name, xv) for xv in xs]
-
-    best = None
-    for i1, x1 in enumerate(xs):
-        for i2, x2 in enumerate(xs):
-            costs1 = [cost_at(r1, x1, f, threats1[i2]) for f in fs]
-            costs2 = [cost_at(r2, x2, f, threats2[i1]) for f in fs]
-            j1 = min(range(len(fs)), key=lambda j: (costs1[j], fs[j]))
-            j2 = min(range(len(fs)), key=lambda j: (costs2[j], fs[j]))
-            joint = costs1[j1] + costs2[j2]
-            if best is None or joint < best[0]:
-                best = (joint, float(x1), float(fs[j1]), float(x2), float(fs[j2]))
-
-    _, x1, f1, x2, f2 = best
+    threats1 = np.array([threat_into(r1.name, xv) for xv in xs])  # depends on r2's cases
+    threats2 = np.array([threat_into(r2.name, xv) for xv in xs])
+    x1, f1, x2, f2 = _coop_grid_winner(r1, r2, xs, fs, threats1, threats2)
 
     def total(p):
         return (cost_at(r1, p[0], p[1], threat_into(r1.name, p[2]))

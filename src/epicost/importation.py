@@ -14,12 +14,12 @@ keeps normalization error near machine precision even for N up to 1e6.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,8 @@ def expected_imports(k: int, prevalence: float) -> float:
     """Expected imported cases per day in the limit form.
 
     Direct evaluation of sum_{nu=1..k} nu C(k,nu) L**nu, which equals
-    k L (1+L)**(k-1) in closed form. May be fractional.
+    k L (1+L)**(k-1) in closed form. May be fractional. Raises
+    ``NumericalFailure`` when the sum overflows.
     """
     if k < 0:
         raise DomainError(f"traveler count must be >= 0, got {k}")
@@ -166,6 +167,9 @@ def expected_imports(k: int, prevalence: float) -> float:
     for nu in range(1, k + 1):
         term *= (k - nu + 1) / nu * prevalence
         total += nu * term
+    if not isfinite(total):
+        raise NumericalFailure(
+            f"expected imports overflow for {k} travelers at prevalence {prevalence}")
     return total
 
 

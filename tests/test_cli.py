@@ -179,6 +179,29 @@ class TestExitCodes:
         bad.write_text(json.dumps(cfg))
         assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path)) == 2
 
+    @staticmethod
+    def _overflowing_imports(tmp_path, travelers, population=None):
+        # expected_imports(k, 0.1) overflows a float once k passes about 7,400
+        cfg = json.loads(fixture_path("two_region_asymmetric").read_text())
+        cfg["links"][0]["travelers"] = travelers
+        if population is not None:
+            cfg["regions"][0]["population"] = population
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["game", "optimize"])
+    def test_import_overflow_is_numerical_failure(self, tmp_path, command, capsys):
+        bad = self._overflowing_imports(tmp_path, 100_000)
+        assert run_cli(command, "--config", bad, "--out", str(tmp_path)) == 2
+        assert "numerical failure: expected imports overflow" in capsys.readouterr().err
+
+    def test_import_dist_needs_expected_imports_only_for_json(self, tmp_path):
+        bad = self._overflowing_imports(tmp_path, 10_000, population=20_000)
+        assert run_cli("import-dist", "--config", bad, "--out", str(tmp_path)) == 0
+        assert run_cli("import-dist", "--config", bad, "--out", str(tmp_path),
+                       "--format", "json") == 2
+
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         import epicost.cli as cli_module
 
