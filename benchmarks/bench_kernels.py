@@ -7,7 +7,8 @@ Run from the repo root:
 
 With numba active both implementations are importable, so the table below
 times them side by side in one process (first jit call is excluded via a
-warmup pass).
+warmup pass). The schedule scan ``two_segment_costs`` has a numpy
+implementation only, so it is not listed.
 """
 
 import argparse
@@ -19,7 +20,6 @@ from epicost import _kernels as K
 
 CT = (1.0, 0.3, 50.0, 5.0, 0.6, 1.5)      # transmission params
 CB = (3.0, 5.0, 2.0)                       # border params
-CO = (1.0, 1.0)                            # outbreak params
 
 
 def time_call(fn, *args, repeats):
@@ -36,23 +36,17 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", type=int, default=100_000,
                         help="policy grid size (default 1e5)")
-    parser.add_argument("--schedules", type=int, default=12_201,
-                        help="batch rows for the schedule scan")
-    parser.add_argument("--horizon", type=int, default=30)
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
 
     rng = np.random.default_rng(0)
     grid = np.linspace(0.0, 1.0, args.grid)
-    R = rng.uniform(0.5, 2.5, (args.schedules, args.horizon))
     r_seq = rng.uniform(0.5, 2.5, 10_000)
     imports_seq = rng.uniform(0.0, 2.0, 10_000)
 
     cases = [
         ("policy_cost_grid", K.policy_cost_grid, K.policy_cost_grid_py,
          (grid, 0.0, 4.0, 2.0, *CT, *CB)),
-        ("batch_autarky_costs", K.batch_autarky_costs, K.batch_autarky_costs_py,
-         (R, 100.0, 2.5, 0.5, 1.0, *CT, *CO)),
         ("simulate_cases(T=1e4)", K.simulate_cases, K.simulate_cases_py,
          (50.0, r_seq * 0.0 + 0.99, imports_seq, 1.0)),
         ("transmission_cost_arr", K.transmission_cost_arr,

@@ -4,7 +4,9 @@ The backend is chosen at import time. Set ``EPICOST_NUMBA=0`` in the
 environment to force the numpy fallbacks; otherwise numba is used when it
 imports cleanly. ``BACKEND`` reports which path is active, and the ``*_py``
 implementations stay importable either way so the two can be benchmarked
-against each other (see ``benchmarks/bench_kernels.py``).
+against each other (see ``benchmarks/bench_kernels.py``). The schedule
+scan ``two_segment_costs`` has one implementation, in numpy, on either
+backend.
 
 Kernels assume domain-valid inputs; validation lives in the calling modules.
 Transmission-curve parameters are passed flat as
@@ -78,25 +80,27 @@ def simulate_cases_py(x0, r_seq, imports_seq, alpha):
     return cases
 
 
-def batch_autarky_costs_py(R, x0, r0, r_min, g_exp,
-                           c0, a_tti, x_tti, jump, a_wide, gamma,
-                           omega, delta):
-    """Cumulative no-travel cost for a batch of reproduction schedules.
+def two_segment_costs(r_first, r_second, switch, horizon, x0, r0, r_min, g_exp,
+                      c0, a_tti, x_tti, jump, a_wide, gamma, omega, delta):
+    """Cumulative no-travel cost of two-segment reproduction schedules.
 
-    Daily cost is ``c_T(x) * g(R) + c_O(x)`` with stringency weight
-    ``g(R) = ((r0 - R) / (r0 - r_min)) ** g_exp``. Returns
-    ``(totals, max_cases, final_cases)``, one entry per schedule row.
+    Schedule ``i`` holds ``r_first[i]`` on days ``t < switch[i]`` and
+    ``r_second[i]`` from then on. Daily cost is ``c_T(x) * g(R) + c_O(x)``
+    with stringency weight ``g(R) = ((r0 - R) / (r0 - r_min)) ** g_exp``.
+    Returns ``(totals, max_cases, final_cases)``, one entry per schedule.
+    Memory is O(n): each day's R is picked from the triples, never stored
+    as an n-by-horizon matrix.
     """
-    n, T = R.shape
     denom = r0 - r_min
-    x = np.full(n, x0, dtype=np.float64)
-    totals = np.zeros(n)
-    max_cases = np.full(n, x0, dtype=np.float64)
-    for t in range(T):
-        g = ((r0 - R[:, t]) / denom) ** g_exp
+    x = np.full(r_first.shape[0], x0, dtype=np.float64)
+    totals = np.zeros(r_first.shape[0])
+    max_cases = x.copy()
+    for t in range(horizon):
+        r = np.where(t < switch, r_first, r_second)
+        g = ((r0 - r) / denom) ** g_exp
         ct = transmission_cost_arr_py(x, c0, a_tti, x_tti, jump, a_wide, gamma)
         totals += ct * g + omega * x**delta
-        x = R[:, t] * x
+        x = r * x
         np.maximum(max_cases, x, out=max_cases)
     return totals, max_cases, x
 
@@ -158,56 +162,18 @@ def _simulate_cases_loop(x0, r_seq, imports_seq, alpha):
     return cases
 
 
-def _batch_autarky_costs_loop(R, x0, r0, r_min, g_exp,
-                              c0, a_tti, x_tti, jump, a_wide, gamma,
-                              omega, delta):
-    n, T = R.shape
-    denom = r0 - r_min
-    unit_g = g_exp == 1.0       # skip pow on the common unit exponents
-    unit_o = delta == 1.0
-    square_w = gamma == 2.0
-    totals = np.empty(n)
-    max_cases = np.empty(n)
-    final_cases = np.empty(n)
-    for i in range(n):
-        x = x0
-        tot = 0.0
-        mx = x0
-        for t in range(T):
-            g = (r0 - R[i, t]) / denom
-            if not unit_g:
-                g = g**g_exp
-            if x <= x_tti:
-                ct = c0 + a_tti * x
-            else:
-                excess = x - x_tti
-                wide = excess * excess if square_w else excess**gamma
-                ct = c0 + a_tti * x_tti + jump + a_wide * wide
-            outbreak = omega * x if unit_o else omega * x**delta
-            tot += ct * g + outbreak
-            x = R[i, t] * x
-            if x > mx:
-                mx = x
-        totals[i] = tot
-        max_cases[i] = mx
-        final_cases[i] = x
-    return totals, max_cases, final_cases
-
-
 if USE_NUMBA:
     transmission_cost_arr = njit(cache=True)(_transmission_cost_arr_loop)
     border_cost_arr = njit(cache=True)(_border_cost_arr_loop)
     outbreak_cost_arr = njit(cache=True)(_outbreak_cost_arr_loop)
     policy_cost_grid = njit(cache=True)(_policy_cost_grid_loop)
     simulate_cases = njit(cache=True)(_simulate_cases_loop)
-    batch_autarky_costs = njit(cache=True)(_batch_autarky_costs_loop)
 else:
     transmission_cost_arr = transmission_cost_arr_py
     border_cost_arr = border_cost_arr_py
     outbreak_cost_arr = outbreak_cost_arr_py
     policy_cost_grid = policy_cost_grid_py
     simulate_cases = simulate_cases_py
-    batch_autarky_costs = batch_autarky_costs_py
 
 
 def warmup():
@@ -218,5 +184,3 @@ def warmup():
     outbreak_cost_arr(t, 1.0, 1.0)
     policy_cost_grid(t, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, 1.0)
     simulate_cases(1.0, t, t, 1.0)
-    batch_autarky_costs(np.ones((2, 3)), 1.0, 2.5, 0.5, 1.0,
-                        1.0, 0.5, np.inf, 0.0, 1.0, 1.0, 1.0, 1.0)

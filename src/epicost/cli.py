@@ -13,7 +13,6 @@ invariant violation.
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -28,6 +27,10 @@ from .game import GameState, best_response, solve_game
 from .importation import ImportScenario, expected_imports, pmf_support, sample_imports
 from .optimize import OptimizationResult, minimize_over_imports
 from .trajectory import compare_monotone_vs_relax, simulate
+
+# rows formatted and written per step of the CSV writer
+_CSV_CHUNK_ROWS = 4096
+_BOOL_CELLS = ("false", "true")
 
 COMMANDS = ("import-dist", "optimize", "game", "simulate",
             "compare-schedules", "validate")
@@ -75,18 +78,60 @@ def _write_json(path: Path, obj: dict) -> Path:
     return path
 
 
-def _write_csv(path: Path, header, rows, config_raw: dict, comments=()) -> Path:
+def _quote(text: str) -> str:
+    """Quote a cell as ``csv.QUOTE_MINIMAL`` does for a newline line terminator."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_kind(column) -> str:
+    """numpy dtype kind of a numeric or bool array column, else "s" (text)."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        return column.dtype.kind
+    return "s"
+
+
+def _chunk_cells(chunk, kind: str) -> list:
+    if kind == "b":
+        return [_BOOL_CELLS[v] for v in chunk.tolist()]
+    if kind == "s":
+        return [_quote(_cell(v)) for v in chunk]
+    return chunk.tolist()
+
+
+def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Path:
+    """Write a table given as equal-length columns, one chunk of rows at a time.
+
+    A numeric or bool numpy column is converted with ``tolist`` once per
+    chunk and filled into a ``%`` row template: floats ``%.12g``, ints
+    ``%d``, bools ``true``/``false``. Any other column (a list or tuple, a
+    string or object array) is formatted by ``_cell`` and quoted as
+    ``csv.QUOTE_MINIMAL`` quotes it. The bytes are those of a ``csv.writer``
+    over ``_cell`` values; rows are built ``_CSV_CHUNK_ROWS`` at a time, so
+    a large table never exists as Python objects all at once.
+    """
+    kinds = [_column_kind(col) for col in columns]
+    template = ",".join("%.12g" if k == "f" else "%d" if k in "iu" else "%s"
+                        for k in kinds) + "\n"
+    n_rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write("# config: "
                  + json.dumps(_jsonable(config_raw), sort_keys=True,
                               separators=(",", ":")) + "\n")
         for line in comments:
             fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(",".join(_quote(name) for name in header) + "\n")
+        for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+            cells = [_chunk_cells(col[lo:lo + _CSV_CHUNK_ROWS], kind)
+                     for col, kind in zip(columns, kinds)]
+            fh.write("".join([template % row for row in zip(*cells)]))
     return path
+
+
+def _records(header, columns) -> list[dict]:
+    """One dict per row of a table given as numpy columns, for JSON reports."""
+    return [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
 
 
 def _result_dict(res: OptimizationResult) -> dict:
@@ -136,7 +181,8 @@ def cmd_validate(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
         rows = [(name, c["name"], c["passed"], c["detail"])
                 for name, rep in regions.items() for c in rep["checks"]]
         path = _write_csv(out / "validate.csv",
-                          ("region", "check", "passed", "detail"), rows, cfg.raw)
+                          ("region", "check", "passed", "detail"), list(zip(*rows)),
+                          cfg.raw)
     print(f"wrote {path}")
     return 0 if all_pass else 1
 
@@ -153,7 +199,7 @@ def cmd_import_dist(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
     header = ["origin", "destination", "nu", "pmf", "tail_sum"]
     if trials > 0:
         header.append("mc_freq")
-    rows = []
+    tables = []
     link_reports = []
     for link in cfg.links:
         origin = cfg.region(link.origin)
@@ -161,28 +207,24 @@ def cmd_import_dist(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
             origin.population, origin.prevalence, link.travelers)
         nus, probs = pmf_support(scenario)
         tails = np.cumsum(np.where(nus >= 1, probs, 0.0))
-        freq = None
+        link_cols = [np.full(nus.shape[0], link.origin, dtype=object),
+                     np.full(nus.shape[0], link.destination, dtype=object),
+                     nus, probs, tails]
         if trials > 0:
             draws = sample_imports(scenario, seed, trials)
             counts = np.bincount(draws, minlength=int(nus[-1]) + 1)
-            freq = counts[nus] / trials
-        link_rows = []
-        for j, nu in enumerate(nus):
-            row = [link.origin, link.destination, int(nu),
-                   float(probs[j]), float(tails[j])]
-            if freq is not None:
-                row.append(float(freq[j]))
-            link_rows.append(row)
-        rows.extend(link_rows)
+            link_cols.append(counts[nus] / trials)
+        tables.append(link_cols)
         if fmt == "json":
             link_reports.append({
                 "origin": link.origin, "destination": link.destination,
                 "travelers": link.travelers,
                 "expected_imports": expected_imports(link.travelers, origin.prevalence),
-                "rows": [dict(zip(header[2:], row[2:])) for row in link_rows]})
+                "rows": _records(header[2:], link_cols[2:])})
 
     if fmt == "csv":
-        path = _write_csv(out / "import_dist.csv", header, rows, cfg.raw)
+        columns = [np.concatenate(parts) for parts in zip(*tables)]
+        path = _write_csv(out / "import_dist.csv", header, columns, cfg.raw)
     else:
         path = _write_json(out / "import_dist.json",
                            {"config": cfg.raw, "links": link_reports})
@@ -221,7 +263,8 @@ def cmd_optimize(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
                              scr["objective"], scr["classification"], ""))
         path = _write_csv(out / "optimize.csv",
                           ("region", "variable", "argument", "cost",
-                           "classification", "foc_residual"), rows, cfg.raw)
+                           "classification", "foc_residual"), list(zip(*rows)),
+                          cfg.raw)
     print(f"wrote {path}")
     return 0
 
@@ -273,7 +316,7 @@ def cmd_game(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
                           ("solution", "region", "domestic_cases", "screening",
                            "import_threat", "imports", "cost_transmission",
                            "cost_border", "cost_outbreak", "cost_total"),
-                          rows, cfg.raw, comments=[summary])
+                          list(zip(*rows)), cfg.raw, comments=[summary])
     print(f"wrote {path}")
     return 0
 
@@ -290,17 +333,18 @@ def cmd_simulate(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
 
     header = ("day", "cases", "cost_transmission", "cost_border",
               "cost_outbreak", "cost_total", "cumulative")
-    rows = [(t, traj.cases[t], traj.transmission_costs[t], traj.border_costs[t],
-             traj.outbreak_costs[t], traj.total_costs[t], traj.cumulative[t])
-            for t in range(schedule.horizon)]
+    days = schedule.horizon
+    columns = (np.arange(days), traj.cases[:days], traj.transmission_costs,
+               traj.border_costs, traj.outbreak_costs, traj.total_costs,
+               traj.cumulative)
     if fmt == "csv":
-        path = _write_csv(out / "simulate.csv", header, rows, cfg.raw,
+        path = _write_csv(out / "simulate.csv", header, columns, cfg.raw,
                           comments=[f"# final_cases: {_cell(traj.final_cases)}"])
     else:
         path = _write_json(out / "simulate.json", {
             "config": cfg.raw,
             "region": region.name,
-            "days": [dict(zip(header, row)) for row in rows],
+            "days": _records(header, columns),
             "final_cases": traj.final_cases,
             "cumulative_cost": traj.cumulative_cost,
         })
@@ -328,21 +372,20 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
     header = ("index", "r_first", "r_second", "switch_day", "total_cost",
               "final_cases", "max_cases", "feasible", "runaway",
               "contains_growth", "relax_then_tighten")
-    rows = [(i, cmp_.r_first[i], cmp_.r_second[i], int(cmp_.switch_day[i]),
-             cmp_.total_cost[i], cmp_.final_cases[i], cmp_.max_cases[i],
-             bool(cmp_.feasible[i]), bool(cmp_.runaway[i]),
-             bool(cmp_.contains_growth[i]), bool(cmp_.relax_then_tighten[i]))
-            for i in range(cmp_.n_schedules)]
+    columns = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second,
+               cmp_.switch_day, cmp_.total_cost, cmp_.final_cases, cmp_.max_cases,
+               cmp_.feasible, cmp_.runaway, cmp_.contains_growth,
+               cmp_.relax_then_tighten)
     if fmt == "csv":
         comment = "# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
                                              separators=(",", ":"))
-        path = _write_csv(out / "compare_schedules.csv", header, rows, cfg.raw,
+        path = _write_csv(out / "compare_schedules.csv", header, columns, cfg.raw,
                           comments=[comment])
     else:
         path = _write_json(out / "compare_schedules.json", {
             "config": cfg.raw,
             "summary": summary,
-            "schedules": [dict(zip(header, row)) for row in rows],
+            "schedules": _records(header, columns),
         })
     print(f"wrote {path}")
     return 0

@@ -239,6 +239,12 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
     stringency for the whole horizon must reach it). Returns per-schedule
     cumulative costs and whether the cheapest feasible schedule containing a
     growth day is beaten by the best monotone one.
+
+    Rows come in a fixed order: the constant schedules in grid order, then
+    for each ordered pair ``(r1, r2)`` of distinct grid values in row-major
+    order, switch days ``1 .. horizon - 1``. Schedules are held as
+    ``(r_first, r_second, switch_day)`` triples and costed day by day, so
+    memory is O(n) in the number of schedules, not O(n * horizon).
     """
     if x_target > x0:
         raise DomainError(f"target {x_target} exceeds the start level {x0}")
@@ -256,32 +262,19 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
     rs = rs[rs <= params.r0 + 1e-12]
     n_r = rs.shape[0]
 
-    rows_r1, rows_r2, rows_s = [], [], []
-    for r in rs:
-        rows_r1.append(r)
-        rows_r2.append(r)
-        rows_s.append(horizon)
-    for r1 in rs:
-        for r2 in rs:
-            if r1 == r2:
-                continue
-            for s in range(1, horizon):
-                rows_r1.append(r1)
-                rows_r2.append(r2)
-                rows_s.append(s)
-
-    r_first = np.array(rows_r1)
-    r_second = np.array(rows_r2)
-    switch = np.array(rows_s, dtype=np.int64)
+    # constant schedules first, then every ordered pair of distinct R values
+    # with each switch day 1..horizon-1, pairs in row-major order
+    first, second = np.nonzero(rs[:, None] != rs[None, :])
+    days = np.arange(1, horizon, dtype=np.int64)
+    r_first = np.concatenate((rs, np.repeat(rs[first], days.shape[0])))
+    r_second = np.concatenate((rs, np.repeat(rs[second], days.shape[0])))
+    switch = np.concatenate((np.full(n_r, horizon, dtype=np.int64),
+                             np.tile(days, first.shape[0])))
     n = r_first.shape[0]
 
-    R = np.empty((n, horizon))
-    for i in range(n):
-        R[i, :switch[i]] = r_first[i]
-        R[i, switch[i]:] = r_second[i]
-
-    totals, max_cases, finals = _kernels.batch_autarky_costs(
-        R, x0, params.r0, params.r_min, params.stringency_exponent,
+    totals, max_cases, finals = _kernels.two_segment_costs(
+        r_first, r_second, switch, horizon, x0, params.r0, params.r_min,
+        params.stringency_exponent,
         *curves.transmission.params, *curves.outbreak.params)
 
     runaway = max_cases > RUNAWAY_CASES

@@ -62,25 +62,39 @@ class TestBackendAgreement:
         ref = K.simulate_cases_py(13.0, r, imports, 1.7)
         np.testing.assert_allclose(fast, ref, rtol=1e-13, atol=0)
 
-    def test_batch_autarky(self):
-        rng = np.random.default_rng(5)
-        R = rng.uniform(0.5, 2.5, (40, 25))
-        ct = random_ct_params(rng)
-        fast = K.batch_autarky_costs(R, 30.0, 2.5, 0.5, 1.0, *ct, 0.5, 1.3)
-        ref = K.batch_autarky_costs_py(R, 30.0, 2.5, 0.5, 1.0, *ct, 0.5, 1.3)
-        for a, b in zip(fast, ref):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
-    def test_batch_matches_single_trajectory(self):
+def scan_and_check(r_first, r_second, switch, horizon, x0, ct, co):
+    """Run the scan; check each schedule against ``simulate_cases``."""
+    r0, r_min = 2.5, 0.5
+    totals, max_cases, finals = K.two_segment_costs(
+        r_first, r_second, switch, horizon, x0, r0, r_min, 1.0, *ct, *co)
+    for i in range(r_first.shape[0]):
+        r = np.where(np.arange(horizon) < switch[i], r_first[i], r_second[i])
+        cases = K.simulate_cases(x0, r, np.zeros(horizon), 1.0)
+        live = cases[:horizon]
+        daily = (K.transmission_cost_arr(live, *ct) * (r0 - r) / (r0 - r_min)
+                 + K.outbreak_cost_arr(live, *co))
+        assert totals[i] == pytest.approx(daily.sum(), rel=1e-12)
+        assert finals[i] == pytest.approx(cases[-1], rel=1e-12)
+        assert max_cases[i] == pytest.approx(cases.max(), rel=1e-12)
+
+
+class TestTwoSegmentCosts:
+    """The numpy schedule scan, schedule by schedule, against the recurrence."""
+
+    def test_random_schedules(self):
+        rng = np.random.default_rng(5)
+        r_first, r_second = rng.uniform(0.5, 2.5, (2, 40))
+        switch = rng.integers(0, 26, 40)
+        scan_and_check(r_first, r_second, switch, 25, 30.0,
+                       random_ct_params(rng), (0.5, 1.3))
+
+    def test_matches_single_trajectory(self):
         rng = np.random.default_rng(6)
-        R = rng.uniform(0.5, 2.5, (7, 20))
-        ct = (1.0, 0.3, 50.0, 5.0, 0.8, 1.5)
-        totals, max_cases, finals = K.batch_autarky_costs(
-            R, 80.0, 2.5, 0.5, 1.0, *ct, 1.0, 1.0)
-        for i in range(R.shape[0]):
-            cases = K.simulate_cases(80.0, R[i], np.zeros(20), 1.0)
-            assert finals[i] == pytest.approx(cases[-1], rel=1e-12)
-            assert max_cases[i] == pytest.approx(cases.max(), rel=1e-12)
+        r_first, r_second = rng.uniform(0.5, 2.5, (2, 7))
+        switch = rng.integers(0, 21, 7)
+        scan_and_check(r_first, r_second, switch, 20, 80.0,
+                       (1.0, 0.3, 50.0, 5.0, 0.8, 1.5), (1.0, 1.0))
 
 
 class TestBackendSelection:

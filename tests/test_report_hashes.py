@@ -1,7 +1,9 @@
 """Report bytes pinned across versions.
 
 Criterion 11 compares two runs of the same code; this test compares the
-current code with recorded sha256 digests of every bundled-fixture report.
+current code with recorded sha256 digests of every bundled-fixture report,
+and of two larger reports from variants of the fixtures that span many
+chunks of the CSV writer.
 A change that moves a float in any report must update the digest here and
 say in CHANGES.md which value moved and why. Digests were recorded with
 numpy's float64 arithmetic on x86-64 Linux; a platform whose libm rounds
@@ -11,6 +13,7 @@ numpy's float64 arithmetic on x86-64 Linux; a platform whose libm rounds
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -40,17 +43,45 @@ JOBS += [(fixture, "import-dist", extra)
 JOBS += [(fixture, "game", ("--format", "csv"))
          for fixture, commands in _ACCEPTED.items() if "game" in commands]
 
+# bundled fixtures with some keys replaced, for reports that span many
+# chunks of the CSV writer: name -> (fixture, {section: {key: value}})
+VARIANTS = {
+    "one_region_quadratic[r_grid_step=0.05,horizon=60]": (
+        "one_region_quadratic", {"dynamics": {"r_grid_step": 0.05, "horizon": 60}}),
+    "import_dist_small[population=100000,travelers=10000]": (
+        "import_dist_small", {"regions": {"population": 100000},
+                              "links": {"travelers": 10000}}),
+}
+JOBS += [("one_region_quadratic[r_grid_step=0.05,horizon=60]", "compare-schedules", ()),
+         ("import_dist_small[population=100000,travelers=10000]", "import-dist",
+          ("--mc-trials", "2000", "--seed", "7"))]
+
 
 def job_id(job) -> str:
     fixture, command, extra = job
     return " ".join((fixture, command, *extra))
 
 
-def report_digests(job, out) -> dict[str, str]:
+def config_path(fixture, work) -> str:
+    """Path of the job's scenario: a bundled fixture, or a variant written to ``work``."""
+    if fixture not in VARIANTS:
+        return str(fixture_path(fixture))
+    base, changes = VARIANTS[fixture]
+    raw = json.loads(fixture_path(base).read_text())
+    for section, values in changes.items():
+        for entry in raw[section] if isinstance(raw[section], list) else [raw[section]]:
+            entry.update(values)
+    path = work / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def report_digests(job, work) -> dict[str, str]:
     """Run one job in-process; map each report file name to its sha256."""
     fixture, command, extra = job
+    out = work / "out"
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main([command, "--config", str(fixture_path(fixture)),
+        code = main([command, "--config", config_path(fixture, work),
                      "--out", str(out), *extra])
     assert code == 0, job_id(job)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -245,6 +276,15 @@ EXPECTED = {
     'import_dist_small game --format csv': {
         'game.csv':
             '9134f33aec15a83e0a04c0e5374e3371442f7a5d7cb0386253059220afd31e3e',
+    },
+    'one_region_quadratic[r_grid_step=0.05,horizon=60] compare-schedules': {
+        'compare_schedules.csv':
+            'b227c05c57e889d4979152f422440dc981d9fd6b71969f4cd8dcdb47e08c902f',
+    },
+    'import_dist_small[population=100000,travelers=10000] import-dist '
+    '--mc-trials 2000 --seed 7': {
+        'import_dist.csv':
+            'd24a70dc0a680161e0485e6991df2e14dbe92dffaf5cb12983d4b1a73b72b95e',
     },
 }
 
