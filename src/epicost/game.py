@@ -202,13 +202,7 @@ def best_response(responder: RegionState, opponent: RegionState,
 
     if threat == 0.0:
         # nothing to screen: open borders, no restriction cost
-        b = responder.curves.border
-        residual = -b.b0 * b.curvature * (0.0 ** (b.curvature - 1.0))
-        return PolicyDecision(
-            region=responder.name, domestic_cases=0.0, screening=1.0,
-            import_threat=0.0, imports=0.0,
-            costs=_link_breakdown(responder.curves, 0.0, 0.0, 1.0),
-            classification=BOUNDARY_OPEN if residual < 0 else "interior")
+        return _no_link_decision(responder)
 
     link_curves = replace(responder.curves,
                           border=responder.curves.border.rescaled(threat))

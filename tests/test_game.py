@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from epicost.game import (GameState, RegionState, TravelLink, best_response,
                           cooperative_optimum, imports_between, nash_iterate,
                           price_of_noncooperation, solve_game)
 from epicost.importation import expected_imports
+from epicost.optimize import BOUNDARY_OPEN
 
 
 def region(name, prevalence, curves, domestic=0.0, population=10**6):
@@ -44,6 +47,17 @@ class TestBestResponse:
         assert decision.screening == 1.0
         assert decision.costs.border == 0.0
         assert decision.costs.total == pytest.approx(1.0)  # c0 only
+
+    @pytest.mark.parametrize("curvature", [1.0, 1.5, 2.0])
+    def test_zero_threat_is_boundary_open_for_any_curvature(self, quad_set, curvature):
+        curves = replace(quad_set, border=replace(quad_set.border, curvature=curvature))
+        responder = region("B", 0.0, curves)
+        opponent = region("A", 0.0, curves)
+        decision = best_response(responder, opponent, TravelLink("A", "B", 50))
+        assert decision.import_threat == 0.0
+        assert decision.screening == 1.0
+        assert decision.costs.border == 0.0
+        assert decision.classification == BOUNDARY_OPEN
 
     def test_interior_screening_matches_analytic(self, quad_set):
         # travelers=2 at full prevalence gives an unscreened threat of exactly 4
