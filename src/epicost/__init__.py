@@ -5,7 +5,6 @@ single-region cost minimization, a two-region Nash-vs-cooperative solver,
 and a trajectory simulator for costing multi-day strategies.
 """
 
-from ._kernels import BACKEND
 from .costs import (BorderCost, CostCurveSet, OutbreakCost, ShapeReport,
                     TransmissionCost, validate_curve_set)
 from .errors import (ConfigError, DomainError, InvariantViolation,
@@ -28,7 +27,6 @@ from .trajectory import (DynamicsParams, PolicySchedule, ScheduleComparison,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BorderCost", "CostCurveSet", "OutbreakCost", "ShapeReport",
     "TransmissionCost", "validate_curve_set",
     "ConfigError", "DomainError", "InvariantViolation", "KinkAmbiguityError",

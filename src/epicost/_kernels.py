@@ -1,12 +1,8 @@
-"""Hot numeric kernels: numba-compiled loops with pure-numpy fallbacks.
+"""Hot numeric kernels, one numpy implementation each.
 
-The backend is chosen at import time. Set ``EPICOST_NUMBA=0`` in the
-environment to force the numpy fallbacks; otherwise numba is used when it
-imports cleanly. ``BACKEND`` reports which path is active, and the ``*_py``
-implementations stay importable either way so the two can be benchmarked
-against each other (see ``benchmarks/bench_kernels.py``). The schedule
-scan ``two_segment_costs`` has one implementation, in numpy, on either
-backend.
+The cost curves, the optimizer grid, the trajectory simulator and the
+schedule scan evaluate their curves here. The curve kernels and
+``policy_cost_grid`` take arrays of any shape.
 
 Kernels assume domain-valid inputs; validation lives in the calling modules.
 Transmission-curve parameters are passed flat as
@@ -14,26 +10,10 @@ Transmission-curve parameters are passed flat as
 and outbreak as ``(omega, delta)``.
 """
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("EPICOST_NUMBA", "1").strip().lower()
-USE_NUMBA = _flag not in ("0", "false", "no", "off")
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
-
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def transmission_cost_arr_py(x, c0, a_tti, x_tti, jump, a_wide, gamma):
+def transmission_cost_arr(x, c0, a_tti, x_tti, jump, a_wide, gamma):
     x = np.asarray(x, dtype=np.float64)
     out = c0 + a_tti * np.minimum(x, x_tti)
     over = x > x_tti
@@ -43,20 +23,20 @@ def transmission_cost_arr_py(x, c0, a_tti, x_tti, jump, a_wide, gamma):
     return out
 
 
-def border_cost_arr_py(imports, b0, i_free, beta):
+def border_cost_arr(imports, b0, i_free, beta):
     imports = np.asarray(imports, dtype=np.float64)
     slack = np.maximum(1.0 - imports / i_free, 0.0)
     return b0 * slack**beta
 
 
-def outbreak_cost_arr_py(x, omega, delta):
+def outbreak_cost_arr(x, omega, delta):
     x = np.asarray(x, dtype=np.float64)
     return omega * x**delta
 
 
-def policy_cost_grid_py(t, base_cases, import_scale, alpha,
-                        c0, a_tti, x_tti, jump, a_wide, gamma,
-                        b0, i_free, beta):
+def policy_cost_grid(t, base_cases, import_scale, alpha,
+                     c0, a_tti, x_tti, jump, a_wide, gamma,
+                     b0, i_free, beta):
     """Transmission-plus-border cost along a policy axis.
 
     Case load is ``base_cases + alpha * import_scale * t`` and the border
@@ -66,12 +46,12 @@ def policy_cost_grid_py(t, base_cases, import_scale, alpha,
     """
     t = np.asarray(t, dtype=np.float64)
     cases = base_cases + alpha * import_scale * t
-    ct = transmission_cost_arr_py(cases, c0, a_tti, x_tti, jump, a_wide, gamma)
-    cb = border_cost_arr_py(import_scale * t, b0, i_free, beta)
+    ct = transmission_cost_arr(cases, c0, a_tti, x_tti, jump, a_wide, gamma)
+    cb = border_cost_arr(import_scale * t, b0, i_free, beta)
     return ct + cb
 
 
-def simulate_cases_py(x0, r_seq, imports_seq, alpha):
+def simulate_cases(x0, r_seq, imports_seq, alpha):
     T = r_seq.shape[0]
     cases = np.empty(T + 1)
     cases[0] = x0
@@ -98,89 +78,8 @@ def two_segment_costs(r_first, r_second, switch, horizon, x0, r0, r_min, g_exp,
     for t in range(horizon):
         r = np.where(t < switch, r_first, r_second)
         g = ((r0 - r) / denom) ** g_exp
-        ct = transmission_cost_arr_py(x, c0, a_tti, x_tti, jump, a_wide, gamma)
+        ct = transmission_cost_arr(x, c0, a_tti, x_tti, jump, a_wide, gamma)
         totals += ct * g + omega * x**delta
         x = r * x
         np.maximum(max_cases, x, out=max_cases)
     return totals, max_cases, x
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (explicit loops)
-
-def _transmission_cost_arr_loop(x, c0, a_tti, x_tti, jump, a_wide, gamma):
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        xi = x[i]
-        if xi <= x_tti:
-            out[i] = c0 + a_tti * xi
-        else:
-            out[i] = c0 + a_tti * x_tti + jump + a_wide * (xi - x_tti) ** gamma
-    return out
-
-
-def _border_cost_arr_loop(imports, b0, i_free, beta):
-    out = np.empty(imports.shape[0])
-    for i in range(imports.shape[0]):
-        slack = 1.0 - imports[i] / i_free
-        if slack < 0.0:
-            slack = 0.0
-        out[i] = b0 * slack**beta
-    return out
-
-
-def _outbreak_cost_arr_loop(x, omega, delta):
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        out[i] = omega * x[i] ** delta
-    return out
-
-
-def _policy_cost_grid_loop(t, base_cases, import_scale, alpha,
-                           c0, a_tti, x_tti, jump, a_wide, gamma,
-                           b0, i_free, beta):
-    out = np.empty(t.shape[0])
-    for i in range(t.shape[0]):
-        cases = base_cases + alpha * import_scale * t[i]
-        if cases <= x_tti:
-            ct = c0 + a_tti * cases
-        else:
-            ct = c0 + a_tti * x_tti + jump + a_wide * (cases - x_tti) ** gamma
-        slack = 1.0 - import_scale * t[i] / i_free
-        if slack < 0.0:
-            slack = 0.0
-        out[i] = ct + b0 * slack**beta
-    return out
-
-
-def _simulate_cases_loop(x0, r_seq, imports_seq, alpha):
-    T = r_seq.shape[0]
-    cases = np.empty(T + 1)
-    cases[0] = x0
-    for t in range(T):
-        cases[t + 1] = r_seq[t] * cases[t] + alpha * imports_seq[t]
-    return cases
-
-
-if USE_NUMBA:
-    transmission_cost_arr = njit(cache=True)(_transmission_cost_arr_loop)
-    border_cost_arr = njit(cache=True)(_border_cost_arr_loop)
-    outbreak_cost_arr = njit(cache=True)(_outbreak_cost_arr_loop)
-    policy_cost_grid = njit(cache=True)(_policy_cost_grid_loop)
-    simulate_cases = njit(cache=True)(_simulate_cases_loop)
-else:
-    transmission_cost_arr = transmission_cost_arr_py
-    border_cost_arr = border_cost_arr_py
-    outbreak_cost_arr = outbreak_cost_arr_py
-    policy_cost_grid = policy_cost_grid_py
-    simulate_cases = simulate_cases_py
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel (no-op on the numpy backend)."""
-    t = np.linspace(0.0, 1.0, 4)
-    transmission_cost_arr(t, 1.0, 0.5, 10.0, 0.0, 1.0, 2.0)
-    border_cost_arr(t, 2.0, 4.0, 1.0)
-    outbreak_cost_arr(t, 1.0, 1.0)
-    policy_cost_grid(t, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, 1.0)
-    simulate_cases(1.0, t, t, 1.0)

@@ -242,7 +242,8 @@ def cmd_optimize(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
         link = cfg.inbound_link(region.name)
         if link is not None:
             decision = best_response(region, cfg.region(link.origin), link,
-                                     grid_points=cfg.solver.grid_points)
+                                     grid_points=cfg.solver.grid_points,
+                                     foc_tol=cfg.solver.foc_tol)
             entry["screening"] = _decision_dict(decision)
         else:
             entry["screening"] = None
@@ -280,7 +281,8 @@ def cmd_game(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
                           coop_grid_points=cfg.solver.coop_grid_points,
                           infectious_days=cfg.solver.infectious_days,
                           damping=cfg.solver.damping,
-                          grid_points=cfg.solver.grid_points)
+                          grid_points=cfg.solver.grid_points,
+                          foc_tol=cfg.solver.foc_tol)
     report = {
         "config": cfg.raw,
         "nash": {

@@ -15,7 +15,7 @@ from pathlib import Path
 from .costs import (BorderCost, CostCurveSet, OutbreakCost, TransmissionCost,
                     validate_curve_set)
 from .errors import ConfigError, DomainError
-from .game import RegionState, TravelLink
+from .game import RegionLookup, RegionState, TravelLink
 from .trajectory import DynamicsParams, PolicySchedule
 
 
@@ -50,29 +50,17 @@ class DynamicsSettings:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(RegionLookup):
     regions: tuple[RegionState, ...]
     links: tuple[TravelLink, ...]
     solver: SolverSettings
     dynamics: DynamicsSettings
     raw: dict = field(compare=True, repr=False)
 
-    def region(self, name: str) -> RegionState:
-        for r in self.regions:
-            if r.name == name:
-                return r
-        raise DomainError(f"unknown region {name!r}")
-
     def dynamics_region(self) -> RegionState:
         if self.dynamics.region is not None:
             return self.region(self.dynamics.region)
         return self.regions[0]
-
-    def inbound_link(self, name: str) -> TravelLink | None:
-        for link in self.links:
-            if link.destination == name:
-                return link
-        return None
 
 
 class _Reader:

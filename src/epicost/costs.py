@@ -9,7 +9,7 @@ convex because the last travelers are the most essential; outbreak burden
 starts at zero and grows with cases.
 
 All curves are immutable and evaluations are pure, so concurrent use is
-safe. Array evaluation goes through the compiled kernels.
+safe. Array evaluation goes through the numpy kernels in ``_kernels``.
 """
 
 import math

@@ -24,10 +24,15 @@ import numpy as np
 from .costs import CostCurveSet
 from .errors import DomainError, InvariantViolation, NumericalFailure
 from .importation import expected_imports
-from .optimize import (BOUNDARY_OPEN, CostBreakdown, golden_section,
+from .optimize import (BOUNDARY_OPEN, FOC_TOL, CostBreakdown, golden_section,
                        minimize_over_screening)
 
 DOMINANCE_TOL = 1e-9
+
+# coordinate sweeps of the cooperative polish, and the largest move that
+# counts as converged
+POLISH_ROUNDS = 40
+POLISH_TOL = 1e-10
 
 # days an imported case stays infectious; converts a daily case level into
 # the steady-state prevalence used by the cooperative solver
@@ -71,8 +76,27 @@ class TravelLink:
             raise DomainError(f"link cannot loop ({self.origin} -> {self.destination})")
 
 
+class RegionLookup:
+    """Region and inbound-link lookup by name over ``regions`` and ``links``."""
+
+    regions: tuple[RegionState, ...]
+    links: tuple[TravelLink, ...]
+
+    def region(self, name: str) -> RegionState:
+        for r in self.regions:
+            if r.name == name:
+                return r
+        raise DomainError(f"unknown region {name!r}")
+
+    def inbound_link(self, name: str) -> TravelLink | None:
+        for link in self.links:
+            if link.destination == name:
+                return link
+        return None
+
+
 @dataclass(frozen=True)
-class GameState:
+class GameState(RegionLookup):
     regions: tuple[RegionState, RegionState]
     links: tuple[TravelLink, ...]
 
@@ -90,21 +114,9 @@ class GameState:
                 raise DomainError(f"duplicate link {link.origin} -> {link.destination}")
             seen.add(key)
 
-    def region(self, name: str) -> RegionState:
-        for r in self.regions:
-            if r.name == name:
-                return r
-        raise DomainError(f"unknown region {name!r}")
-
     def opponent(self, name: str) -> RegionState:
         a, b = self.regions
         return b if a.name == name else a
-
-    def inbound_link(self, name: str) -> TravelLink | None:
-        for link in self.links:
-            if link.destination == name:
-                return link
-        return None
 
 
 @dataclass(frozen=True)
@@ -178,25 +190,29 @@ def imports_between(origin: RegionState, link: TravelLink) -> float:
 
 def _link_breakdown(curves: CostCurveSet, domestic: float, threat: float,
                     screening: float) -> CostBreakdown:
-    """Cost components with border cost measured in link terms (zero at F=1)."""
+    """Cost components with border cost measured in link terms (zero at F=1).
+
+    The border curve is rescaled to a free level of 1, so it is evaluated at
+    the screening factor itself; that also holds when the threat is zero.
+    """
     alpha = curves.import_multiplier
     load = domestic + alpha * threat * screening
-    border = curves.border.b0 * (1.0 - screening) ** curves.border.curvature
     return CostBreakdown(
         transmission=curves.transmission.cost(load),
-        border=border,
+        border=curves.border.rescaled(1.0).cost(screening),
         outbreak=curves.outbreak.cost(load),
     )
 
 
 def best_response(responder: RegionState, opponent: RegionState,
-                  link: TravelLink, joint_domestic: bool = False,
-                  grid_points: int = 2000) -> PolicyDecision:
+                  link: TravelLink, grid_points: int = 2000,
+                  foc_tol: float = FOC_TOL) -> PolicyDecision:
     """Responder's cost-minimizing screening against the opponent's prevalence.
 
-    Domestic cases are pinned to zero (the responder's suppression cost is
-    increasing, so its inner minimization sits there); ``joint_domestic``
-    additionally searches the domestic level to confirm that numerically.
+    Domestic cases are pinned to zero: the responder's suppression cost is
+    increasing in cases, so its inner minimization sits there. The screening
+    factor is classified against ``foc_tol`` as in
+    ``minimize_over_screening``.
     """
     threat = expected_imports(link.travelers, opponent.prevalence)
 
@@ -207,22 +223,13 @@ def best_response(responder: RegionState, opponent: RegionState,
     link_curves = replace(responder.curves,
                           border=responder.curves.border.rescaled(threat))
 
-    x = 0.0
-    if joint_domestic:
-        # coordinate sweep over the domestic level; increasing curves pull it to 0
-        def held_cost(xv):
-            return minimize_over_screening(link_curves, threat, xv,
-                                           grid_points=grid_points).cost
-        x, _ = golden_section(held_cost, 0.0, max(1.0, responder.domestic_cases), 1e-8)
-        if held_cost(0.0) <= held_cost(x):
-            x = 0.0
-
-    result = minimize_over_screening(link_curves, threat, x, grid_points=grid_points)
+    result = minimize_over_screening(link_curves, threat, 0.0,
+                                     grid_points=grid_points, foc_tol=foc_tol)
     f = result.argument
     return PolicyDecision(
-        region=responder.name, domestic_cases=x, screening=f,
+        region=responder.name, domestic_cases=0.0, screening=f,
         import_threat=threat, imports=threat * f,
-        costs=_link_breakdown(responder.curves, x, threat, f),
+        costs=_link_breakdown(responder.curves, 0.0, threat, f),
         classification=result.classification)
 
 
@@ -235,8 +242,8 @@ def _no_link_decision(region: RegionState) -> PolicyDecision:
 
 
 def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
-                 joint_domestic: bool = False, damping: float = 0.5,
-                 grid_points: int = 2000) -> NashResult:
+                 damping: float = 0.5, grid_points: int = 2000,
+                 foc_tol: float = FOC_TOL) -> NashResult:
     """Alternating best responses until both regions' moves fall below tol.
 
     Iteration order is deterministic (first region responds first). If two
@@ -251,10 +258,10 @@ def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
     if not 0.0 <= damping <= 1.0:
         raise DomainError(f"damping must lie in [0, 1], got {damping}")
 
-    current: dict[str, tuple[float, float]] = {}
+    current: dict[str, float] = {}   # screening factor per region
     for region in state.regions:
         link = state.inbound_link(region.name)
-        current[region.name] = (0.0, link.screening if link else 1.0)
+        current[region.name] = link.screening if link else 1.0
 
     decisions: dict[str, PolicyDecision] = {}
     converged = False
@@ -271,9 +278,9 @@ def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
                 decision = _no_link_decision(region)
             else:
                 decision = best_response(region, state.opponent(region.name),
-                                         link, joint_domestic=joint_domestic,
-                                         grid_points=grid_points)
-            old_x, old_f = current[region.name]
+                                         link, grid_points=grid_points,
+                                         foc_tol=foc_tol)
+            old_f = current[region.name]
             new_f = decision.screening
             if damping_on:
                 new_f = damping * old_f + (1.0 - damping) * new_f
@@ -282,8 +289,8 @@ def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
                     imports=decision.import_threat * new_f,
                     costs=_link_breakdown(region.curves, decision.domestic_cases,
                                           decision.import_threat, new_f))
-            move = max(move, abs(new_f - old_f), abs(decision.domestic_cases - old_x))
-            current[region.name] = (decision.domestic_cases, new_f)
+            move = max(move, abs(new_f - old_f))
+            current[region.name] = new_f
             decisions[region.name] = decision
         if move < tol:
             converged = True
@@ -307,9 +314,8 @@ def _sweep_costs(curves: CostCurveSet, cases, threats, fs: np.ndarray,
                  border: np.ndarray) -> np.ndarray:
     """``_link_breakdown(...).total`` broadcast over cases, threats and F."""
     load = cases + (curves.import_multiplier * threats) * fs
-    flat = load.ravel()  # the numba kernels index x[i] as a scalar: 1-D only
-    costs = (curves.transmission.cost_arr(flat).reshape(load.shape) + border
-             + curves.outbreak.cost_arr(flat).reshape(load.shape))
+    costs = (curves.transmission.cost_arr(load) + border
+             + curves.outbreak.cost_arr(load))
     if not np.all(np.isfinite(costs)):
         raise NumericalFailure("non-finite cost in the cooperative grid sweep")
     return costs
@@ -345,8 +351,7 @@ def _coop_grid_winner(r1: RegionState, r2: RegionState, xs: np.ndarray,
 
 
 def cooperative_optimum(state: GameState, grid_points: int = 25,
-                        infectious_days: float = DEFAULT_INFECTIOUS_DAYS,
-                        polish_rounds: int = 40, tol: float = 1e-10) -> CoopResult:
+                        infectious_days: float = DEFAULT_INFECTIOUS_DAYS) -> CoopResult:
     """Joint minimizer of the summed total cost over both regions' (x, F).
 
     Prevalence is endogenous at steady state, ``min(1, infectious_days * x /
@@ -354,9 +359,10 @@ def cooperative_optimum(state: GameState, grid_points: int = 25,
     solver sweeps an exhaustive G x G x G policy grid one x1 row at a time
     (two G x G cost arrays per row, so memory is O(G^2)); ties resolve to the
     smallest F, then to the first (x1, x2) in row-major order. It then
-    polishes each coordinate by golden section; with increasing transmission
-    and outbreak curves the optimum lands on zero cases and open borders for
-    both regions.
+    polishes each coordinate by golden section, for at most POLISH_ROUNDS
+    sweeps or until no coordinate moves by POLISH_TOL; with increasing
+    transmission and outbreak curves the optimum lands on zero cases and open
+    borders for both regions.
     """
     r1, r2 = state.regions
     link_in = {r.name: state.inbound_link(r.name) for r in state.regions}
@@ -387,7 +393,7 @@ def cooperative_optimum(state: GameState, grid_points: int = 25,
 
     point = [x1, f1, x2, f2]
     bounds = [(0.0, x_max), (0.0, 1.0), (0.0, x_max), (0.0, 1.0)]
-    for _ in range(polish_rounds):
+    for _ in range(POLISH_ROUNDS):
         moved = 0.0
         for i, (lo, hi) in enumerate(bounds):
             def axis(v, i=i):
@@ -401,7 +407,7 @@ def cooperative_optimum(state: GameState, grid_points: int = 25,
                     v, fv = edge, axis(edge)
             moved = max(moved, abs(v - point[i]))
             point[i] = v
-        if moved < tol:
+        if moved < POLISH_TOL:
             break
 
     x1, f1, x2, f2 = point
@@ -438,12 +444,11 @@ def price_of_noncooperation(nash: NashResult, coop: CoopResult) -> tuple[float, 
 def solve_game(state: GameState, max_iters: int = 100, tol: float = 1e-9,
                coop_grid_points: int = 25,
                infectious_days: float = DEFAULT_INFECTIOUS_DAYS,
-               joint_domestic: bool = False, damping: float = 0.5,
-               grid_points: int = 2000) -> GameSolution:
+               damping: float = 0.5, grid_points: int = 2000,
+               foc_tol: float = FOC_TOL) -> GameSolution:
     """Nash and cooperative solutions with their cost gap."""
-    nash = nash_iterate(state, max_iters=max_iters, tol=tol,
-                        joint_domestic=joint_domestic, damping=damping,
-                        grid_points=grid_points)
+    nash = nash_iterate(state, max_iters=max_iters, tol=tol, damping=damping,
+                        grid_points=grid_points, foc_tol=foc_tol)
     coop = cooperative_optimum(state, grid_points=coop_grid_points,
                                infectious_days=infectious_days)
     gap, ratio = price_of_noncooperation(nash, coop)

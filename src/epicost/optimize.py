@@ -119,15 +119,16 @@ def _minimize_on_interval(variable, fn_scalar, fn_grid, marginal, lo, hi,
     non-smooth; a refined argument landing next to one whose left-limit
     value is at least as good is snapped onto it, so the generalized
     first-order condition (zero inside the subgradient interval) is
-    evaluated exactly at the kink. Grid ties within TIE_TOL resolve to the
-    smallest argument.
+    evaluated exactly at the kink. Grid ties within a relative TIE_TOL of
+    the least cost resolve to the smallest argument; the tolerance is
+    relative so that the choice does not depend on the unit of cost.
     """
     xs = np.linspace(lo, hi, grid_points)
     fs = fn_grid(xs)
     if not np.all(np.isfinite(fs)):
         raise NumericalFailure(
             f"non-finite cost while minimizing over {variable} on [{lo}, {hi}]")
-    idx = int(np.nonzero(fs <= fs.min() + TIE_TOL)[0][0])
+    idx = int(np.nonzero(fs <= fs.min() * (1.0 + TIE_TOL))[0][0])
 
     width = WIDTH_FRAC * (hi - lo)
     x_star, f_star = golden_section(

@@ -1,14 +1,7 @@
 import pytest
 
-from epicost import _kernels
 from epicost.costs import (BorderCost, CostCurveSet, OutbreakCost,
                            TransmissionCost)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile (or cache-load) every jit kernel once so timed tests measure work
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -222,6 +222,28 @@ class TestExitCodes:
                        "--tol", "0") == 1
 
 
+class TestFocTolerance:
+    """``solver.foc_tol`` (``--tol``) classifies the screening decision too."""
+
+    # dst's marginal at open borders is about -0.507: open at the default
+    # tolerance, interior once the tolerance exceeds its size
+    @pytest.mark.parametrize("tol, want", [(None, "boundary-open"), ("1.0", "interior")])
+    def test_optimize_screening(self, tmp_path, tol, want):
+        args = ["optimize", "--config", str(fixture_path("import_dist_small")),
+                "--out", str(tmp_path), "--format", "csv"]
+        assert run_cli(*args, *(["--tol", tol] if tol else [])) == 0
+        rows = {(r["region"], r["variable"]): r for r in read_csv(tmp_path / "optimize.csv")}
+        assert rows["dst", "screening"]["classification"] == want
+
+    @pytest.mark.parametrize("tol, want", [(None, "boundary-open"), ("1.0", "interior")])
+    def test_game_nash_screening(self, tmp_path, tol, want):
+        args = ["game", "--config", str(fixture_path("import_dist_small")),
+                "--out", str(tmp_path)]
+        assert run_cli(*args, *(["--tol", tol] if tol else [])) == 0
+        report = json.loads((tmp_path / "game.json").read_text())
+        assert report["nash"]["regions"]["dst"]["classification"] == want
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

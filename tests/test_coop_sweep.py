@@ -111,14 +111,11 @@ def test_coop_result_matches_scalar_sweep(state, grid_points):
     assert got == want
 
 
-_KERNELS = ("transmission_cost_arr", "border_cost_arr", "outbreak_cost_arr")
-
-
-@pytest.mark.parametrize("suffix", ["_py", "_loop"])
-def test_grid_winner_on_each_kernel_implementation(suffix):
-    # the loop kernels are what numba compiles; they take 1-D input only
-    impls = {name: getattr(_kernels, name + suffix if suffix == "_py"
-                           else "_" + name + suffix) for name in _KERNELS}
+@pytest.mark.parametrize("kernels", [pytest.param(_kernels, id="_py")])
+def test_grid_winner_on_each_kernel_implementation(kernels):
+    # a fixed TTI-breakdown game, swept on the numpy kernels (id ``_py``)
+    impls = {name: getattr(kernels, name) for name in
+             ("transmission_cost_arr", "border_cost_arr", "outbreak_cost_arr")}
     state = _twin_game(bundled_curve_sets()["tti_breakdown"], travelers_ab=700,
                        travelers_ba=1200, domestic=60.0)
     args = grid_inputs(state, 6)

@@ -1,11 +1,15 @@
-import os
-import subprocess
-import sys
+"""The numpy kernels against the scalar cost curves and plain-Python loops."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicost import _kernels as K
+from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
+from epicost.optimize import aggregate_cost
 
 
 def random_ct_params(rng):
@@ -16,51 +20,137 @@ def random_ct_params(rng):
             float(rng.uniform(1.0, 2.5)))
 
 
-class TestBackendAgreement:
-    """The jit kernels and the numpy fallbacks must agree bit-for-bit-ish."""
+_level = st.floats(0.0, 5.0)
+_exponent = st.floats(1.0, 3.0)
+_oracle = settings(max_examples=100, deadline=None, derandomize=True)
 
-    def test_transmission_grid(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            params = random_ct_params(rng)
-            x = rng.uniform(0.0, 12.0, 257)
-            fast = K.transmission_cost_arr(x, *params)
-            ref = K.transmission_cost_arr_py(x, *params)
-            np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=0)
 
-    def test_border_grid(self):
-        rng = np.random.default_rng(1)
-        imports = rng.uniform(0.0, 4.0, 300)
-        fast = K.border_cost_arr(imports, 2.0, 4.0, 2.3)
-        ref = K.border_cost_arr_py(imports, 2.0, 4.0, 2.3)
-        np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=0)
+@st.composite
+def transmission_costs(draw):
+    cap = draw(st.sampled_from([0.0, math.inf]) | st.floats(0.1, 20.0))
+    return TransmissionCost(c0=draw(_level), tti_slope=draw(_level), tti_capacity=cap,
+                            breakdown_jump=draw(_level), wide_slope=draw(_level),
+                            wide_exponent=draw(_exponent))
 
-    def test_outbreak_grid(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0.0, 50.0, 300)
-        np.testing.assert_allclose(K.outbreak_cost_arr(x, 0.7, 1.6),
-                                   K.outbreak_cost_arr_py(x, 0.7, 1.6),
-                                   rtol=1e-14, atol=0)
 
-    def test_policy_cost_grid(self):
-        rng = np.random.default_rng(3)
-        t = np.linspace(0.0, 1.0, 1001)
-        for _ in range(5):
-            ct = random_ct_params(rng)
-            args = (float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 4.0)),
-                    float(rng.uniform(1.0, 2.0)))
-            cb = (2.0, 4.0, float(rng.uniform(1.0, 3.0)))
-            fast = K.policy_cost_grid(t, *args, *ct, *cb)
-            ref = K.policy_cost_grid_py(t, *args, *ct, *cb)
-            np.testing.assert_allclose(fast, ref, rtol=1e-14, atol=1e-300)
+@st.composite
+def border_costs(draw):
+    return BorderCost(b0=draw(_level), i_free=draw(st.floats(0.1, 10.0)),
+                      curvature=draw(_exponent))
 
-    def test_simulate_cases(self):
-        rng = np.random.default_rng(4)
-        r = rng.uniform(0.5, 2.5, 64)
-        imports = rng.uniform(0.0, 2.0, 64)
-        fast = K.simulate_cases(13.0, r, imports, 1.7)
-        ref = K.simulate_cases_py(13.0, r, imports, 1.7)
-        np.testing.assert_allclose(fast, ref, rtol=1e-13, atol=0)
+
+def with_kink(x, cap):
+    """``x`` plus a finite breakdown point and its float neighbours."""
+    if not math.isfinite(cap):
+        return x
+    extra = [cap, math.nextafter(cap, math.inf)]
+    if cap > 0:
+        extra.append(math.nextafter(cap, 0.0))
+    return np.concatenate([x, extra])
+
+
+def assert_matches_scalar(got, want):
+    """Elementwise agreement to a few units in the last place.
+
+    numpy may evaluate ``**`` on arrays with SIMD code that differs from the
+    C library's ``pow`` (which the scalar curves use) in the last place; a
+    wrong branch or formula is off by far more.
+    """
+    np.testing.assert_array_max_ulp(got, np.array(want, dtype=np.float64), maxulp=4)
+
+
+def screening_objective(ct, cb, alpha, threat, domestic, f):
+    """The scalar objective ``minimize_over_screening`` refines."""
+    return ct.cost(domestic + alpha * threat * f) + cb.cost(threat * f)
+
+
+class TestCurveKernels:
+    """Each array kernel equals its scalar curve, element by element."""
+
+    @_oracle
+    @given(ct=transmission_costs())
+    def test_transmission(self, ct):
+        x = with_kink(np.linspace(0.0, 40.0, 81), ct.tti_capacity)
+        got = K.transmission_cost_arr(x, *ct.params)
+        assert_matches_scalar(got, [ct.cost(v) for v in x.tolist()])
+
+    @_oracle
+    @given(ct=transmission_costs())
+    def test_transmission_takes_2d_input(self, ct):
+        x = with_kink(np.linspace(0.0, 40.0, 81), ct.tti_capacity)
+        grid = np.stack([x, x[::-1]])
+        got = K.transmission_cost_arr(grid, *ct.params)
+        assert got.shape == grid.shape
+        assert_matches_scalar(got, [[ct.cost(v) for v in row] for row in grid.tolist()])
+
+    @_oracle
+    @given(cb=border_costs())
+    def test_border(self, cb):
+        imports = np.linspace(0.0, cb.i_free, 101)
+        got = K.border_cost_arr(imports, *cb.params)
+        assert_matches_scalar(got, [cb.cost(v) for v in imports.tolist()])
+
+    @_oracle
+    @given(co=st.builds(OutbreakCost, per_case=_level, exponent=_exponent))
+    def test_outbreak(self, co):
+        x = np.linspace(0.0, 50.0, 101)
+        assert_matches_scalar(K.outbreak_cost_arr(x, *co.params), [co.cost(v) for v in x.tolist()])
+
+
+class TestPolicyCostGrid:
+    """The optimizer's grid kernel against the objectives its solvers refine."""
+
+    @_oracle
+    @given(ct=transmission_costs(), cb=border_costs(), alpha=st.floats(1.0, 3.0),
+           threat_frac=st.floats(0.0, 1.0), domestic=st.floats(0.0, 30.0))
+    def test_screening_axis(self, ct, cb, alpha, threat_frac, domestic):
+        threat = threat_frac * cb.i_free
+        fs = np.linspace(0.0, 1.0, 101)
+        if math.isfinite(ct.tti_capacity) and alpha * threat > 0:
+            q = (ct.tti_capacity - domestic) / (alpha * threat)
+            if 0.0 < q < 1.0:
+                fs = with_kink(fs, q)
+        got = K.policy_cost_grid(fs, domestic, threat, alpha, *ct.params, *cb.params)
+        assert_matches_scalar(got, [screening_objective(ct, cb, alpha, threat, domestic, f)
+                                    for f in fs.tolist()])
+
+    @_oracle
+    @given(ct=transmission_costs(), cb=border_costs(), alpha=st.floats(1.0, 3.0))
+    def test_import_axis(self, ct, cb, alpha):
+        curves = CostCurveSet(ct, cb, OutbreakCost(), import_multiplier=alpha)
+        ts = np.linspace(0.0, cb.i_free, 101)
+        got = K.policy_cost_grid(ts, 0.0, 1.0, alpha, *ct.params, *cb.params)
+        assert_matches_scalar(got, [aggregate_cost(curves, t) for t in ts.tolist()])
+
+    @pytest.mark.parametrize("jump", [0.0, 2.5])
+    def test_on_the_kink(self, jump):
+        # load 1 + 2 * 4 * 0.25 lands exactly on the capacity 3
+        ct = TransmissionCost(c0=1.0, tti_slope=0.5, tti_capacity=3.0,
+                              breakdown_jump=jump, wide_slope=2.0, wide_exponent=1.5)
+        cb = BorderCost(b0=2.0, i_free=4.0, curvature=2.0)
+        fs = with_kink(np.linspace(0.0, 1.0, 9), 0.25)
+        got = K.policy_cost_grid(fs, 1.0, 4.0, 2.0, *ct.params, *cb.params)
+        want = [screening_objective(ct, cb, 2.0, 4.0, 1.0, f) for f in fs.tolist()]
+        assert_matches_scalar(got, want)
+        # at F = 0.25 the load sits on the capacity: the per-case branch, no jump
+        assert_matches_scalar(got[2], 1.0 + 0.5 * 3.0 + cb.cost(1.0))
+
+
+def python_recurrence(x0, r_seq, imports_seq, alpha):
+    cases = [x0]
+    for r, imports in zip(r_seq, imports_seq):
+        cases.append(r * cases[-1] + alpha * imports)
+    return cases
+
+
+@_oracle
+@given(x0=st.floats(0.0, 100.0), alpha=st.floats(0.0, 3.0),
+       days=st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 5.0)), max_size=60))
+def test_simulate_cases_matches_python_recurrence(x0, alpha, days):
+    r_seq = np.array([r for r, _ in days], dtype=np.float64)
+    imports_seq = np.array([i for _, i in days], dtype=np.float64)
+    got = K.simulate_cases(x0, r_seq, imports_seq, alpha)
+    assert got.tolist() == python_recurrence(x0, r_seq.tolist(), imports_seq.tolist(), alpha)
 
 
 def scan_and_check(r_first, r_second, switch, horizon, x0, ct, co):
@@ -95,29 +185,3 @@ class TestTwoSegmentCosts:
         switch = rng.integers(0, 21, 7)
         scan_and_check(r_first, r_second, switch, 20, 80.0,
                        (1.0, 0.3, 50.0, 5.0, 0.8, 1.5), (1.0, 1.0))
-
-
-class TestBackendSelection:
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, EPICOST_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", "from epicost import _kernels; print(_kernels.BACKEND)"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "numpy"
-
-    def test_default_backend_reported(self):
-        assert K.BACKEND in ("numba", "numpy")
-
-    def test_numpy_backend_produces_same_cli_output(self, tmp_path):
-        from epicost.fixtures import fixture_path
-        fix = str(fixture_path("one_region_quadratic"))
-        results = {}
-        for flag in ("1", "0"):
-            out = tmp_path / f"backend_{flag}"
-            env = dict(os.environ, EPICOST_NUMBA=flag)
-            subprocess.run(
-                [sys.executable, "-m", "epicost", "optimize",
-                 "--config", fix, "--out", str(out)],
-                capture_output=True, text=True, env=env, check=True)
-            results[flag] = (out / "optimize.json").read_bytes()
-        assert results["1"] == results["0"]

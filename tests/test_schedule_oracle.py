@@ -24,7 +24,7 @@ def reference_dense_costs(R, x0, r0, r_min, g_exp,
     max_cases = np.full(n, x0, dtype=np.float64)
     for t in range(T):
         g = ((r0 - R[:, t]) / denom) ** g_exp
-        ct = _kernels.transmission_cost_arr_py(x, c0, a_tti, x_tti, jump, a_wide, gamma)
+        ct = _kernels.transmission_cost_arr(x, c0, a_tti, x_tti, jump, a_wide, gamma)
         totals += ct * g + omega * x**delta
         x = R[:, t] * x
         np.maximum(max_cases, x, out=max_cases)
