@@ -1,42 +1,17 @@
 """Hot numeric kernels, one numpy implementation each.
 
-The cost curves, the optimizer grid, the trajectory simulator and the
-schedule scan evaluate their curves here. The curve kernels and
-``policy_cost_grid`` take arrays of any shape.
+The optimizer grid, the trajectory simulator and the schedule scan run
+here. The cost formulas themselves live on the curves in ``costs``
+(``cost_arr``), so each kernel takes curve objects and combines them.
+``policy_cost_grid`` takes arrays of any shape.
 
 Kernels assume domain-valid inputs; validation lives in the calling modules.
-Transmission-curve parameters are passed flat as
-``(c0, a_tti, x_tti, jump, a_wide, gamma)``, border as ``(b0, i_free, beta)``
-and outbreak as ``(omega, delta)``.
 """
 
 import numpy as np
 
 
-def transmission_cost_arr(x, c0, a_tti, x_tti, jump, a_wide, gamma):
-    x = np.asarray(x, dtype=np.float64)
-    out = c0 + a_tti * np.minimum(x, x_tti)
-    over = x > x_tti
-    if np.any(over):
-        excess = np.where(over, x - x_tti, 0.0)
-        out = np.where(over, c0 + a_tti * x_tti + jump + a_wide * excess**gamma, out)
-    return out
-
-
-def border_cost_arr(imports, b0, i_free, beta):
-    imports = np.asarray(imports, dtype=np.float64)
-    slack = np.maximum(1.0 - imports / i_free, 0.0)
-    return b0 * slack**beta
-
-
-def outbreak_cost_arr(x, omega, delta):
-    x = np.asarray(x, dtype=np.float64)
-    return omega * x**delta
-
-
-def policy_cost_grid(t, base_cases, import_scale, alpha,
-                     c0, a_tti, x_tti, jump, a_wide, gamma,
-                     b0, i_free, beta):
+def policy_cost_grid(t, base_cases, import_scale, curves):
     """Transmission-plus-border cost along a policy axis.
 
     Case load is ``base_cases + alpha * import_scale * t`` and the border
@@ -45,10 +20,8 @@ def policy_cost_grid(t, base_cases, import_scale, alpha,
     ``base_cases=x, import_scale=I`` it is the screening factor.
     """
     t = np.asarray(t, dtype=np.float64)
-    cases = base_cases + alpha * import_scale * t
-    ct = transmission_cost_arr(cases, c0, a_tti, x_tti, jump, a_wide, gamma)
-    cb = border_cost_arr(import_scale * t, b0, i_free, beta)
-    return ct + cb
+    cases = base_cases + curves.import_multiplier * import_scale * t
+    return curves.transmission.cost_arr(cases) + curves.border.cost_arr(import_scale * t)
 
 
 def simulate_cases(x0, r_seq, imports_seq, alpha):
@@ -60,26 +33,28 @@ def simulate_cases(x0, r_seq, imports_seq, alpha):
     return cases
 
 
-def two_segment_costs(r_first, r_second, switch, horizon, x0, r0, r_min, g_exp,
-                      c0, a_tti, x_tti, jump, a_wide, gamma, omega, delta):
+def two_segment_costs(r_first, r_second, switch, horizon, x0, params, curves):
     """Cumulative no-travel cost of two-segment reproduction schedules.
 
     Schedule ``i`` holds ``r_first[i]`` on days ``t < switch[i]`` and
     ``r_second[i]`` from then on. Daily cost is ``c_T(x) * g(R) + c_O(x)``
-    with stringency weight ``g(R) = ((r0 - R) / (r0 - r_min)) ** g_exp``.
+    with the stringency weight ``g`` of the dynamics ``params``.
     Returns ``(totals, max_cases, final_cases)``, one entry per schedule.
     Memory is O(n): each day's R is picked from the triples, never stored
     as an n-by-horizon matrix.
     """
-    denom = r0 - r_min
+    ct, co = curves.transmission, curves.outbreak
     x = np.full(r_first.shape[0], x0, dtype=np.float64)
     totals = np.zeros(r_first.shape[0])
     max_cases = x.copy()
     for t in range(horizon):
         r = np.where(t < switch, r_first, r_second)
-        g = ((r0 - r) / denom) ** g_exp
-        ct = transmission_cost_arr(x, c0, a_tti, x_tti, jump, a_wide, gamma)
-        totals += ct * g + omega * x**delta
+        # named, these two stay alive beside the sum's temporaries; as one
+        # expression the day's peak drops and glibc trims and re-faults the
+        # heap every day (a third slower at 380k schedules)
+        g = params.weight(r)
+        cost = ct.cost_arr(x)
+        totals += cost * g + co.cost_arr(x)
         x = r * x
         np.maximum(max_cases, x, out=max_cases)
     return totals, max_cases, x

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, parse_config
 from .costs import validate_curve_set
 from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailure
 from .game import GameState, best_response, solve_game
@@ -190,7 +190,9 @@ def cmd_validate(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
 def cmd_import_dist(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
     if not cfg.links:
         raise ConfigError(["links: import-dist needs at least one travel link"])
-    trials = args.mc_trials or 0
+    trials = args.mc_trials
+    if trials < 0:
+        raise ConfigError([f"arguments: --mc-trials must be >= 0, got {trials}"])
     seed = cfg.solver.seed
     if trials > 0 and seed is None:
         raise ConfigError(
@@ -428,23 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override_solver(cfg: ScenarioConfig, args) -> ScenarioConfig:
+    """``cfg`` with ``--seed``/``--grid``/``--tol`` merged into its solver block.
+
+    The merged copy goes through ``parse_config`` again (the curves already
+    passed the shape gate), so an override meets the same bounds as the
+    file's own value. The echoed ``raw`` stays the file's.
+    """
+    overrides = {key: value for key, value in (("seed", args.seed),
+                                               ("grid_points", args.grid),
+                                               ("foc_tol", args.tol))
+                 if value is not None}
+    if not overrides:
+        return cfg
+    solver = {**(cfg.raw.get("solver") or {}), **overrides}
+    merged = parse_config({**cfg.raw, "solver": solver}, shape_gate=False)
+    return replace(merged, raw=cfg.raw)
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config, shape_gate=args.command != "validate")
-
-    solver = cfg.solver
-    if args.seed is not None:
-        solver = replace(solver, seed=args.seed)
-    if args.grid is not None:
-        if args.grid < 3:
-            raise ConfigError([f"arguments: --grid must be >= 3, got {args.grid}"])
-        solver = replace(solver, grid_points=args.grid)
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError([f"arguments: --tol must be > 0, got {args.tol}"])
-        solver = replace(solver, foc_tol=args.tol)
-    if solver is not cfg.solver:
-        cfg = replace(cfg, solver=solver)
+    cfg = _override_solver(
+        load_config(args.config, shape_gate=args.command != "validate"), args)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

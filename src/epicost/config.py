@@ -9,25 +9,26 @@ collects every violation with its field path before failing.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .costs import (BorderCost, CostCurveSet, OutbreakCost, TransmissionCost,
                     validate_curve_set)
 from .errors import ConfigError, DomainError
-from .game import RegionLookup, RegionState, TravelLink
+from .game import DEFAULT_INFECTIOUS_DAYS, RegionLookup, RegionState, TravelLink
+from .optimize import FOC_TOL, GRID_POINTS
 from .trajectory import DynamicsParams, PolicySchedule
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    grid_points: int = 10_000
-    foc_tol: float = 1e-6
+    grid_points: int = GRID_POINTS
+    foc_tol: float = FOC_TOL
     max_iterations: int = 100
     nash_tol: float = 1e-9
     damping: float = 0.5
     coop_grid_points: int = 25
-    infectious_days: float = 10.0
+    infectious_days: float = DEFAULT_INFECTIOUS_DAYS
     seed: int | None = None
 
 
@@ -84,7 +85,7 @@ class _Reader:
         return v
 
     def num(self, data, key, path, default=None, required=False,
-            minimum=None, maximum=None, allow_inf=False):
+            minimum=None, maximum=None, allow_inf=False, positive=False):
         v = data.get(key)
         if v is None:
             if required:
@@ -96,11 +97,18 @@ class _Reader:
             self.fail(f"{path}{key}", f"expected a number, got {v!r}")
             return default
         v = float(v)
+        # json.loads takes NaN and Infinity, which every bound below lets pass
+        if math.isnan(v) or (math.isinf(v) and not allow_inf):
+            self.fail(f"{path}{key}", f"must be finite, got {v}")
+            return default
         if minimum is not None and v < minimum:
             self.fail(f"{path}{key}", f"must be >= {minimum}, got {v:g}")
             return default
         if maximum is not None and v > maximum:
             self.fail(f"{path}{key}", f"must be <= {maximum}, got {v:g}")
+            return default
+        if positive and v <= 0:
+            self.fail(f"{path}{key}", f"must be > 0, got {v}")
             return default
         return v
 
@@ -128,6 +136,11 @@ class _Reader:
             self.fail(f"{path}{key}", f"expected a string, got {v!r}")
             return default
         return v
+
+
+def _defaults(cls) -> dict:
+    """Field defaults of a settings dataclass, where they are stated once."""
+    return {f.name: f.default for f in fields(cls)}
 
 
 def _parse_curves(r: _Reader, block: dict, path: str) -> CostCurveSet | None:
@@ -237,30 +250,36 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
         except DomainError as exc:
             r.fail(f"links[{i}]", str(exc))
 
-    sb = data.get("solver", {}) or {}
+    sb = r.obj(data, "solver", "", required=False) or {}
+    sd = _defaults(SolverSettings)
     solver = SolverSettings(
-        grid_points=r.integer(sb, "grid_points", "solver.", default=10_000, minimum=3),
-        foc_tol=r.num(sb, "foc_tol", "solver.", default=1e-6, minimum=0.0),
-        max_iterations=r.integer(sb, "max_iterations", "solver.", default=100, minimum=1),
-        nash_tol=r.num(sb, "nash_tol", "solver.", default=1e-9),
-        damping=r.num(sb, "damping", "solver.", default=0.5, minimum=0.0, maximum=1.0),
-        coop_grid_points=r.integer(sb, "coop_grid_points", "solver.", default=25, minimum=2),
-        infectious_days=r.num(sb, "infectious_days", "solver.", default=10.0, minimum=0.0),
-        seed=r.integer(sb, "seed", "solver.", default=None, minimum=0),
+        grid_points=r.integer(sb, "grid_points", "solver.", default=sd["grid_points"],
+                              minimum=3),
+        foc_tol=r.num(sb, "foc_tol", "solver.", default=sd["foc_tol"], positive=True),
+        max_iterations=r.integer(sb, "max_iterations", "solver.",
+                                 default=sd["max_iterations"], minimum=1),
+        nash_tol=r.num(sb, "nash_tol", "solver.", default=sd["nash_tol"], positive=True),
+        damping=r.num(sb, "damping", "solver.", default=sd["damping"],
+                      minimum=0.0, maximum=1.0),
+        coop_grid_points=r.integer(sb, "coop_grid_points", "solver.",
+                                   default=sd["coop_grid_points"], minimum=2),
+        infectious_days=r.num(sb, "infectious_days", "solver.",
+                              default=sd["infectious_days"], minimum=0.0),
+        seed=r.integer(sb, "seed", "solver.", default=sd["seed"], minimum=0),
     )
-    if solver.nash_tol is not None and solver.nash_tol <= 0:
-        r.fail("solver.nash_tol", f"must be > 0, got {solver.nash_tol}")
 
-    db = data.get("dynamics", {}) or {}
-    r0 = r.num(db, "r0", "dynamics.", default=2.5)
-    r_min = r.num(db, "r_min", "dynamics.", default=0.5, minimum=0.0)
-    g_exp = r.num(db, "stringency_exponent", "dynamics.", default=1.0)
-    horizon = r.integer(db, "horizon", "dynamics.", default=30, minimum=1)
-    region_name = r.text(db, "region", "dynamics.", default=None)
-    target = r.num(db, "target_cases", "dynamics.", default=1.0, minimum=0.0)
-    r_step = r.num(db, "r_grid_step", "dynamics.", default=0.1)
-    if r_step is not None and r_step <= 0:
-        r.fail("dynamics.r_grid_step", f"must be > 0, got {r_step}")
+    db = r.obj(data, "dynamics", "", required=False) or {}
+    pd, dd = _defaults(DynamicsParams), _defaults(DynamicsSettings)
+    r0 = r.num(db, "r0", "dynamics.", default=pd["r0"])
+    r_min = r.num(db, "r_min", "dynamics.", default=pd["r_min"], minimum=0.0)
+    g_exp = r.num(db, "stringency_exponent", "dynamics.",
+                  default=pd["stringency_exponent"])
+    horizon = r.integer(db, "horizon", "dynamics.", default=dd["horizon"], minimum=1)
+    region_name = r.text(db, "region", "dynamics.", default=dd["region"])
+    target = r.num(db, "target_cases", "dynamics.", default=dd["target_cases"],
+                   minimum=0.0)
+    r_step = r.num(db, "r_grid_step", "dynamics.", default=dd["r_grid_step"],
+                   positive=True)
 
     def day_series(key, default):
         v = db.get(key, default)
@@ -278,8 +297,8 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
         r.fail(f"dynamics.{key}", f"expected a number or list, got {v!r}")
         return default
 
-    reproduction = day_series("reproduction", 0.5)
-    screening = day_series("screening", 1.0)
+    reproduction = day_series("reproduction", dd["reproduction"])
+    screening = day_series("screening", dd["screening"])
 
     params = None
     try:

@@ -9,7 +9,8 @@ convex because the last travelers are the most essential; outbreak burden
 starts at zero and grows with cases.
 
 All curves are immutable and evaluations are pure, so concurrent use is
-safe. Array evaluation goes through the numpy kernels in ``_kernels``.
+safe. Each curve writes its formula for one point (``cost``) and, next to
+it, for a numpy array of any shape (``cost_arr``).
 """
 
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, KinkAmbiguityError
 
 _EPS_REL = 1e-6
@@ -65,11 +65,6 @@ class TransmissionCost:
         _require(self.wide_slope >= 0, f"wide_slope must be >= 0, got {self.wide_slope}")
         _require(self.wide_exponent >= 1, f"wide_exponent must be >= 1, got {self.wide_exponent}")
 
-    @property
-    def params(self) -> tuple:
-        return (self.c0, self.tti_slope, self.tti_capacity,
-                self.breakdown_jump, self.wide_slope, self.wide_exponent)
-
     def cost(self, x: float) -> float:
         if x < 0:
             raise DomainError(f"case level must be >= 0, got {x}")
@@ -79,7 +74,20 @@ class TransmissionCost:
                 + self.wide_slope * (x - self.tti_capacity) ** self.wide_exponent)
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
-        return _kernels.transmission_cost_arr(np.asarray(x, dtype=np.float64), *self.params)
+        """``cost`` elementwise, without the domain check.
+
+        numpy's array ``**`` may differ from the scalar ``**`` in the last
+        place for a non-integer exponent; every other operation is the same.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        cap = self.tti_capacity
+        out = self.c0 + self.tti_slope * np.minimum(x, cap)
+        over = x > cap
+        if np.any(over):
+            excess = np.where(over, x - cap, 0.0)
+            out = np.where(over, self.c0 + self.tti_slope * cap + self.breakdown_jump
+                           + self.wide_slope * excess**self.wide_exponent, out)
+        return out
 
     def marginal(self, x: float, side: str | None = None) -> float:
         """One-sided derivative; at the breakdown kink a side must be chosen.
@@ -133,10 +141,6 @@ class BorderCost:
         _require(self.i_free > 0, f"i_free must be > 0, got {self.i_free}")
         _require(self.curvature >= 1, f"curvature must be >= 1, got {self.curvature}")
 
-    @property
-    def params(self) -> tuple:
-        return (self.b0, self.i_free, self.curvature)
-
     def cost(self, imports: float) -> float:
         if not 0 <= imports <= self.i_free:
             raise DomainError(
@@ -144,7 +148,10 @@ class BorderCost:
         return self.b0 * (1.0 - imports / self.i_free) ** self.curvature
 
     def cost_arr(self, imports: np.ndarray) -> np.ndarray:
-        return _kernels.border_cost_arr(np.asarray(imports, dtype=np.float64), *self.params)
+        """``cost`` elementwise, without the domain check (see TransmissionCost)."""
+        imports = np.asarray(imports, dtype=np.float64)
+        slack = np.maximum(1.0 - imports / self.i_free, 0.0)
+        return self.b0 * slack**self.curvature
 
     def marginal(self, imports: float, side: str | None = None) -> float:
         if not 0 <= imports <= self.i_free:
@@ -174,17 +181,14 @@ class OutbreakCost:
         _require(self.per_case >= 0, f"per_case must be >= 0, got {self.per_case}")
         _require(self.exponent >= 1, f"exponent must be >= 1, got {self.exponent}")
 
-    @property
-    def params(self) -> tuple:
-        return (self.per_case, self.exponent)
-
     def cost(self, x: float) -> float:
         if x < 0:
             raise DomainError(f"case level must be >= 0, got {x}")
         return self.per_case * x**self.exponent
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
-        return _kernels.outbreak_cost_arr(np.asarray(x, dtype=np.float64), *self.params)
+        """``cost`` elementwise, without the domain check (see TransmissionCost)."""
+        return self.per_case * np.asarray(x, dtype=np.float64)**self.exponent
 
     def marginal(self, x: float, side: str | None = None) -> float:
         if x < 0:

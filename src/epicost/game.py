@@ -24,8 +24,8 @@ import numpy as np
 from .costs import CostCurveSet
 from .errors import DomainError, InvariantViolation, NumericalFailure
 from .importation import expected_imports
-from .optimize import (BOUNDARY_OPEN, FOC_TOL, CostBreakdown, golden_section,
-                       minimize_over_screening)
+from .optimize import (BOUNDARY_OPEN, FOC_TOL, GRID_POINTS, CostBreakdown,
+                       golden_section, minimize_over_screening)
 
 DOMINANCE_TOL = 1e-9
 
@@ -204,8 +204,18 @@ def _link_breakdown(curves: CostCurveSet, domestic: float, threat: float,
     )
 
 
+def _decision(region: RegionState, cases: float, threat: float, screening: float,
+              classification: str) -> PolicyDecision:
+    """The region's policy point ``(cases, screening)`` against ``threat``, costed."""
+    return PolicyDecision(
+        region=region.name, domestic_cases=cases, screening=screening,
+        import_threat=threat, imports=threat * screening,
+        costs=_link_breakdown(region.curves, cases, threat, screening),
+        classification=classification)
+
+
 def best_response(responder: RegionState, opponent: RegionState,
-                  link: TravelLink, grid_points: int = 2000,
+                  link: TravelLink, grid_points: int = GRID_POINTS,
                   foc_tol: float = FOC_TOL) -> PolicyDecision:
     """Responder's cost-minimizing screening against the opponent's prevalence.
 
@@ -218,31 +228,18 @@ def best_response(responder: RegionState, opponent: RegionState,
 
     if threat == 0.0:
         # nothing to screen: open borders, no restriction cost
-        return _no_link_decision(responder)
+        return _decision(responder, 0.0, 0.0, 1.0, BOUNDARY_OPEN)
 
     link_curves = replace(responder.curves,
                           border=responder.curves.border.rescaled(threat))
 
     result = minimize_over_screening(link_curves, threat, 0.0,
                                      grid_points=grid_points, foc_tol=foc_tol)
-    f = result.argument
-    return PolicyDecision(
-        region=responder.name, domestic_cases=0.0, screening=f,
-        import_threat=threat, imports=threat * f,
-        costs=_link_breakdown(responder.curves, 0.0, threat, f),
-        classification=result.classification)
-
-
-def _no_link_decision(region: RegionState) -> PolicyDecision:
-    return PolicyDecision(
-        region=region.name, domestic_cases=0.0, screening=1.0,
-        import_threat=0.0, imports=0.0,
-        costs=_link_breakdown(region.curves, 0.0, 0.0, 1.0),
-        classification=BOUNDARY_OPEN)
+    return _decision(responder, 0.0, threat, result.argument, result.classification)
 
 
 def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
-                 damping: float = 0.5, grid_points: int = 2000,
+                 damping: float = 0.5, grid_points: int = GRID_POINTS,
                  foc_tol: float = FOC_TOL) -> NashResult:
     """Alternating best responses until both regions' moves fall below tol.
 
@@ -275,7 +272,7 @@ def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
         for region in state.regions:
             link = state.inbound_link(region.name)
             if link is None:
-                decision = _no_link_decision(region)
+                decision = _decision(region, 0.0, 0.0, 1.0, BOUNDARY_OPEN)
             else:
                 decision = best_response(region, state.opponent(region.name),
                                          link, grid_points=grid_points,
@@ -284,11 +281,9 @@ def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
             new_f = decision.screening
             if damping_on:
                 new_f = damping * old_f + (1.0 - damping) * new_f
-                decision = replace(
-                    decision, screening=new_f,
-                    imports=decision.import_threat * new_f,
-                    costs=_link_breakdown(region.curves, decision.domestic_cases,
-                                          decision.import_threat, new_f))
+                decision = _decision(region, decision.domestic_cases,
+                                     decision.import_threat, new_f,
+                                     decision.classification)
             move = max(move, abs(new_f - old_f))
             current[region.name] = new_f
             decisions[region.name] = decision
@@ -411,18 +406,8 @@ def cooperative_optimum(state: GameState, grid_points: int = 25,
             break
 
     x1, f1, x2, f2 = point
-    threat1 = threat_into(r1.name, x2)
-    threat2 = threat_into(r2.name, x1)
-    d1 = PolicyDecision(
-        region=r1.name, domestic_cases=x1, screening=f1,
-        import_threat=threat1, imports=threat1 * f1,
-        costs=_link_breakdown(r1.curves, x1, threat1, f1),
-        classification="cooperative")
-    d2 = PolicyDecision(
-        region=r2.name, domestic_cases=x2, screening=f2,
-        import_threat=threat2, imports=threat2 * f2,
-        costs=_link_breakdown(r2.curves, x2, threat2, f2),
-        classification="cooperative")
+    d1 = _decision(r1, x1, threat_into(r1.name, x2), f1, "cooperative")
+    d2 = _decision(r2, x2, threat_into(r2.name, x1), f2, "cooperative")
     outcome = GameOutcome((d1, d2), d1.costs.total + d2.costs.total)
     prevs = (_steady_prevalence(r1, x1, infectious_days),
              _steady_prevalence(r2, x2, infectious_days))
@@ -444,7 +429,7 @@ def price_of_noncooperation(nash: NashResult, coop: CoopResult) -> tuple[float, 
 def solve_game(state: GameState, max_iters: int = 100, tol: float = 1e-9,
                coop_grid_points: int = 25,
                infectious_days: float = DEFAULT_INFECTIOUS_DAYS,
-               damping: float = 0.5, grid_points: int = 2000,
+               damping: float = 0.5, grid_points: int = GRID_POINTS,
                foc_tol: float = FOC_TOL) -> GameSolution:
     """Nash and cooperative solutions with their cost gap."""
     nash = nash_iterate(state, max_iters=max_iters, tol=tol, damping=damping,

@@ -109,22 +109,38 @@ def golden_section(fn, lo: float, hi: float, width: float) -> tuple[float, float
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _minimize_on_interval(variable, fn_scalar, fn_grid, marginal, lo, hi,
-                          grid_points, foc_tol, kinks=()) -> OptimizationResult:
-    """Grid bracket + golden refinement + boundary/interior classification.
+def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
+                      scale: float, hi: float, grid_points: int,
+                      foc_tol: float) -> OptimizationResult:
+    """Minimize transmission-plus-border cost along a policy axis t in [0, hi].
 
-    ``marginal(t, side)`` must return the one-sided objective derivative
-    (+inf right of a level jump). ``kinks`` are ``(axis_point,
-    left_limit_value)`` pairs for interior points where the objective is
-    non-smooth; a refined argument landing next to one whose left-limit
-    value is at least as good is snapped onto it, so the generalized
-    first-order condition (zero inside the subgradient interval) is
-    evaluated exactly at the kink. Grid ties within a relative TIE_TOL of
-    the least cost resolve to the smallest argument; the tolerance is
-    relative so that the choice does not depend on the unit of cost.
+    At axis point t the case load is ``base_cases + alpha * scale * t`` and
+    the border curve is evaluated at ``scale * t``. A grid bracket is refined
+    by golden section, then classified as interior or pinned to a boundary
+    by the one-sided marginals (+inf right of a level jump). A refined
+    argument next to the breakdown kink snaps onto it when the kink's
+    left-limit value is at least as good, so the generalized first-order
+    condition (zero inside the subgradient interval) is evaluated exactly
+    there. Grid ties within a relative TIE_TOL of the least cost resolve to
+    the smallest argument; the tolerance is relative so that the choice does
+    not depend on the unit of cost.
     """
+    ct, cb = curves.transmission, curves.border
+    cap = ct.tti_capacity
+    rate = curves.import_multiplier * scale
+
+    def cost(t):
+        return ct.cost(base_cases + rate * t) + cb.cost(scale * t)
+
+    def marginal(t, side):
+        load = base_cases + rate * t
+        if math.isfinite(cap) and cap > 0 and abs(load - cap) <= 8 * math.ulp(max(1.0, cap)):
+            load = cap  # float rounding left the load an ulp off the breakdown point
+        return rate * ct.marginal(load, side) + scale * cb.marginal(scale * t)
+
+    lo = 0.0
     xs = np.linspace(lo, hi, grid_points)
-    fs = fn_grid(xs)
+    fs = _kernels.policy_cost_grid(xs, base_cases, scale, curves)
     if not np.all(np.isfinite(fs)):
         raise NumericalFailure(
             f"non-finite cost while minimizing over {variable} on [{lo}, {hi}]")
@@ -132,25 +148,27 @@ def _minimize_on_interval(variable, fn_scalar, fn_grid, marginal, lo, hi,
 
     width = WIDTH_FRAC * (hi - lo)
     x_star, f_star = golden_section(
-        fn_scalar, xs[max(idx - 1, 0)], xs[min(idx + 1, grid_points - 1)], width)
+        cost, xs[max(idx - 1, 0)], xs[min(idx + 1, grid_points - 1)], width)
     if fs[idx] <= f_star:
         # ties prefer the grid point, which already resolved to the smallest argument
         x_star, f_star = float(xs[idx]), float(fs[idx])
 
     snap = max(width, 2.0 * (xs[1] - xs[0]) if grid_points > 1 else width)
-    for q, left_limit in kinks:
-        if lo < q < hi and abs(x_star - q) <= snap and left_limit <= f_star:
-            x_star, f_star = float(q), float(left_limit)
-            break
+    if math.isfinite(cap) and rate > 0:
+        q = (cap - base_cases) / rate
+        if lo < q < hi and abs(x_star - q) <= snap:
+            left_limit = ct.c0 + ct.tti_slope * cap + cb.cost(scale * q)
+            if left_limit <= f_star:
+                x_star, f_star = float(q), float(left_limit)
 
     if x_star <= lo + width:
         m = marginal(lo, "right")
         if m > foc_tol:
-            return OptimizationResult(variable, lo, fn_scalar(lo), BOUNDARY_CLOSED, m)
+            return OptimizationResult(variable, lo, cost(lo), BOUNDARY_CLOSED, m)
     if x_star >= hi - width:
         m = marginal(hi, "left")
         if m < -foc_tol:
-            return OptimizationResult(variable, hi, fn_scalar(hi), BOUNDARY_OPEN, m)
+            return OptimizationResult(variable, hi, cost(hi), BOUNDARY_OPEN, m)
 
     ml = marginal(x_star, "left")
     mr = marginal(x_star, "right")
@@ -172,57 +190,12 @@ def aggregate_cost(curves: CostCurveSet, imports: float) -> float:
     return curves.transmission.cost(alpha * imports) + curves.border.cost(imports)
 
 
-def _snap_load_to_kink(load: float, cap: float) -> float:
-    """Land exactly on the breakdown point when float rounding left us an ulp off."""
-    if math.isfinite(cap) and cap > 0 and abs(load - cap) <= 8 * math.ulp(max(1.0, cap)):
-        return cap
-    return load
-
-
-def _aggregate_marginal(curves: CostCurveSet, imports: float, side: str) -> float:
-    alpha = curves.import_multiplier
-    load = _snap_load_to_kink(alpha * imports, curves.transmission.tti_capacity)
-    return (alpha * curves.transmission.marginal(load, side)
-            + curves.border.marginal(imports))
-
-
-def _transmission_kink(curves: CostCurveSet, base_cases: float,
-                       axis_scale: float, hi: float):
-    """Axis point where the case load crosses the breakdown capacity.
-
-    Returns ``[(point, left_limit_value_of_transmission_term)]`` or [];
-    the caller adds its border term to the left limit.
-    """
-    ct = curves.transmission
-    cap = ct.tti_capacity
-    if not math.isfinite(cap) or axis_scale <= 0:
-        return []
-    q = (cap - base_cases) / axis_scale
-    if not 0.0 < q < hi:
-        return []
-    return [(q, ct.c0 + ct.tti_slope * cap)]
-
-
 def minimize_over_imports(curves: CostCurveSet,
                           grid_points: int = GRID_POINTS,
                           foc_tol: float = FOC_TOL) -> OptimizationResult:
     """Minimize the aggregate cost over the import level in [0, i_free]."""
-    hi = curves.border.i_free
-    alpha = curves.import_multiplier
-
-    def fn_grid(ts):
-        return _kernels.policy_cost_grid(ts, 0.0, 1.0, alpha,
-                                         *curves.transmission.params,
-                                         *curves.border.params)
-
-    kinks = [(q, ct_left + curves.border.cost(q))
-             for q, ct_left in _transmission_kink(curves, 0.0, alpha, hi)]
-    return _minimize_on_interval(
-        "imports",
-        lambda i: aggregate_cost(curves, i),
-        fn_grid,
-        lambda i, side: _aggregate_marginal(curves, i, side),
-        0.0, hi, grid_points, foc_tol, kinks=kinks)
+    return _minimize_on_axis("imports", curves, 0.0, 1.0, curves.border.i_free,
+                             grid_points, foc_tol)
 
 
 def minimize_over_screening(curves: CostCurveSet, import_threat: float,
@@ -244,27 +217,8 @@ def minimize_over_screening(curves: CostCurveSet, import_threat: float,
         raise DomainError(
             f"unscreened imports {import_threat} exceed the border-cost domain "
             f"[0, {curves.border.i_free}]")
-    alpha = curves.import_multiplier
-    ct, cb = curves.transmission, curves.border
-
-    def fn(f):
-        return ct.cost(domestic_cases + alpha * import_threat * f) + cb.cost(import_threat * f)
-
-    def fn_grid(fs):
-        return _kernels.policy_cost_grid(fs, domestic_cases, import_threat, alpha,
-                                         *ct.params, *cb.params)
-
-    def marginal(f, side):
-        load = _snap_load_to_kink(domestic_cases + alpha * import_threat * f,
-                                  ct.tti_capacity)
-        return (alpha * import_threat * ct.marginal(load, side)
-                + import_threat * cb.marginal(import_threat * f))
-
-    kinks = [(q, ct_left + cb.cost(import_threat * q))
-             for q, ct_left in _transmission_kink(curves, domestic_cases,
-                                                  alpha * import_threat, 1.0)]
-    return _minimize_on_interval("screening", fn, fn_grid, marginal,
-                                 0.0, 1.0, grid_points, foc_tol, kinks=kinks)
+    return _minimize_on_axis("screening", curves, domestic_cases, import_threat,
+                             1.0, grid_points, foc_tol)
 
 
 def closure_condition_with_refund(curves: CostCurveSet, import_threat: float,

@@ -49,6 +49,10 @@ class DynamicsParams:
         if not self.r_min <= r <= self.r0:
             raise DomainError(
                 f"reproduction target must lie in [{self.r_min}, {self.r0}], got {r}")
+        return self.weight(r)
+
+    def weight(self, r):
+        """``stringency`` without the range check; ``r`` may be an array."""
         return ((self.r0 - r) / (self.r0 - self.r_min)) ** self.stringency_exponent
 
 
@@ -144,7 +148,6 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
     T = schedule.horizon
     r = np.asarray(schedule.reproduction, dtype=np.float64)
     f = np.asarray(schedule.screening, dtype=np.float64)
-    params = schedule.params
 
     if import_threat is None:
         imports = np.zeros(T)
@@ -165,8 +168,7 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
             f"runaway epidemic: cases exceeded {RUNAWAY_CASES:g} within {T} days")
 
     live = cases[:T]
-    g = ((params.r0 - r) / (params.r0 - params.r_min)) ** params.stringency_exponent
-    transmission = curves.transmission.cost_arr(live) * g
+    transmission = curves.transmission.cost_arr(live) * schedule.params.weight(r)
     outbreak = curves.outbreak.cost_arr(live)
     total = transmission + border + outbreak
     return Trajectory(cases=cases, transmission_costs=transmission,
@@ -273,9 +275,7 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
     n = r_first.shape[0]
 
     totals, max_cases, finals = _kernels.two_segment_costs(
-        r_first, r_second, switch, horizon, x0, params.r0, params.r_min,
-        params.stringency_exponent,
-        *curves.transmission.params, *curves.outbreak.params)
+        r_first, r_second, switch, horizon, x0, params, curves)
 
     runaway = max_cases > RUNAWAY_CASES
     feasible = (finals <= x_target) & ~runaway

@@ -221,6 +221,39 @@ class TestExitCodes:
         assert run_cli("optimize", "--config", fix, "--out", str(tmp_path),
                        "--tol", "0") == 1
 
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        # the override meets the same bound as solver.seed in the file
+        assert run_cli("import-dist", "--config", str(fixture_path("import_dist_small")),
+                       "--out", str(tmp_path), "--mc-trials", "10", "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert "config error: solver.seed: must be >= 0" in err
+        assert "Traceback" not in err
+
+    def test_nan_tol_override_rejected(self, tmp_path):
+        assert run_cli("optimize", "--config", str(fixture_path("one_region_quadratic")),
+                       "--out", str(tmp_path), "--tol", "nan") == 1
+
+    def test_negative_mc_trials_rejected(self, tmp_path):
+        assert run_cli("import-dist", "--config", str(fixture_path("import_dist_small")),
+                       "--out", str(tmp_path), "--mc-trials", "-5") == 1
+
+    def test_zero_foc_tol_in_file_rejected(self, tmp_path):
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        cfg["solver"]["foc_tol"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli("optimize", "--config", str(bad), "--out", str(tmp_path)) == 1
+
+    def test_overrides_reach_the_solver_not_the_echo(self, tmp_path):
+        fix = fixture_path("one_region_quadratic")
+        assert run_cli("optimize", "--config", str(fix), "--out", str(tmp_path),
+                       "--grid", "7", "--tol", "0.5") == 0
+        report = json.loads((tmp_path / "optimize.json").read_text())
+        assert report["config"] == json.loads(fix.read_text())
+        # seven grid points on [0, 4]: the interior optimum 0.25 is refined
+        # from the bracket [0, 2/3], so a coarse grid still finds it
+        assert report["regions"]["home"]["imports"]["argument"] == pytest.approx(0.25)
+
 
 class TestFocTolerance:
     """``solver.foc_tol`` (``--tol``) classifies the screening decision too."""

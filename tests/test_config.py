@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from epicost.config import load_config, parse_config
+from epicost.config import DynamicsSettings, SolverSettings, load_config, parse_config
 from epicost.errors import ConfigError
 from epicost.fixtures import SCENARIOS, fixture_path
+from epicost.trajectory import DynamicsParams
 
 
 def minimal_config(**overrides):
@@ -129,6 +130,35 @@ class TestValidation:
         cfg["regions"][0]["curves"]["border"]["b0"] = 0.0
         parsed = parse_config(cfg, shape_gate=False)
         assert parsed.regions[0].curves.border.b0 == 0.0
+
+    def test_empty_blocks_take_the_dataclass_defaults(self):
+        cfg = parse_config(minimal_config(solver={}, dynamics={}))
+        assert cfg.solver == SolverSettings()
+        assert cfg.dynamics == DynamicsSettings(DynamicsParams())
+
+    @pytest.mark.parametrize("block", ["solver", "dynamics"])
+    def test_non_object_block_is_a_diagnostic(self, block):
+        assert f"{block}: expected an object, got list" in diagnostics_of(
+            minimal_config(**{block: [1]}))
+
+    @pytest.mark.parametrize("key", ["foc_tol", "nash_tol"])
+    def test_tolerances_must_be_positive(self, key):
+        assert f"solver.{key}: must be > 0, got 0.0" in diagnostics_of(
+            minimal_config(solver={key: 0}))
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("solver", "nash_tol", math.nan), ("solver", "foc_tol", math.inf),
+        ("dynamics", "r0", math.nan), ("dynamics", "r_grid_step", math.inf)])
+    def test_non_finite_numbers_rejected(self, block, key, value):
+        # json.loads reads NaN and Infinity; no bound would catch them
+        cfg = json.loads(json.dumps(minimal_config(**{block: {key: value}})))
+        assert f"{block}.{key}: must be finite, got {value}" in diagnostics_of(cfg)
+
+    def test_infinite_capacity_literal_allowed(self):
+        cfg = minimal_config()
+        cfg["regions"][0]["curves"]["transmission"]["tti_capacity"] = math.inf
+        parsed = parse_config(json.loads(json.dumps(cfg)))
+        assert math.isinf(parsed.regions[0].curves.transmission.tti_capacity)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

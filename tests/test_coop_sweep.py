@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from epicost import _kernels, game
+from epicost import game
+from epicost.costs import OutbreakCost, TransmissionCost
 from epicost.errors import NumericalFailure
 from epicost.fixtures import bundled_curve_sets
 from epicost.game import (DEFAULT_INFECTIOUS_DAYS, GameState, RegionState,
@@ -111,17 +113,21 @@ def test_coop_result_matches_scalar_sweep(state, grid_points):
     assert got == want
 
 
-@pytest.mark.parametrize("kernels", [pytest.param(_kernels, id="_py")])
-def test_grid_winner_on_each_kernel_implementation(kernels):
-    # a fixed TTI-breakdown game, swept on the numpy kernels (id ``_py``)
-    impls = {name: getattr(kernels, name) for name in
-             ("transmission_cost_arr", "border_cost_arr", "outbreak_cost_arr")}
+@pytest.mark.parametrize("curve_types", [
+    pytest.param((TransmissionCost, OutbreakCost), id="_py")])
+def test_grid_winner_on_each_kernel_implementation(curve_types):
+    # a fixed TTI-breakdown game, swept on the curves' numpy ``cost_arr``
+    # (id ``_py``); the spies show the sweep runs on them
     state = _twin_game(bundled_curve_sets()["tti_breakdown"], travelers_ab=700,
                        travelers_ba=1200, domestic=60.0)
     args = grid_inputs(state, 6)
     want = reference_grid_winner(*args)
-    with mock.patch.multiple(_kernels, **impls):
+    with ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(
+            cls, "cost_arr", autospec=True, side_effect=cls.cost_arr))
+            for cls in curve_types]
         assert game._coop_grid_winner(*args) == want
+    assert all(spy.called for spy in spies)
 
 
 def _twin_game(curves, travelers_ab, travelers_ba, domestic=10.0):

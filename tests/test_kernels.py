@@ -1,4 +1,5 @@
-"""The numpy kernels against the scalar cost curves and plain-Python loops."""
+"""The numpy kernels and the curves' array forms against the scalar cost
+curves and plain-Python loops."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from epicost import _kernels as K
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.optimize import aggregate_cost
+from epicost.trajectory import DynamicsParams
 
 
 def random_ct_params(rng):
@@ -65,13 +67,13 @@ def screening_objective(ct, cb, alpha, threat, domestic, f):
 
 
 class TestCurveKernels:
-    """Each array kernel equals its scalar curve, element by element."""
+    """Each curve's ``cost_arr`` equals its scalar ``cost``, element by element."""
 
     @_oracle
     @given(ct=transmission_costs())
     def test_transmission(self, ct):
         x = with_kink(np.linspace(0.0, 40.0, 81), ct.tti_capacity)
-        got = K.transmission_cost_arr(x, *ct.params)
+        got = ct.cost_arr(x)
         assert_matches_scalar(got, [ct.cost(v) for v in x.tolist()])
 
     @_oracle
@@ -79,7 +81,7 @@ class TestCurveKernels:
     def test_transmission_takes_2d_input(self, ct):
         x = with_kink(np.linspace(0.0, 40.0, 81), ct.tti_capacity)
         grid = np.stack([x, x[::-1]])
-        got = K.transmission_cost_arr(grid, *ct.params)
+        got = ct.cost_arr(grid)
         assert got.shape == grid.shape
         assert_matches_scalar(got, [[ct.cost(v) for v in row] for row in grid.tolist()])
 
@@ -87,14 +89,14 @@ class TestCurveKernels:
     @given(cb=border_costs())
     def test_border(self, cb):
         imports = np.linspace(0.0, cb.i_free, 101)
-        got = K.border_cost_arr(imports, *cb.params)
+        got = cb.cost_arr(imports)
         assert_matches_scalar(got, [cb.cost(v) for v in imports.tolist()])
 
     @_oracle
     @given(co=st.builds(OutbreakCost, per_case=_level, exponent=_exponent))
     def test_outbreak(self, co):
         x = np.linspace(0.0, 50.0, 101)
-        assert_matches_scalar(K.outbreak_cost_arr(x, *co.params), [co.cost(v) for v in x.tolist()])
+        assert_matches_scalar(co.cost_arr(x), [co.cost(v) for v in x.tolist()])
 
 
 class TestPolicyCostGrid:
@@ -110,7 +112,8 @@ class TestPolicyCostGrid:
             q = (ct.tti_capacity - domestic) / (alpha * threat)
             if 0.0 < q < 1.0:
                 fs = with_kink(fs, q)
-        got = K.policy_cost_grid(fs, domestic, threat, alpha, *ct.params, *cb.params)
+        curves = CostCurveSet(ct, cb, OutbreakCost(), import_multiplier=alpha)
+        got = K.policy_cost_grid(fs, domestic, threat, curves)
         assert_matches_scalar(got, [screening_objective(ct, cb, alpha, threat, domestic, f)
                                     for f in fs.tolist()])
 
@@ -119,7 +122,7 @@ class TestPolicyCostGrid:
     def test_import_axis(self, ct, cb, alpha):
         curves = CostCurveSet(ct, cb, OutbreakCost(), import_multiplier=alpha)
         ts = np.linspace(0.0, cb.i_free, 101)
-        got = K.policy_cost_grid(ts, 0.0, 1.0, alpha, *ct.params, *cb.params)
+        got = K.policy_cost_grid(ts, 0.0, 1.0, curves)
         assert_matches_scalar(got, [aggregate_cost(curves, t) for t in ts.tolist()])
 
     @pytest.mark.parametrize("jump", [0.0, 2.5])
@@ -129,7 +132,8 @@ class TestPolicyCostGrid:
                               breakdown_jump=jump, wide_slope=2.0, wide_exponent=1.5)
         cb = BorderCost(b0=2.0, i_free=4.0, curvature=2.0)
         fs = with_kink(np.linspace(0.0, 1.0, 9), 0.25)
-        got = K.policy_cost_grid(fs, 1.0, 4.0, 2.0, *ct.params, *cb.params)
+        curves = CostCurveSet(ct, cb, OutbreakCost(), import_multiplier=2.0)
+        got = K.policy_cost_grid(fs, 1.0, 4.0, curves)
         want = [screening_objective(ct, cb, 2.0, 4.0, 1.0, f) for f in fs.tolist()]
         assert_matches_scalar(got, want)
         # at F = 0.25 the load sits on the capacity: the per-case branch, no jump
@@ -153,17 +157,18 @@ def test_simulate_cases_matches_python_recurrence(x0, alpha, days):
     assert got.tolist() == python_recurrence(x0, r_seq.tolist(), imports_seq.tolist(), alpha)
 
 
-def scan_and_check(r_first, r_second, switch, horizon, x0, ct, co):
+def scan_and_check(r_first, r_second, switch, horizon, x0, ct_params, co_params):
     """Run the scan; check each schedule against ``simulate_cases``."""
     r0, r_min = 2.5, 0.5
+    ct, co = TransmissionCost(*ct_params), OutbreakCost(*co_params)
+    curves = CostCurveSet(ct, BorderCost(1.0, 1.0), co)
     totals, max_cases, finals = K.two_segment_costs(
-        r_first, r_second, switch, horizon, x0, r0, r_min, 1.0, *ct, *co)
+        r_first, r_second, switch, horizon, x0, DynamicsParams(r0, r_min, 1.0), curves)
     for i in range(r_first.shape[0]):
         r = np.where(np.arange(horizon) < switch[i], r_first[i], r_second[i])
         cases = K.simulate_cases(x0, r, np.zeros(horizon), 1.0)
         live = cases[:horizon]
-        daily = (K.transmission_cost_arr(live, *ct) * (r0 - r) / (r0 - r_min)
-                 + K.outbreak_cost_arr(live, *co))
+        daily = ct.cost_arr(live) * (r0 - r) / (r0 - r_min) + co.cost_arr(live)
         assert totals[i] == pytest.approx(daily.sum(), rel=1e-12)
         assert finals[i] == pytest.approx(cases[-1], rel=1e-12)
         assert max_cases[i] == pytest.approx(cases.max(), rel=1e-12)

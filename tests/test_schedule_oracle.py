@@ -7,25 +7,24 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epicost import _kernels
 from epicost.errors import NumericalFailure
 from epicost.fixtures import bundled_curve_sets, quadratic_set
 from epicost.trajectory import (RUNAWAY_CASES, DynamicsParams, ScheduleComparison,
                                 compare_monotone_vs_relax)
 
 
-def reference_dense_costs(R, x0, r0, r_min, g_exp,
-                          c0, a_tti, x_tti, jump, a_wide, gamma, omega, delta):
+def reference_dense_costs(R, x0, params, curves):
     """Schedule costs from a dense n-by-horizon matrix of daily R values."""
     n, T = R.shape
+    r0, r_min, g_exp = params.r0, params.r_min, params.stringency_exponent
+    ct, co = curves.transmission, curves.outbreak
     denom = r0 - r_min
     x = np.full(n, x0, dtype=np.float64)
     totals = np.zeros(n)
     max_cases = np.full(n, x0, dtype=np.float64)
     for t in range(T):
         g = ((r0 - R[:, t]) / denom) ** g_exp
-        ct = _kernels.transmission_cost_arr(x, c0, a_tti, x_tti, jump, a_wide, gamma)
-        totals += ct * g + omega * x**delta
+        totals += ct.cost_arr(x) * g + co.per_case * x**co.exponent
         x = R[:, t] * x
         np.maximum(max_cases, x, out=max_cases)
     return totals, max_cases, x
@@ -61,9 +60,7 @@ def reference_compare(x0, x_target, horizon, curves, params, r_step):
         R[i, :switch[i]] = r_first[i]
         R[i, switch[i]:] = r_second[i]
 
-    totals, max_cases, finals = reference_dense_costs(
-        R, x0, params.r0, params.r_min, params.stringency_exponent,
-        *curves.transmission.params, *curves.outbreak.params)
+    totals, max_cases, finals = reference_dense_costs(R, x0, params, curves)
 
     runaway = max_cases > RUNAWAY_CASES
     feasible = (finals <= x_target) & ~runaway
