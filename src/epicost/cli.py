@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +27,11 @@ from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailu
 from .game import GameState, best_response, solve_game
 from .importation import ImportScenario, expected_imports, pmf_support, sample_imports
 from .optimize import OptimizationResult, minimize_over_imports
-from .trajectory import compare_monotone_vs_relax, simulate
+from .trajectory import compare_monotone_vs_relax, r_grid, simulate
 
 # rows formatted and written per step of the CSV writer
 _CSV_CHUNK_ROWS = 4096
-_BOOL_CELLS = ("false", "true")
+_BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 COMMANDS = ("import-dist", "optimize", "game", "simulate",
             "compare-schedules", "validate")
@@ -85,19 +86,31 @@ def _quote(text: str) -> str:
     return text
 
 
-def _column_kind(column) -> str:
-    """numpy dtype kind of a numeric or bool array column, else "s" (text)."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
-        return column.dtype.kind
-    return "s"
+class _Coded(NamedTuple):
+    """A CSV column of few distinct numbers, ``values[codes]``."""
+
+    values: np.ndarray
+    codes: np.ndarray
 
 
-def _chunk_cells(chunk, kind: str) -> list:
+def _column_format(column):
+    """A column's ``%`` format and a function from a row slice to its cells.
+
+    Numbers are filled in by the row template (floats ``%.12g``, ints
+    ``%d``); a ``_Coded`` column formats each of its values once by those
+    rules and takes the strings by code; bools index their two cells; any
+    other column is text.
+    """
+    if isinstance(column, _Coded):
+        fmt, _ = _column_format(column.values)
+        cells = np.array([fmt % v for v in column.values.tolist()], dtype=object)
+        return "%s", lambda rows: cells.take(column.codes[rows]).tolist()
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
     if kind == "b":
-        return [_BOOL_CELLS[v] for v in chunk.tolist()]
-    if kind == "s":
-        return [_quote(_cell(v)) for v in chunk]
-    return chunk.tolist()
+        return "%s", lambda rows: _BOOL_CELLS.take(column[rows].view(np.uint8)).tolist()
+    if kind in "fiu":
+        return ("%.12g" if kind == "f" else "%d"), lambda rows: column[rows].tolist()
+    return "%s", lambda rows: [_quote(_cell(v)) for v in column[rows]]
 
 
 def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Path:
@@ -105,16 +118,17 @@ def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Pa
 
     A numeric or bool numpy column is converted with ``tolist`` once per
     chunk and filled into a ``%`` row template: floats ``%.12g``, ints
-    ``%d``, bools ``true``/``false``. Any other column (a list or tuple, a
-    string or object array) is formatted by ``_cell`` and quoted as
+    ``%d``, bools ``true``/``false``. A ``_Coded`` column of few distinct
+    numbers is formatted once per value. Any other column (a list or tuple,
+    a string or object array) is formatted by ``_cell`` and quoted as
     ``csv.QUOTE_MINIMAL`` quotes it. The bytes are those of a ``csv.writer``
     over ``_cell`` values; rows are built ``_CSV_CHUNK_ROWS`` at a time, so
     a large table never exists as Python objects all at once.
     """
-    kinds = [_column_kind(col) for col in columns]
-    template = ",".join("%.12g" if k == "f" else "%d" if k in "iu" else "%s"
-                        for k in kinds) + "\n"
-    n_rows = len(columns[0])
+    formats, takes = zip(*map(_column_format, columns))
+    template = ",".join(formats) + "\n"
+    first = columns[0]
+    n_rows = len(first.codes if isinstance(first, _Coded) else first)
     with open(path, "w", newline="") as fh:
         fh.write("# config: "
                  + json.dumps(_jsonable(config_raw), sort_keys=True,
@@ -123,8 +137,8 @@ def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Pa
             fh.write(line + "\n")
         fh.write(",".join(_quote(name) for name in header) + "\n")
         for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
-            cells = [_chunk_cells(col[lo:lo + _CSV_CHUNK_ROWS], kind)
-                     for col, kind in zip(columns, kinds)]
+            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+            cells = [take(rows) for take in takes]
             fh.write("".join([template % row for row in zip(*cells)]))
     return path
 
@@ -383,7 +397,12 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
     if fmt == "csv":
         comment = "# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
                                              separators=(",", ":"))
-        path = _write_csv(out / "compare_schedules.csv", header, columns, cfg.raw,
+        # r_first and r_second take the grid values only: format each once
+        rs = r_grid(dyn.params, dyn.r_grid_step)
+        coded = (_Coded(rs, np.searchsorted(rs, cmp_.r_first)),
+                 _Coded(rs, np.searchsorted(rs, cmp_.r_second)))
+        path = _write_csv(out / "compare_schedules.csv", header,
+                          columns[:1] + coded + columns[3:], cfg.raw,
                           comments=[comment])
     else:
         path = _write_json(out / "compare_schedules.json", {

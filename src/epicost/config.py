@@ -15,7 +15,8 @@ from pathlib import Path
 from .costs import (BorderCost, CostCurveSet, OutbreakCost, TransmissionCost,
                     validate_curve_set)
 from .errors import ConfigError, DomainError
-from .game import DEFAULT_INFECTIOUS_DAYS, RegionLookup, RegionState, TravelLink
+from .game import (COOP_GRID_POINTS, DAMPING, DEFAULT_INFECTIOUS_DAYS, MAX_ITERATIONS,
+                   NASH_TOL, RegionLookup, RegionState, TravelLink)
 from .optimize import FOC_TOL, GRID_POINTS
 from .trajectory import DynamicsParams, PolicySchedule
 
@@ -24,10 +25,10 @@ from .trajectory import DynamicsParams, PolicySchedule
 class SolverSettings:
     grid_points: int = GRID_POINTS
     foc_tol: float = FOC_TOL
-    max_iterations: int = 100
-    nash_tol: float = 1e-9
-    damping: float = 0.5
-    coop_grid_points: int = 25
+    max_iterations: int = MAX_ITERATIONS
+    nash_tol: float = NASH_TOL
+    damping: float = DAMPING
+    coop_grid_points: int = COOP_GRID_POINTS
     infectious_days: float = DEFAULT_INFECTIOUS_DAYS
     seed: int | None = None
 

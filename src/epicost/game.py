@@ -38,6 +38,14 @@ POLISH_TOL = 1e-10
 # the steady-state prevalence used by the cooperative solver
 DEFAULT_INFECTIOUS_DAYS = 10.0
 
+# solver defaults, shared with ``config.SolverSettings``: best-response
+# rounds, the largest move that counts as converged, the weight damping
+# keeps on the previous screening factor, and the cooperative grid size
+MAX_ITERATIONS = 100
+NASH_TOL = 1e-9
+DAMPING = 0.5
+COOP_GRID_POINTS = 25
+
 
 @dataclass(frozen=True)
 class RegionState:
@@ -238,8 +246,9 @@ def best_response(responder: RegionState, opponent: RegionState,
     return _decision(responder, 0.0, threat, result.argument, result.classification)
 
 
-def nash_iterate(state: GameState, max_iters: int = 100, tol: float = 1e-9,
-                 damping: float = 0.5, grid_points: int = GRID_POINTS,
+def nash_iterate(state: GameState, max_iters: int = MAX_ITERATIONS,
+                 tol: float = NASH_TOL, damping: float = DAMPING,
+                 grid_points: int = GRID_POINTS,
                  foc_tol: float = FOC_TOL) -> NashResult:
     """Alternating best responses until both regions' moves fall below tol.
 
@@ -345,7 +354,7 @@ def _coop_grid_winner(r1: RegionState, r2: RegionState, xs: np.ndarray,
     return best[1:]
 
 
-def cooperative_optimum(state: GameState, grid_points: int = 25,
+def cooperative_optimum(state: GameState, grid_points: int = COOP_GRID_POINTS,
                         infectious_days: float = DEFAULT_INFECTIOUS_DAYS) -> CoopResult:
     """Joint minimizer of the summed total cost over both regions' (x, F).
 
@@ -426,10 +435,10 @@ def price_of_noncooperation(nash: NashResult, coop: CoopResult) -> tuple[float, 
     return gap, ratio
 
 
-def solve_game(state: GameState, max_iters: int = 100, tol: float = 1e-9,
-               coop_grid_points: int = 25,
+def solve_game(state: GameState, max_iters: int = MAX_ITERATIONS,
+               tol: float = NASH_TOL, coop_grid_points: int = COOP_GRID_POINTS,
                infectious_days: float = DEFAULT_INFECTIOUS_DAYS,
-               damping: float = 0.5, grid_points: int = GRID_POINTS,
+               damping: float = DAMPING, grid_points: int = GRID_POINTS,
                foc_tol: float = FOC_TOL) -> GameSolution:
     """Nash and cooperative solutions with their cost gap."""
     nash = nash_iterate(state, max_iters=max_iters, tol=tol, damping=damping,

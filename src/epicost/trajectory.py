@@ -24,6 +24,10 @@ from .errors import DomainError, NumericalFailure
 
 RUNAWAY_CASES = 1e12
 
+# most schedules compare_monotone_vs_relax enumerates: a JSON report costs
+# about 3.5 KB of memory per schedule, so the cap keeps it under 4 GB
+MAX_SCHEDULES = 1_000_000
+
 
 @dataclass(frozen=True)
 class DynamicsParams:
@@ -232,21 +236,46 @@ class ScheduleComparison:
         return float(self.total_cost[self.best_index])
 
 
+def r_grid(params: DynamicsParams, r_step: float) -> np.ndarray:
+    """The R values the comparator enumerates: ``r_min`` upward by ``r_step``
+    to ``r0``, rounded to 12 decimals."""
+    return np.round(params.r_min + np.arange(_grid_size(params, r_step)) * r_step, 12)
+
+
+def _grid_size(params: DynamicsParams, r_step: float) -> int:
+    """Length of ``r_grid`` without building it."""
+    n_r = int(round((params.r0 - params.r_min) / r_step)) + 1
+    # only the last of the n_r steps can pass r0, by up to half a step;
+    # it is computed with the same array arithmetic as r_grid's values
+    last = np.round(params.r_min + np.arange(n_r - 1, n_r) * r_step, 12)
+    return n_r - int(last[0] > params.r0 + 1e-12)
+
+
+def schedule_count(n_r: int, horizon: int) -> int:
+    """Schedules on an ``n_r``-value grid: constants, then each ordered pair
+    of distinct values with each switch day ``1 .. horizon - 1``."""
+    return n_r + n_r * (n_r - 1) * (horizon - 1)
+
+
 def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
                               curves: CostCurveSet, params: DynamicsParams,
                               r_step: float = 0.1) -> ScheduleComparison:
     """Enumerate two-segment reproduction schedules reaching the target.
 
     Feasibility of the target itself is required up front (maximal
-    stringency for the whole horizon must reach it). Returns per-schedule
-    cumulative costs and whether the cheapest feasible schedule containing a
-    growth day is beaten by the best monotone one.
+    stringency for the whole horizon must reach it), and so is a schedule
+    count of at most ``MAX_SCHEDULES``; both are checked before anything is
+    allocated. Returns per-schedule cumulative costs and whether the
+    cheapest feasible schedule containing a growth day is beaten by the
+    best monotone one.
 
     Rows come in a fixed order: the constant schedules in grid order, then
     for each ordered pair ``(r1, r2)`` of distinct grid values in row-major
-    order, switch days ``1 .. horizon - 1``. Schedules are held as
-    ``(r_first, r_second, switch_day)`` triples and costed day by day, so
-    memory is O(n) in the number of schedules, not O(n * horizon).
+    order, switch days ``1 .. horizon - 1`` (``_kernels.two_segment_rows``).
+    ``_kernels.two_segment_costs`` costs each ``r1`` prefix once and each
+    suffix per schedule, in O(n) memory for n schedules; the rows are held
+    as ``(r_first, r_second, switch_day)`` triples, never as an
+    n-by-horizon matrix.
     """
     if x_target > x0:
         raise DomainError(f"target {x_target} exceeds the start level {x0}")
@@ -254,28 +283,23 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
         raise DomainError(f"target must be >= 0, got {x_target}")
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
+    if not r_step > 0:
+        raise DomainError(f"r_step must be > 0, got {r_step}")
     if x0 * params.r_min**horizon > x_target:
         raise DomainError(
             f"target {x_target} unreachable from {x0} in {horizon} days "
             f"even at R={params.r_min}")
+    n = schedule_count(_grid_size(params, r_step), horizon)
+    if n > MAX_SCHEDULES:
+        raise DomainError(
+            f"{n:,} schedules to compare exceed the cap of {MAX_SCHEDULES:,}; "
+            f"raise r_grid_step or shorten the horizon")
 
-    n_r = int(round((params.r0 - params.r_min) / r_step)) + 1
-    rs = np.round(params.r_min + np.arange(n_r) * r_step, 12)
-    rs = rs[rs <= params.r0 + 1e-12]
-    n_r = rs.shape[0]
-
-    # constant schedules first, then every ordered pair of distinct R values
-    # with each switch day 1..horizon-1, pairs in row-major order
-    first, second = np.nonzero(rs[:, None] != rs[None, :])
-    days = np.arange(1, horizon, dtype=np.int64)
-    r_first = np.concatenate((rs, np.repeat(rs[first], days.shape[0])))
-    r_second = np.concatenate((rs, np.repeat(rs[second], days.shape[0])))
-    switch = np.concatenate((np.full(n_r, horizon, dtype=np.int64),
-                             np.tile(days, first.shape[0])))
-    n = r_first.shape[0]
-
+    rs = r_grid(params, r_step)
+    # the scan's temporaries are freed before the row triples are built
     totals, max_cases, finals = _kernels.two_segment_costs(
-        r_first, r_second, switch, horizon, x0, params, curves)
+        rs, horizon, x0, params, curves)
+    r_first, r_second, switch = _kernels.two_segment_rows(rs, horizon)
 
     runaway = max_cases > RUNAWAY_CASES
     feasible = (finals <= x_target) & ~runaway

@@ -202,6 +202,19 @@ class TestExitCodes:
         assert run_cli("import-dist", "--config", bad, "--out", str(tmp_path),
                        "--format", "json") == 2
 
+    def test_schedule_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # the fixture enumerates 12,201 schedules; lower the cap rather than
+        # run an input over the real one
+        import epicost.trajectory as trajectory_module
+
+        monkeypatch.setattr(trajectory_module, "MAX_SCHEDULES", 12_000)
+        code = run_cli("compare-schedules", "--config",
+                       str(fixture_path("one_region_quadratic")), "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: 12,201 schedules" in err and "cap of 12,000" in err
+        assert not (tmp_path / "compare_schedules.csv").exists()
+
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         import epicost.cli as cli_module
 

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from epicost import cli
+from epicost.fixtures import fixture_path
 
 CONFIG = {"regions": [{"id": "a,b", "weight": 0.1 + 0.2}], "note": 'say "hi"'}
 COMMENTS = ["# summary: first", "# second"]
@@ -61,4 +63,54 @@ def test_same_bytes_as_row_writer(n_rows, tmp_path):
     got = cli._write_csv(tmp_path / "columns.csv", header, columns, CONFIG, COMMENTS)
     want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_CHUNK_ROWS,
+                                    2 * cli._CSV_CHUNK_ROWS + 123])
+@pytest.mark.parametrize("code_dtype", [np.uint8, np.int64])
+def test_coded_columns_write_their_values(n_rows, code_dtype, tmp_path):
+    # a coded column, first or not, writes the bytes of values[codes]
+    rng = np.random.default_rng(12)
+    floats = np.array(SPECIAL_FLOATS)
+    ints = np.array([-2**62, -1, 0, 7, 2**62])
+    float_codes = rng.integers(0, floats.shape[0], n_rows).astype(code_dtype)
+    int_codes = rng.integers(0, ints.shape[0], n_rows).astype(code_dtype)
+    flags = rng.random(n_rows) < 0.5
+    header = ("floats", "index", "ints", "flag")
+    coded = [cli._Coded(floats, float_codes), np.arange(n_rows),
+             cli._Coded(ints, int_codes), flags]
+    plain = [floats[float_codes], np.arange(n_rows), ints[int_codes], flags]
+    rows = [[col[i] for col in plain] for i in range(n_rows)]
+    got = cli._write_csv(tmp_path / "coded.csv", header, coded, CONFIG, COMMENTS)
+    want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# tracemalloc peak inside _write_csv for the table below was 2.0 MB before the
+# R columns were coded; one whole column of int64 codes or of object
+# pointers is another 0.77 MB
+WRITER_PEAK_BOUND = 2.4e6
+
+
+def test_compare_schedules_writer_memory_is_chunk_sized(tmp_path, monkeypatch):
+    cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+    cfg["dynamics"].update(horizon=60, r_grid_step=0.05)
+    path = tmp_path / "schedules.json"
+    path.write_text(json.dumps(cfg))
+    write, peaks = cli._write_csv, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return write(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_csv", traced)
+    assert cli.main(["compare-schedules", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "compare_schedules.csv") as fh:
+        assert sum(not line.startswith("#") for line in fh) == 96_801 + 1
+    assert peaks[0] < WRITER_PEAK_BOUND, f"peak {peaks[0] / 1e6:.2f} MB"
 

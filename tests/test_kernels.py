@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from epicost import _kernels as K
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.optimize import aggregate_cost
-from epicost.trajectory import DynamicsParams
+from epicost.trajectory import (RUNAWAY_CASES, DynamicsParams, PolicySchedule,
+                                simulate)
 
 
 def random_ct_params(rng):
@@ -157,36 +158,84 @@ def test_simulate_cases_matches_python_recurrence(x0, alpha, days):
     assert got.tolist() == python_recurrence(x0, r_seq.tolist(), imports_seq.tolist(), alpha)
 
 
-def scan_and_check(r_first, r_second, switch, horizon, x0, ct_params, co_params):
-    """Run the scan; check each schedule against ``simulate_cases``."""
-    r0, r_min = 2.5, 0.5
+def grid_rows(rs, horizon):
+    """``(r1, r2, switch_day)`` per row, in the order the scan documents."""
+    rows = [(r, r, horizon) for r in rs]
+    rows += [(r1, r2, s) for r1 in rs for r2 in rs if r1 != r2
+             for s in range(1, horizon)]
+    return rows
+
+
+def scan_and_check(rs, horizon, x0, ct_params, co_params, exponent=1.0):
+    """Run the scan over the grid ``rs``; check every row, bit for bit, against
+    ``simulate_cases`` and the curve formulas summed day by day."""
+    params = DynamicsParams(2.5, 0.5, exponent)
     ct, co = TransmissionCost(*ct_params), OutbreakCost(*co_params)
     curves = CostCurveSet(ct, BorderCost(1.0, 1.0), co)
-    totals, max_cases, finals = K.two_segment_costs(
-        r_first, r_second, switch, horizon, x0, DynamicsParams(r0, r_min, 1.0), curves)
-    for i in range(r_first.shape[0]):
-        r = np.where(np.arange(horizon) < switch[i], r_first[i], r_second[i])
+    grid = np.array(rs, dtype=np.float64)
+    got = K.two_segment_costs(grid, horizon, x0, params, curves)
+    rows = grid_rows(grid.tolist(), horizon)
+    r_first, r_second, switch = K.two_segment_rows(grid, horizon)
+    assert list(zip(r_first.tolist(), r_second.tolist(), switch.tolist())) == rows
+    want = [], [], []
+    for r1, r2, s in rows:
+        r = np.where(np.arange(horizon) < s, r1, r2)
         cases = K.simulate_cases(x0, r, np.zeros(horizon), 1.0)
         live = cases[:horizon]
-        daily = ct.cost_arr(live) * (r0 - r) / (r0 - r_min) + co.cost_arr(live)
-        assert totals[i] == pytest.approx(daily.sum(), rel=1e-12)
-        assert finals[i] == pytest.approx(cases[-1], rel=1e-12)
-        assert max_cases[i] == pytest.approx(cases.max(), rel=1e-12)
+        daily = ct.cost_arr(live) * params.weight(r) + co.cost_arr(live)
+        want[0].append(np.cumsum(daily)[-1])   # cumsum adds in sequence
+        want[1].append(cases.max())
+        want[2].append(cases[-1])
+    for name, a, b in zip(("totals", "max_cases", "final_cases"), got, want):
+        np.testing.assert_array_equal(a, np.array(b), err_msg=name)
+    return got
 
 
 class TestTwoSegmentCosts:
-    """The numpy schedule scan, schedule by schedule, against the recurrence."""
+    """The prefix-sharing schedule scan, row by row, against the recurrence."""
 
     def test_random_schedules(self):
         rng = np.random.default_rng(5)
-        r_first, r_second = rng.uniform(0.5, 2.5, (2, 40))
-        switch = rng.integers(0, 26, 40)
-        scan_and_check(r_first, r_second, switch, 25, 30.0,
-                       random_ct_params(rng), (0.5, 1.3))
+        rs = np.sort(rng.uniform(0.5, 2.5, 6))
+        scan_and_check(rs, 25, 30.0, random_ct_params(rng), (0.5, 1.3),
+                       exponent=float(rng.uniform(0.8, 2.0)))
 
     def test_matches_single_trajectory(self):
+        # each row equals simulate() of its schedule with no travel channel
         rng = np.random.default_rng(6)
-        r_first, r_second = rng.uniform(0.5, 2.5, (2, 7))
-        switch = rng.integers(0, 21, 7)
-        scan_and_check(r_first, r_second, switch, 20, 80.0,
-                       (1.0, 0.3, 50.0, 5.0, 0.8, 1.5), (1.0, 1.0))
+        rs = np.sort(rng.uniform(0.5, 2.5, 4))
+        params = DynamicsParams(2.5, 0.5, 1.0)
+        curves = CostCurveSet(TransmissionCost(1.0, 0.3, 50.0, 5.0, 0.8, 1.5),
+                              BorderCost(1.0, 1.0), OutbreakCost(1.0, 1.0))
+        totals, max_cases, finals = K.two_segment_costs(rs, 20, 80.0, params, curves)
+        for i, (r1, r2, s) in enumerate(grid_rows(rs.tolist(), 20)):
+            schedule = PolicySchedule((r1,) * s + (r2,) * (20 - s), (1.0,) * 20, params)
+            traj = simulate(schedule, 80.0, curves)
+            assert totals[i] == traj.cumulative_cost
+            assert max_cases[i] == traj.cases.max()
+            assert finals[i] == traj.final_cases
+
+    def test_horizon_one(self):
+        # only the constant schedules: one day at x0 each
+        totals, max_cases, finals = scan_and_check(
+            [0.5, 1.0, 1.7, 2.5], 1, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
+        assert totals.shape == (4,)
+        assert finals.tolist() == [6.0, 12.0, 12.0 * 1.7, 30.0]
+
+    def test_one_value_grid(self):
+        totals, _, finals = scan_and_check([0.5], 10, 50.0,
+                                           (1.0, 0.0, 0.0, 0.0, 1.0, 2.0), (0.5, 1.0))
+        assert totals.shape == (1,) and finals[0] == 50.0 * 0.5**10
+
+    def test_zero_start(self):
+        # zero cases are absorbing: every row ends and peaks at 0
+        _, max_cases, finals = scan_and_check([0.5, 1.5, 2.5], 8, 0.0,
+                                              (1.0, 0.3, 5.0, 2.0, 0.8, 1.5),
+                                              (1.0, 1.0), exponent=2.0)
+        assert not np.any(max_cases) and not np.any(finals)
+
+    def test_runaway_rows(self):
+        _, max_cases, _ = scan_and_check(np.linspace(0.5, 2.5, 5), 40, 1e6,
+                                         (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.5))
+        runaway = max_cases > RUNAWAY_CASES
+        assert np.any(runaway) and not np.all(runaway)

@@ -3,10 +3,12 @@ import pytest
 
 from epicost.costs import (BorderCost, CostCurveSet, OutbreakCost,
                            TransmissionCost)
+from epicost import _kernels, trajectory
 from epicost.errors import DomainError, NumericalFailure
-from epicost.trajectory import (DynamicsParams, PolicySchedule,
-                                compare_monotone_vs_relax, daily_cost,
-                                simulate, steady_state_holding_cost, step)
+from epicost.trajectory import (MAX_SCHEDULES, DynamicsParams, PolicySchedule,
+                                compare_monotone_vs_relax, daily_cost, r_grid,
+                                schedule_count, simulate, steady_state_holding_cost,
+                                step)
 
 PARAMS = DynamicsParams()
 
@@ -182,3 +184,51 @@ class TestScheduleComparison:
         cmp_ = compare_monotone_vs_relax(1e9, 1.0, 30, quad_set, PARAMS)
         assert np.any(cmp_.runaway)
         assert not np.any(cmp_.feasible & cmp_.runaway)
+
+
+class TestScheduleGridAndCap:
+    @pytest.mark.parametrize("bounds", [(2.5, 0.5), (1.8, 0.0), (3.0, 0.9)])
+    def test_grid_is_the_filtered_candidates(self, bounds):
+        # the comparator used to build round(span / step) + 1 candidates and
+        # drop those past r0; r_grid sizes itself without the extra one
+        params = DynamicsParams(*bounds)
+        for r_step in np.linspace(0.0137, 0.95, 300).tolist() + [0.1, 0.05, 0.025, 0.3]:
+            n_r = int(round((params.r0 - params.r_min) / r_step)) + 1
+            rs = np.round(params.r_min + np.arange(n_r) * r_step, 12)
+            want = rs[rs <= params.r0 + 1e-12]
+            got = r_grid(params, r_step)
+            assert got.dtype == want.dtype and np.array_equal(got, want), r_step
+
+    @pytest.mark.parametrize("horizon,r_step", [(1, 0.1), (7, 0.3), (30, 0.1), (5, 3.0)])
+    def test_count_matches_rows(self, quad_set, horizon, r_step):
+        cmp_ = compare_monotone_vs_relax(100.0, 50.0, horizon, quad_set, PARAMS,
+                                         r_step=r_step)
+        assert cmp_.n_schedules == schedule_count(len(r_grid(PARAMS, r_step)), horizon)
+
+    @pytest.mark.parametrize("r_step", [0.0, -0.1, float("nan")])
+    def test_step_must_be_positive(self, quad_set, r_step):
+        # a step <= 0 used to divide by zero or count a negative grid
+        with pytest.raises(DomainError, match="r_step must be > 0"):
+            compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS, r_step=r_step)
+
+    def test_year_at_fine_step_is_over_the_cap(self):
+        # counted only: running it would allocate gigabytes
+        assert schedule_count(len(r_grid(PARAMS, 0.01)), 365) == 14_633_001
+        assert 14_633_001 > MAX_SCHEDULES
+
+    @pytest.mark.parametrize("cap", [12_200, 12_201])
+    def test_cap_checked_before_anything_is_built(self, quad_set, monkeypatch, cap):
+        # 21 grid values over 30 days: 21 + 21 * 20 * 29 = 12,201 schedules
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(trajectory, "MAX_SCHEDULES", cap)
+        if cap < 12_201:
+            monkeypatch.setattr(trajectory, "r_grid", unreachable)
+            monkeypatch.setattr(_kernels, "two_segment_costs", unreachable)
+            with pytest.raises(DomainError, match="12,201 schedules .* cap of 12,200"):
+                compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
+        else:
+            cmp_ = compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
+            assert cmp_.n_schedules == cap
+
