@@ -32,6 +32,9 @@ from .trajectory import compare_monotone_vs_relax, r_grid, simulate
 # rows formatted and written per step of the CSV writer
 _CSV_CHUNK_ROWS = 4096
 _BOOL_CELLS = np.array(["false", "true"], dtype=object)
+# largest accepted --mc-trials: the sampler holds 8 bytes per trial for up to
+# two links at once, so a run stays under about 0.8 GB
+MAX_MC_TRIALS = 50_000_000
 
 COMMANDS = ("import-dist", "optimize", "game", "simulate",
             "compare-schedules", "validate")
@@ -207,6 +210,9 @@ def cmd_import_dist(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
     trials = args.mc_trials
     if trials < 0:
         raise ConfigError([f"arguments: --mc-trials must be >= 0, got {trials}"])
+    if trials > MAX_MC_TRIALS:
+        raise ConfigError(
+            [f"arguments: --mc-trials must be <= {MAX_MC_TRIALS}, got {trials}"])
     seed = cfg.solver.seed
     if trials > 0 and seed is None:
         raise ConfigError(
@@ -294,9 +300,6 @@ def cmd_game(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
     solution = solve_game(state,
                           max_iters=cfg.solver.max_iterations,
                           tol=cfg.solver.nash_tol,
-                          coop_grid_points=cfg.solver.coop_grid_points,
-                          infectious_days=cfg.solver.infectious_days,
-                          damping=cfg.solver.damping,
                           grid_points=cfg.solver.grid_points,
                           foc_tol=cfg.solver.foc_tol)
     report = {

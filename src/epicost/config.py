@@ -15,10 +15,13 @@ from pathlib import Path
 from .costs import (BorderCost, CostCurveSet, OutbreakCost, TransmissionCost,
                     validate_curve_set)
 from .errors import ConfigError, DomainError
-from .game import (COOP_GRID_POINTS, DAMPING, DEFAULT_INFECTIOUS_DAYS, MAX_ITERATIONS,
-                   NASH_TOL, RegionLookup, RegionState, TravelLink)
+from .game import MAX_ITERATIONS, NASH_TOL, RegionLookup, RegionState, TravelLink
 from .optimize import FOC_TOL, GRID_POINTS
 from .trajectory import DynamicsParams, PolicySchedule
+
+# largest accepted solver.grid_points (and --grid): the optimizers peak near
+# 49 bytes per grid point, so a run stays under about 0.5 GB
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,6 @@ class SolverSettings:
     foc_tol: float = FOC_TOL
     max_iterations: int = MAX_ITERATIONS
     nash_tol: float = NASH_TOL
-    damping: float = DAMPING
-    coop_grid_points: int = COOP_GRID_POINTS
-    infectious_days: float = DEFAULT_INFECTIOUS_DAYS
     seed: int | None = None
 
 
@@ -113,7 +113,8 @@ class _Reader:
             return default
         return v
 
-    def integer(self, data, key, path, default=None, required=False, minimum=None):
+    def integer(self, data, key, path, default=None, required=False, minimum=None,
+                maximum=None):
         v = data.get(key)
         if v is None:
             if required:
@@ -124,6 +125,9 @@ class _Reader:
             return default
         if minimum is not None and v < minimum:
             self.fail(f"{path}{key}", f"must be >= {minimum}, got {v}")
+            return default
+        if maximum is not None and v > maximum:
+            self.fail(f"{path}{key}", f"must be <= {maximum}, got {v}")
             return default
         return v
 
@@ -255,17 +259,11 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
     sd = _defaults(SolverSettings)
     solver = SolverSettings(
         grid_points=r.integer(sb, "grid_points", "solver.", default=sd["grid_points"],
-                              minimum=3),
+                              minimum=3, maximum=MAX_GRID_POINTS),
         foc_tol=r.num(sb, "foc_tol", "solver.", default=sd["foc_tol"], positive=True),
         max_iterations=r.integer(sb, "max_iterations", "solver.",
                                  default=sd["max_iterations"], minimum=1),
         nash_tol=r.num(sb, "nash_tol", "solver.", default=sd["nash_tol"], positive=True),
-        damping=r.num(sb, "damping", "solver.", default=sd["damping"],
-                      minimum=0.0, maximum=1.0),
-        coop_grid_points=r.integer(sb, "coop_grid_points", "solver.",
-                                   default=sd["coop_grid_points"], minimum=2),
-        infectious_days=r.num(sb, "infectious_days", "solver.",
-                              default=sd["infectious_days"], minimum=0.0),
         seed=r.integer(sb, "seed", "solver.", default=sd["seed"], minimum=0),
     )
 

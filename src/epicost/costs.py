@@ -117,9 +117,6 @@ class TransmissionCost:
             return self.tti_slope
         return wide(x - cap)
 
-    def __call__(self, x: float) -> float:
-        return self.cost(x)
-
 
 @dataclass(frozen=True)
 class BorderCost:
@@ -164,9 +161,6 @@ class BorderCost:
         """Same closure cost and curvature with the zero point moved to i_free."""
         return BorderCost(self.b0, i_free, self.curvature)
 
-    def __call__(self, imports: float) -> float:
-        return self.cost(imports)
-
 
 @dataclass(frozen=True)
 class OutbreakCost:
@@ -194,9 +188,6 @@ class OutbreakCost:
         if x < 0:
             raise DomainError(f"case level must be >= 0, got {x}")
         return self.per_case * self.exponent * x ** (self.exponent - 1.0)
-
-    def __call__(self, x: float) -> float:
-        return self.cost(x)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 
 ``perfbench/layers.py`` finds its functions by label (``"module.name"``) at
 run time; a label that no longer resolves leaves its metric at 0 without an
-error. This test fails as soon as a refactor renames or removes one.
+error. Its work counters read the wrapped call's arguments by name, so a
+renamed or removed parameter makes the traced pass raise ``KeyError``.
+These tests fail as soon as a refactor does either.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 from types import FunctionType
+from unittest.mock import MagicMock
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -24,10 +28,13 @@ def load_layers():
     return module
 
 
-def resolves(label: str) -> bool:
+def lookup(label: str):
     module_name, name = label.split(".")
-    module = importlib.import_module(f"epicost.{module_name}")
-    return isinstance(getattr(module, name, None), FunctionType)
+    return getattr(importlib.import_module(f"epicost.{module_name}"), name, None)
+
+
+def resolves(label: str) -> bool:
+    return isinstance(lookup(label), FunctionType)
 
 
 def test_every_layer_label_resolves():
@@ -36,3 +43,12 @@ def test_every_layer_label_resolves():
               | set(layers.CALLS.values()) | set(layers.COUNTERS)
               | {layers.GOLDEN, layers.PeakMemory.LABEL})
     assert {label for label in labels if not resolves(label)} == KNOWN_MISSING
+
+
+def test_every_counter_finds_its_arguments():
+    layers = load_layers()
+    for label, (_, count) in layers.COUNTERS.items():
+        if label in KNOWN_MISSING:
+            continue
+        params = inspect.signature(lookup(label)).parameters
+        count({name: MagicMock() for name in params}, MagicMock())

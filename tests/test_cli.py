@@ -196,6 +196,21 @@ class TestExitCodes:
         assert run_cli(command, "--config", bad, "--out", str(tmp_path)) == 2
         assert "numerical failure: expected imports overflow" in capsys.readouterr().err
 
+    def test_game_needs_no_threat_off_the_configured_prevalence(self, tmp_path):
+        # expected_imports(3000, L) overflows once L reaches about 0.27; the game
+        # evaluates the threat only at the configured prevalence 0.1
+        cfg = json.loads(fixture_path("two_region_symmetric").read_text())
+        for region in cfg["regions"]:
+            region.update(population=1000, domestic_cases=100)
+        for link in cfg["links"]:
+            link["travelers"] = 3000
+        path = tmp_path / "crowded.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("game", "--config", str(path), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "game.json").read_text())
+        assert report["cooperative"]["total"] == 2.0
+        assert report["gap"] == 4.0
+
     def test_import_dist_needs_expected_imports_only_for_json(self, tmp_path):
         bad = self._overflowing_imports(tmp_path, 10_000, population=20_000)
         assert run_cli("import-dist", "--config", bad, "--out", str(tmp_path)) == 0
@@ -249,6 +264,38 @@ class TestExitCodes:
     def test_negative_mc_trials_rejected(self, tmp_path):
         assert run_cli("import-dist", "--config", str(fixture_path("import_dist_small")),
                        "--out", str(tmp_path), "--mc-trials", "-5") == 1
+
+    def test_mc_trials_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # lower the cap rather than sample over the real one
+        import epicost.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "MAX_MC_TRIALS", 100)
+        fix = str(fixture_path("import_dist_small"))
+        assert run_cli("import-dist", "--config", fix, "--out", str(tmp_path),
+                       "--mc-trials", "101", "--seed", "1") == 1
+        assert ("config error: arguments: --mc-trials must be <= 100, got 101"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "import_dist.csv").exists()
+        assert run_cli("import-dist", "--config", fix, "--out", str(tmp_path),
+                       "--mc-trials", "100", "--seed", "1") == 0
+
+    def test_grid_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # the cap holds for solver.grid_points in the file and for --grid
+        import epicost.config as config_module
+
+        monkeypatch.setattr(config_module, "MAX_GRID_POINTS", 50)
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        path = tmp_path / "grid.json"
+        for grid, extra, code in ((50, (), 0), (50, ("--grid", "51"), 1),
+                                  (51, (), 1)):
+            cfg["solver"]["grid_points"] = grid
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"{grid}{''.join(extra)}"
+            assert run_cli("optimize", "--config", str(path), "--out", str(out),
+                           *extra) == code
+            assert (out / "optimize.json").exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert err.count("config error: solver.grid_points: must be <= 50, got 51") == 2
 
     def test_zero_foc_tol_in_file_rejected(self, tmp_path):
         cfg = json.loads(fixture_path("one_region_quadratic").read_text())

@@ -136,6 +136,12 @@ class TestValidation:
         assert cfg.solver == SolverSettings()
         assert cfg.dynamics == DynamicsSettings(DynamicsParams())
 
+    def test_retired_game_keys_are_ignored(self):
+        # no solver reads them; the bundled fixtures still set them
+        retired = {"damping": 7.0, "coop_grid_points": 1, "infectious_days": -1.0}
+        cfg = parse_config(minimal_config(solver=retired))
+        assert cfg.solver == SolverSettings()
+
     @pytest.mark.parametrize("block", ["solver", "dynamics"])
     def test_non_object_block_is_a_diagnostic(self, block):
         assert f"{block}: expected an object, got list" in diagnostics_of(

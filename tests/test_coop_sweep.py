@@ -1,70 +1,74 @@
-"""The cooperative grid sweep against the scalar triple loop it replaced."""
+"""The cooperative optimum's closed form against a brute-force joint sweep.
+
+``cooperative_optimum`` returns zero cases with open borders for both
+regions without searching. The reference here costs every cell (x1, F1,
+x2, F2) of a G-point grid through ``game._link_breakdown``. Prevalence is
+endogenous at the steady state min(1, D * x / N) for a drawn number D of
+infectious days, so the threat into a region grows with its partner's cases.
+"""
 
 import math
-import tracemalloc
-from contextlib import ExitStack
 from dataclasses import replace
-from unittest import mock
+from itertools import product
 
-import numpy as np
-import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from epicost import game
-from epicost.costs import OutbreakCost, TransmissionCost
 from epicost.errors import NumericalFailure
 from epicost.fixtures import bundled_curve_sets
-from epicost.game import (DEFAULT_INFECTIOUS_DAYS, GameState, RegionState,
-                          TravelLink, cooperative_optimum)
+from epicost.game import GameState, RegionState, TravelLink, cooperative_optimum
 from epicost.importation import expected_imports
 
-
-def reference_grid_winner(r1, r2, xs, fs, threats1, threats2):
-    """Scalar O(G^3) sweep: one ``_link_breakdown`` per (x1, x2, F) cell."""
-    def cost_at(region, x, f, threat):
-        cost = game._link_breakdown(region.curves, x, threat, f).total
-        if not math.isfinite(cost):
-            raise NumericalFailure("non-finite cost in the reference sweep")
-        return cost
-
-    best = None
-    for i1, x1 in enumerate(xs):
-        for i2, x2 in enumerate(xs):
-            costs1 = [cost_at(r1, x1, f, threats1[i2]) for f in fs]
-            costs2 = [cost_at(r2, x2, f, threats2[i1]) for f in fs]
-            j1 = min(range(len(fs)), key=lambda j: (costs1[j], fs[j]))
-            j2 = min(range(len(fs)), key=lambda j: (costs2[j], fs[j]))
-            joint = costs1[j1] + costs2[j2]
-            if best is None or joint < best[0]:
-                best = (joint, float(x1), float(fs[j1]), float(x2), float(fs[j2]))
-    return best[1:]
+OPEN_ZERO = (0.0, 1.0, 0.0, 1.0)
 
 
-def grid_inputs(state, grid_points):
-    """The sweep's inputs, built as ``cooperative_optimum`` builds them."""
+def reference_sweep(state, grid_points, infectious_days):
+    """Least joint total over the grid and its first cell in row-major order.
+
+    Cells are ordered (x1, F1, x2, F2); x runs over [0, max(1, domestic
+    cases)] and F over [0, 1]. A cell whose cost overflows costs inf. Raises
+    ``NumericalFailure`` when a threat overflows.
+    """
     r1, r2 = state.regions
     x_max = max(1.0, r1.domestic_cases, r2.domestic_cases)
-    xs = np.linspace(0.0, x_max, grid_points)
-    fs = np.linspace(0.0, 1.0, grid_points)
+    last = grid_points - 1
+    xs = [x_max * i / last for i in range(grid_points)]
+    fs = [j / last for j in range(grid_points)]
 
     def threats(into, other):
         link = state.inbound_link(into.name)
         if link is None:
-            return np.zeros(grid_points)
-        return np.array([expected_imports(
-            link.travelers,
-            game._steady_prevalence(other, x, DEFAULT_INFECTIOUS_DAYS)) for x in xs])
+            return [0.0] * grid_points
+        return [expected_imports(link.travelers,
+                                 min(1.0, infectious_days * x / other.population))
+                for x in xs]
 
-    return r1, r2, xs, fs, threats(r1, r2), threats(r2, r1)
+    def cell_cost(region, x, threat, f):
+        try:
+            return game._link_breakdown(region.curves, x, threat, f).total
+        except OverflowError:   # a huge finite threat overflows a power
+            return math.inf
+
+    def costs(region, threats_in):
+        # [own cases][partner cases][F]
+        return [[[cell_cost(region, x, threat, f) for f in fs]
+                 for threat in threats_in] for x in xs]
+
+    costs1, costs2 = costs(r1, threats(r1, r2)), costs(r2, threats(r2, r1))
+    best = None
+    for i1, j1, i2, j2 in product(range(grid_points), repeat=4):
+        joint = costs1[i1][i2][j1] + costs2[i2][i1][j2]
+        if best is None or joint < best[0]:
+            best = (joint, (xs[i1], fs[j1], xs[i2], fs[j2]))
+    return best
 
 
-def outcome(fn, *args, **kwargs):
-    """Result of ``fn``, or ``NumericalFailure`` if it raised one."""
+def swept(state, grid_points, infectious_days):
     try:
-        return fn(*args, **kwargs)
+        return reference_sweep(state, grid_points, infectious_days)
     except NumericalFailure:
-        return NumericalFailure
+        reject()  # the reference's own threat overflows
 
 
 _scale = st.floats(0.1, 10.0)
@@ -94,104 +98,42 @@ def game_states(draw):
     return GameState((a, b), links)
 
 
+_grids = st.integers(2, 12)
+_days = st.floats(1.0, 30.0)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(state=game_states(), grid_points=st.integers(2, 15))
-def test_grid_winner_matches_scalar_sweep(state, grid_points):
-    try:
-        args = grid_inputs(state, grid_points)
-    except NumericalFailure:
-        reject()  # the import threat itself overflows
-    assert outcome(game._coop_grid_winner, *args) == outcome(reference_grid_winner, *args)
+@given(state=game_states(), grid_points=_grids, infectious_days=_days)
+def test_coop_result_matches_scalar_sweep(state, grid_points, infectious_days):
+    least, _ = swept(state, grid_points, infectious_days)
+    total = cooperative_optimum(state).outcome.total
+    r1, r2 = state.regions
+    assert total == r1.curves.transmission.c0 + r2.curves.transmission.c0
+    assert least == total       # no cell of the grid is cheaper
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(state=game_states(), grid_points=st.integers(2, 10))
-def test_coop_result_matches_scalar_sweep(state, grid_points):
-    got = outcome(cooperative_optimum, state, grid_points=grid_points)
-    with mock.patch.object(game, "_coop_grid_winner", reference_grid_winner):
-        want = outcome(cooperative_optimum, state, grid_points=grid_points)
-    assert got == want
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=game_states(), grid_points=_grids, infectious_days=_days)
+def test_grid_winner_matches_scalar_sweep(state, grid_points, infectious_days):
+    _, winner = swept(state, grid_points, infectious_days)
+    coop = cooperative_optimum(state)
+    d1, d2 = coop.outcome.decisions
+    assert winner == OPEN_ZERO
+    assert (d1.domestic_cases, d1.screening, d2.domestic_cases, d2.screening) == winner
+    assert coop.steady_prevalences == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("curve_types", [
-    pytest.param((TransmissionCost, OutbreakCost), id="_py")])
-def test_grid_winner_on_each_kernel_implementation(curve_types):
-    # a fixed TTI-breakdown game, swept on the curves' numpy ``cost_arr``
-    # (id ``_py``); the spies show the sweep runs on them
-    state = _twin_game(bundled_curve_sets()["tti_breakdown"], travelers_ab=700,
-                       travelers_ba=1200, domestic=60.0)
-    args = grid_inputs(state, 6)
-    want = reference_grid_winner(*args)
-    with ExitStack() as stack:
-        spies = [stack.enter_context(mock.patch.object(
-            cls, "cost_arr", autospec=True, side_effect=cls.cost_arr))
-            for cls in curve_types]
-        assert game._coop_grid_winner(*args) == want
-    assert all(spy.called for spy in spies)
-
-
-def _twin_game(curves, travelers_ab, travelers_ba, domestic=10.0):
-    """Two regions with the same curves and population."""
-    a = RegionState("A", 10**6, 0.0, domestic, curves)
-    b = RegionState("B", 10**6, 0.0, domestic, curves)
-    links = (TravelLink("A", "B", travelers_ab), TravelLink("B", "A", travelers_ba))
-    return GameState((a, b), links)
-
-
-class TestTies:
-    def test_free_border_without_threat_picks_smallest_f(self):
-        # b0 = 0 and no inbound travel: every F costs the same, so F = 0 wins
-        curves = bundled_curve_sets()["quadratic"]
-        free = replace(curves, border=replace(curves.border, b0=0.0))
-        state = _twin_game(free, travelers_ab=0, travelers_ba=0)
-        args = grid_inputs(state, 7)
-        winner = game._coop_grid_winner(*args)
-        assert winner == reference_grid_winner(*args)
-        assert winner[1] == 0.0 and winner[3] == 0.0
-
-    def test_equal_joint_costs_pick_first_row_major_cell(self):
-        # constant costs make every cell tie; the first (x1, x2) must win
-        linear = bundled_curve_sets()["linear"]
-        flat = replace(linear,
-                       transmission=replace(linear.transmission, tti_slope=0.0),
-                       border=replace(linear.border, b0=0.0),
-                       outbreak=replace(linear.outbreak, per_case=0.0))
-        r1, r2 = (RegionState(name, 10**6, 0.0, 5.0, flat) for name in "AB")
-        xs = np.linspace(0.0, 5.0, 4)
-        fs = np.linspace(0.0, 1.0, 4)
-        zero = np.zeros(len(xs))
-        winner = game._coop_grid_winner(r1, r2, xs, fs, zero, zero)
-        assert winner == reference_grid_winner(r1, r2, xs, fs, zero, zero)
-        assert winner == (0.0, 0.0, 0.0, 0.0)
-
-    def test_symmetric_game_keeps_row_major_order(self):
-        # swapping the regions' cases gives the same joint cost exactly
-        curves = bundled_curve_sets()["tti_breakdown"]
-        state = _twin_game(curves, travelers_ab=500, travelers_ba=500,
-                                 domestic=80.0)
-        args = grid_inputs(state, 9)
-        assert game._coop_grid_winner(*args) == reference_grid_winner(*args)
-
-
-def test_non_finite_cost_raises():
-    curves = bundled_curve_sets()["quadratic"]
-    huge = replace(curves, transmission=replace(curves.transmission,
-                                                wide_exponent=400.0))
-    state = _twin_game(huge, travelers_ab=10, travelers_ba=10, domestic=50.0)
-    with pytest.raises(NumericalFailure):
-        cooperative_optimum(state, grid_points=5)
-
-
-def test_sweep_memory_stays_quadratic():
-    # a full G x G x G table would peak near 8.6 MB at G = 60
-    curves = bundled_curve_sets()["tti_breakdown"]
-    state = _twin_game(curves, travelers_ab=700, travelers_ba=1200,
-                             domestic=60.0)
-    args = grid_inputs(state, 60)
-    tracemalloc.start()
-    try:
-        game._coop_grid_winner(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+def test_gate_rejected_curves_keep_the_zero_case_total():
+    # b0 = 0, a flat T and no outbreak cost fail the shape gate and make every
+    # cell cost 2 c0; the closed form returns zero cases, open borders
+    linear = bundled_curve_sets()["linear"]
+    flat = replace(linear, transmission=replace(linear.transmission, tti_slope=0.0),
+                   border=replace(linear.border, b0=0.0),
+                   outbreak=replace(linear.outbreak, per_case=0.0))
+    regions = tuple(RegionState(name, 10**6, 0.0, 5.0, flat) for name in "AB")
+    state = GameState(regions, (TravelLink("A", "B", 300), TravelLink("B", "A", 300)))
+    coop = cooperative_optimum(state)
+    assert [(d.domestic_cases, d.screening) for d in coop.outcome.decisions] == [
+        (0.0, 1.0), (0.0, 1.0)]
+    least, _ = reference_sweep(state, 6, 10.0)
+    assert coop.outcome.total == least == 2 * linear.transmission.c0
