@@ -5,8 +5,8 @@ single-region cost minimization, a two-region Nash-vs-cooperative solver,
 and a trajectory simulator for costing multi-day strategies.
 """
 
-from .costs import (BorderCost, CostCurveSet, OutbreakCost, ShapeReport,
-                    TransmissionCost, validate_curve_set)
+from .costs import (BorderCost, CostBreakdown, CostCurveSet, OutbreakCost,
+                    ShapeReport, TransmissionCost, validate_curve_set)
 from .errors import (ConfigError, DomainError, InvariantViolation,
                      KinkAmbiguityError, NumericalFailure)
 from .game import (GameSolution, GameState, PolicyDecision, RegionState,
@@ -17,7 +17,7 @@ from .importation import (ImportScenario, SourceProfile, approx_tail_sum,
                           expected_imports, expected_imports_multi,
                           hypergeom_mean, hypergeom_pmf, import_tail_sum,
                           pmf_support, sample_imports)
-from .optimize import (CostBreakdown, OptimizationResult, aggregate_cost,
+from .optimize import (OptimizationResult, aggregate_cost,
                        closure_condition_with_refund, minimize_over_imports,
                        minimize_over_screening, total_policy_cost)
 from .trajectory import (DynamicsParams, PolicySchedule, ScheduleComparison,
@@ -27,7 +27,7 @@ from .trajectory import (DynamicsParams, PolicySchedule, ScheduleComparison,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorderCost", "CostCurveSet", "OutbreakCost", "ShapeReport",
+    "BorderCost", "CostBreakdown", "CostCurveSet", "OutbreakCost", "ShapeReport",
     "TransmissionCost", "validate_curve_set",
     "ConfigError", "DomainError", "InvariantViolation", "KinkAmbiguityError",
     "NumericalFailure",
@@ -37,7 +37,7 @@ __all__ = [
     "ImportScenario", "SourceProfile", "approx_tail_sum", "expected_imports",
     "expected_imports_multi", "hypergeom_mean", "hypergeom_pmf",
     "import_tail_sum", "pmf_support", "sample_imports",
-    "CostBreakdown", "OptimizationResult", "aggregate_cost",
+    "OptimizationResult", "aggregate_cost",
     "closure_condition_with_refund", "minimize_over_imports",
     "minimize_over_screening", "total_policy_cost",
     "DynamicsParams", "PolicySchedule", "ScheduleComparison", "Trajectory",

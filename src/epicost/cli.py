@@ -499,6 +499,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out, report or --config path that cannot be used
+        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

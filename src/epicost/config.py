@@ -22,6 +22,9 @@ from .trajectory import DynamicsParams, PolicySchedule
 # largest accepted solver.grid_points (and --grid): the optimizers peak near
 # 49 bytes per grid point, so a run stays under about 0.5 GB
 MAX_GRID_POINTS = 10_000_000
+# largest accepted dynamics.horizon: simulate costs about 1 us a day and a
+# one-value-grid compare-schedules about 6 us a day, so neither passes 1 s
+MAX_HORIZON = 100_000
 
 
 @dataclass(frozen=True)
@@ -273,7 +276,8 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
     r_min = r.num(db, "r_min", "dynamics.", default=pd["r_min"], minimum=0.0)
     g_exp = r.num(db, "stringency_exponent", "dynamics.",
                   default=pd["stringency_exponent"])
-    horizon = r.integer(db, "horizon", "dynamics.", default=dd["horizon"], minimum=1)
+    horizon = r.integer(db, "horizon", "dynamics.", default=dd["horizon"], minimum=1,
+                        maximum=MAX_HORIZON)
     region_name = r.text(db, "region", "dynamics.", default=dd["region"])
     target = r.num(db, "target_cases", "dynamics.", default=dd["target_cases"],
                    minimum=0.0)

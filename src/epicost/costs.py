@@ -191,6 +191,33 @@ class OutbreakCost:
 
 
 @dataclass(frozen=True)
+class CostBreakdown:
+    """Cost components at a policy point.
+
+    ``objective`` is what a region minimizes (transmission + border);
+    ``total`` adds the realized outbreak burden; ``net_total`` is the
+    alternate accounting ``transmission + border - outbreak`` where the
+    outbreak term enters as an averted-cost offset.
+    """
+
+    transmission: float
+    border: float
+    outbreak: float
+
+    @property
+    def objective(self) -> float:
+        return self.transmission + self.border
+
+    @property
+    def total(self) -> float:
+        return self.transmission + self.border + self.outbreak
+
+    @property
+    def net_total(self) -> float:
+        return self.transmission + self.border - self.outbreak
+
+
+@dataclass(frozen=True)
 class CostCurveSet:
     """One region's three cost curves plus the import case multiplier.
 
@@ -207,6 +234,12 @@ class CostCurveSet:
         _finite(self.import_multiplier, "import_multiplier")
         _require(self.import_multiplier >= 1,
                  f"import_multiplier must be >= 1, got {self.import_multiplier}")
+
+    def breakdown(self, load: float, border_level: float) -> CostBreakdown:
+        """Each curve's cost at case load ``load`` and import level ``border_level``."""
+        return CostBreakdown(self.transmission.cost(load),
+                             self.border.cost(border_level),
+                             self.outbreak.cost(load))
 
 
 @dataclass(frozen=True)

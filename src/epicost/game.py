@@ -18,11 +18,10 @@ expected-import level before solving.
 import math
 from dataclasses import dataclass, replace
 
-from .costs import CostCurveSet
+from .costs import CostBreakdown, CostCurveSet
 from .errors import DomainError, InvariantViolation
 from .importation import expected_imports
-from .optimize import (BOUNDARY_OPEN, FOC_TOL, GRID_POINTS, CostBreakdown,
-                       minimize_over_screening)
+from .optimize import BOUNDARY_OPEN, FOC_TOL, GRID_POINTS, minimize_over_screening
 
 DOMINANCE_TOL = 1e-9
 
@@ -127,7 +126,7 @@ class PolicyDecision:
     @property
     def objective(self) -> float:
         """Cost the region actually minimizes (transmission + border)."""
-        return self.costs.transmission + self.costs.border
+        return self.costs.objective
 
 
 @dataclass(frozen=True)
@@ -181,30 +180,20 @@ def imports_between(origin: RegionState, link: TravelLink) -> float:
     return expected_imports(link.travelers, origin.prevalence) * link.screening
 
 
-def _link_breakdown(curves: CostCurveSet, domestic: float, threat: float,
-                    screening: float) -> CostBreakdown:
-    """Cost components with border cost measured in link terms (zero at F=1).
-
-    The border curve is rescaled to a free level of 1, so it is evaluated at
-    the screening factor itself; that also holds when the threat is zero.
-    """
-    alpha = curves.import_multiplier
-    load = domestic + alpha * threat * screening
-    return CostBreakdown(
-        transmission=curves.transmission.cost(load),
-        border=curves.border.rescaled(1.0).cost(screening),
-        outbreak=curves.outbreak.cost(load),
-    )
-
-
 def _decision(region: RegionState, cases: float, threat: float, screening: float,
               classification: str) -> PolicyDecision:
-    """The region's policy point ``(cases, screening)`` against ``threat``, costed."""
+    """The region's policy point ``(cases, screening)`` against ``threat``, costed.
+
+    Border cost is measured in link terms (zero at F=1): the border curve is
+    rescaled to a free level of 1 and evaluated at the screening factor
+    itself, which also holds when the threat is zero.
+    """
+    curves = replace(region.curves, border=region.curves.border.rescaled(1.0))
+    load = cases + curves.import_multiplier * threat * screening
     return PolicyDecision(
         region=region.name, domestic_cases=cases, screening=screening,
         import_threat=threat, imports=threat * screening,
-        costs=_link_breakdown(region.curves, cases, threat, screening),
-        classification=classification)
+        costs=curves.breakdown(load, screening), classification=classification)
 
 
 def best_response(responder: RegionState, opponent: RegionState,
@@ -234,51 +223,35 @@ def best_response(responder: RegionState, opponent: RegionState,
 def nash_iterate(state: GameState, max_iters: int = MAX_ITERATIONS,
                  tol: float = NASH_TOL, grid_points: int = GRID_POINTS,
                  foc_tol: float = FOC_TOL) -> NashResult:
-    """Alternating best responses until both regions' moves fall below tol.
+    """Both regions' best responses, reported as alternating rounds would be.
 
-    Iteration order is deterministic (first region responds first). A best
-    response depends on the opponent's configured prevalence alone, never on
-    its screening, so the second round repeats the first and the loop stops
-    there (after the first if the configured screening already is the
-    response). Non-convergence, possible only with ``max_iters == 1``, is
-    flagged in the result, not raised.
+    A best response depends on the opponent's configured prevalence alone,
+    never on its screening, so each region's response is computed once (open
+    borders without an inbound link). A loop of rounds would stop after one
+    when every response moves the configured screening by less than ``tol``,
+    and after two otherwise, unless ``max_iters == 1`` stops it unconverged
+    after one; non-convergence is flagged in the result, not raised.
     """
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     if tol <= 0:
         raise DomainError(f"tol must be > 0, got {tol}")
 
-    current: dict[str, float] = {}   # screening factor per region
+    decisions = []
+    settled = True
     for region in state.regions:
         link = state.inbound_link(region.name)
-        current[region.name] = link.screening if link else 1.0
+        if link is None:
+            decisions.append(_decision(region, 0.0, 0.0, 1.0, BOUNDARY_OPEN))
+            continue
+        decision = best_response(region, state.opponent(region.name), link,
+                                 grid_points=grid_points, foc_tol=foc_tol)
+        settled = settled and abs(decision.screening - link.screening) < tol
+        decisions.append(decision)
 
-    decisions: dict[str, PolicyDecision] = {}
-    converged = False
-    iterations = 0
-
-    for iteration in range(1, max_iters + 1):
-        iterations = iteration
-        move = 0.0
-        for region in state.regions:
-            link = state.inbound_link(region.name)
-            if link is None:
-                decision = _decision(region, 0.0, 0.0, 1.0, BOUNDARY_OPEN)
-            else:
-                decision = best_response(region, state.opponent(region.name),
-                                         link, grid_points=grid_points,
-                                         foc_tol=foc_tol)
-            move = max(move, abs(decision.screening - current[region.name]))
-            current[region.name] = decision.screening
-            decisions[region.name] = decision
-        if move < tol:
-            converged = True
-            break
-
-    ordered = tuple(decisions[r.name] for r in state.regions)
-    total = sum(d.costs.total for d in ordered)
-    return NashResult(state=state, outcome=GameOutcome(ordered, total),
-                      converged=converged, iterations=iterations)
+    outcome = GameOutcome(tuple(decisions), sum(d.costs.total for d in decisions))
+    return NashResult(state=state, outcome=outcome, converged=settled or max_iters > 1,
+                      iterations=1 if settled or max_iters == 1 else 2)
 
 
 def cooperative_optimum(state: GameState, grid_points: int = 0) -> CoopResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .costs import CostCurveSet
+from .costs import CostBreakdown, CostCurveSet
 from .errors import DomainError, NumericalFailure
 
 GRID_POINTS = 10_000
@@ -43,28 +43,6 @@ class OptimizationResult:
     @property
     def is_interior(self) -> bool:
         return self.classification == INTERIOR
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Cost components at a policy point.
-
-    ``total`` sums all three components (realized outbreak burden included);
-    ``net_total`` is the alternate accounting ``transmission + border -
-    outbreak`` where the outbreak term enters as an averted-cost offset.
-    """
-
-    transmission: float
-    border: float
-    outbreak: float
-
-    @property
-    def total(self) -> float:
-        return self.transmission + self.border + self.outbreak
-
-    @property
-    def net_total(self) -> float:
-        return self.transmission + self.border - self.outbreak
 
 
 @dataclass(frozen=True)
@@ -115,22 +93,28 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
     """Minimize transmission-plus-border cost along a policy axis t in [0, hi].
 
     At axis point t the case load is ``base_cases + alpha * scale * t`` and
-    the border curve is evaluated at ``scale * t``. A grid bracket is refined
-    by golden section, then classified as interior or pinned to a boundary
-    by the one-sided marginals (+inf right of a level jump). A refined
-    argument next to the breakdown kink snaps onto it when the kink's
-    left-limit value is at least as good, so the generalized first-order
-    condition (zero inside the subgradient interval) is evaluated exactly
-    there. Grid ties within a relative TIE_TOL of the least cost resolve to
-    the smallest argument; the tolerance is relative so that the choice does
-    not depend on the unit of cost.
+    the border curve is evaluated at ``scale * t``; the objective is
+    ``curves.breakdown(load, scale * t).objective``. A grid bracket is
+    refined by golden section, then classified as interior or pinned to a
+    boundary by the one-sided marginals (+inf right of a level jump). The
+    grid winner is re-costed by the objective before it is compared with
+    the golden-section point, so the reported cost is always the objective
+    at the reported argument. A refined argument next to the breakdown kink
+    snaps onto the kink when the objective there is at least as good: the
+    kink point (cap - base_cases) / rate is stepped down by ulps until its
+    load no longer passes the breakdown point, so it is costed on the
+    per-case branch, and the generalized first-order condition (zero inside
+    the subgradient interval) is evaluated there. Grid ties within a
+    relative TIE_TOL of the least cost resolve to the smallest argument;
+    the tolerance is relative so that the choice does not depend on the
+    unit of cost.
     """
     ct, cb = curves.transmission, curves.border
     cap = ct.tti_capacity
     rate = curves.import_multiplier * scale
 
     def cost(t):
-        return ct.cost(base_cases + rate * t) + cb.cost(scale * t)
+        return curves.breakdown(base_cases + rate * t, scale * t).objective
 
     def marginal(t, side):
         load = base_cases + rate * t
@@ -149,17 +133,21 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
     width = WIDTH_FRAC * (hi - lo)
     x_star, f_star = golden_section(
         cost, xs[max(idx - 1, 0)], xs[min(idx + 1, grid_points - 1)], width)
-    if fs[idx] <= f_star:
+    x_grid = float(xs[idx])
+    f_grid = cost(x_grid)
+    if f_grid <= f_star:
         # ties prefer the grid point, which already resolved to the smallest argument
-        x_star, f_star = float(xs[idx]), float(fs[idx])
+        x_star, f_star = x_grid, f_grid
 
     snap = max(width, 2.0 * (xs[1] - xs[0]) if grid_points > 1 else width)
     if math.isfinite(cap) and rate > 0:
         q = (cap - base_cases) / rate
         if lo < q < hi and abs(x_star - q) <= snap:
-            left_limit = ct.c0 + ct.tti_slope * cap + cb.cost(scale * q)
-            if left_limit <= f_star:
-                x_star, f_star = float(q), float(left_limit)
+            while base_cases + rate * q > cap:
+                q = math.nextafter(q, -math.inf)
+            f_kink = cost(q)
+            if f_kink <= f_star:
+                x_star, f_star = q, f_kink
 
     if x_star <= lo + width:
         m = marginal(lo, "right")
@@ -186,8 +174,7 @@ def aggregate_cost(curves: CostCurveSet, imports: float) -> float:
     the inner minimization over domestic cases sits at zero because
     transmission cost increases with cases.
     """
-    alpha = curves.import_multiplier
-    return curves.transmission.cost(alpha * imports) + curves.border.cost(imports)
+    return curves.breakdown(curves.import_multiplier * imports, imports).objective
 
 
 def minimize_over_imports(curves: CostCurveSet,
@@ -251,10 +238,4 @@ def closure_condition_with_refund(curves: CostCurveSet, import_threat: float,
 def total_policy_cost(curves: CostCurveSet, domestic_cases: float,
                       imports: float) -> CostBreakdown:
     """Cost components with case load ``domestic_cases + alpha * imports``."""
-    alpha = curves.import_multiplier
-    load = domestic_cases + alpha * imports
-    return CostBreakdown(
-        transmission=curves.transmission.cost(load),
-        border=curves.border.cost(imports),
-        outbreak=curves.outbreak.cost(load),
-    )
+    return curves.breakdown(domestic_cases + curves.import_multiplier * imports, imports)

@@ -134,9 +134,8 @@ def daily_cost(curves: CostCurveSet, cases: float, r: float, screening: float,
     if import_threat < 0:
         raise DomainError(f"import threat must be >= 0, got {import_threat}")
     g = params.stringency(r)
-    return (curves.transmission.cost(cases) * g
-            + curves.border.cost(import_threat * screening)
-            + curves.outbreak.cost(cases))
+    costs = curves.breakdown(cases, import_threat * screening)
+    return costs.transmission * g + costs.border + costs.outbreak
 
 
 def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
@@ -185,15 +184,16 @@ def steady_state_holding_cost(curves: CostCurveSet, cases: float,
     """Daily cost of holding a constant case level with no travel channel.
 
     Holding zero cases needs no measures (zero is absorbing), so the
-    stringency term vanishes; any positive level must be held at R=1.
+    stringency term vanishes; any positive level must be held at R=1. The
+    border curve is costed at its free level ``i_free``, where it is 0.0.
     """
     if cases < 0:
         raise DomainError(f"cases must be >= 0, got {cases}")
     if cases > 0 and not params.r_min <= 1.0 <= params.r0:
         raise DomainError("holding a positive level needs R=1 inside the bounds")
     r_hold = params.r0 if cases == 0 else 1.0
-    return (curves.transmission.cost(cases) * params.stringency(r_hold)
-            + curves.outbreak.cost(cases))
+    costs = curves.breakdown(cases, curves.border.i_free)
+    return costs.transmission * params.stringency(r_hold) + costs.border + costs.outbreak
 
 
 @dataclass(frozen=True)

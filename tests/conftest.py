@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from epicost.costs import (BorderCost, CostCurveSet, OutbreakCost,
                            TransmissionCost)
+
+# tests that start ``python -m epicost`` find the package without an install
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -230,6 +230,32 @@ class TestExitCodes:
         assert "config error: 12,201 schedules" in err and "cap of 12,000" in err
         assert not (tmp_path / "compare_schedules.csv").exists()
 
+    def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "reports"
+        assert run_cli("optimize", "--config", str(fixture_path("one_region_quadratic")),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {out}: Not a directory\n"
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("")
+        assert run_cli("optimize", "--config", str(fixture_path("one_region_quadratic")),
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"config error: {out}: File exists\n"
+
+    def test_directory_paths_are_config_errors(self, tmp_path, capsys):
+        # a report path and a --config path that name directories
+        (tmp_path / "optimize.json").mkdir()
+        assert run_cli("optimize", "--config", str(fixture_path("one_region_quadratic")),
+                       "--out", str(tmp_path)) == 1
+        assert run_cli("optimize", "--config", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {tmp_path / 'optimize.json'}: Is a directory\n"
+            f"config error: {tmp_path}: Is a directory\n")
+
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         import epicost.cli as cli_module
 
@@ -296,6 +322,22 @@ class TestExitCodes:
             assert (out / "optimize.json").exists() == (code == 0)
         err = capsys.readouterr().err
         assert err.count("config error: solver.grid_points: must be <= 50, got 51") == 2
+
+    def test_horizon_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # lower the cap rather than run a horizon over the real one
+        import epicost.config as config_module
+
+        monkeypatch.setattr(config_module, "MAX_HORIZON", 40)
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        path = tmp_path / "horizon.json"
+        for horizon, code in ((40, 0), (41, 1)):
+            cfg["dynamics"]["horizon"] = horizon
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / str(horizon)
+            assert run_cli("simulate", "--config", str(path), "--out", str(out)) == code
+            assert (out / "simulate.csv").exists() == (code == 0)
+        assert ("config error: dynamics.horizon: must be <= 40, got 41"
+                in capsys.readouterr().err)
 
     def test_zero_foc_tol_in_file_rejected(self, tmp_path):
         cfg = json.loads(fixture_path("one_region_quadratic").read_text())

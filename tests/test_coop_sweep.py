@@ -2,7 +2,8 @@
 
 ``cooperative_optimum`` returns zero cases with open borders for both
 regions without searching. The reference here costs every cell (x1, F1,
-x2, F2) of a G-point grid through ``game._link_breakdown``. Prevalence is
+x2, F2) of a G-point grid through ``CostCurveSet.breakdown`` on the link
+curves (border curve rescaled to a free level of 1). Prevalence is
 endogenous at the steady state min(1, D * x / N) for a drawn number D of
 infectious days, so the threat into a region grows with its partner's cases.
 """
@@ -14,7 +15,6 @@ from itertools import product
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from epicost import game
 from epicost.errors import NumericalFailure
 from epicost.fixtures import bundled_curve_sets
 from epicost.game import GameState, RegionState, TravelLink, cooperative_optimum
@@ -44,15 +44,18 @@ def reference_sweep(state, grid_points, infectious_days):
                                  min(1.0, infectious_days * x / other.population))
                 for x in xs]
 
-    def cell_cost(region, x, threat, f):
+    def cell_cost(link_curves, x, threat, f):
+        load = x + link_curves.import_multiplier * threat * f
         try:
-            return game._link_breakdown(region.curves, x, threat, f).total
+            return link_curves.breakdown(load, f).total
         except OverflowError:   # a huge finite threat overflows a power
             return math.inf
 
     def costs(region, threats_in):
         # [own cases][partner cases][F]
-        return [[[cell_cost(region, x, threat, f) for f in fs]
+        link_curves = replace(region.curves,
+                              border=region.curves.border.rescaled(1.0))
+        return [[[cell_cost(link_curves, x, threat, f) for f in fs]
                  for threat in threats_in] for x in xs]
 
     costs1, costs2 = costs(r1, threats(r1, r2)), costs(r2, threats(r2, r1))

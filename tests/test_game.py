@@ -2,15 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicost.costs import (BorderCost, CostCurveSet, OutbreakCost,
                            TransmissionCost)
 from epicost.errors import DomainError
-from epicost.game import (GameState, RegionState, TravelLink, best_response,
+from epicost.fixtures import bundled_curve_sets
+from epicost.game import (GameOutcome, GameState, NashResult, RegionState,
+                          TravelLink, _decision, best_response,
                           cooperative_optimum, imports_between, nash_iterate,
                           price_of_noncooperation, solve_game)
 from epicost.importation import expected_imports
-from epicost.optimize import BOUNDARY_OPEN
+from epicost.optimize import BOUNDARY_OPEN, FOC_TOL
 
 
 def region(name, prevalence, curves, domestic=0.0, population=10**6):
@@ -137,6 +141,76 @@ class TestNashIteration:
             nash_iterate(state, max_iters=0)
         with pytest.raises(DomainError):
             nash_iterate(state, tol=0.0)
+
+
+def reference_nash_iterate(state, max_iters, tol, grid_points, foc_tol):
+    """The alternating best-response loop ``nash_iterate`` replaced."""
+    current = {}
+    for region in state.regions:
+        link = state.inbound_link(region.name)
+        current[region.name] = link.screening if link else 1.0
+
+    decisions = {}
+    converged = False
+    iterations = 0
+    for iteration in range(1, max_iters + 1):
+        iterations = iteration
+        move = 0.0
+        for region in state.regions:
+            link = state.inbound_link(region.name)
+            if link is None:
+                decision = _decision(region, 0.0, 0.0, 1.0, BOUNDARY_OPEN)
+            else:
+                decision = best_response(region, state.opponent(region.name),
+                                         link, grid_points=grid_points,
+                                         foc_tol=foc_tol)
+            move = max(move, abs(decision.screening - current[region.name]))
+            current[region.name] = decision.screening
+            decisions[region.name] = decision
+        if move < tol:
+            converged = True
+            break
+
+    ordered = tuple(decisions[r.name] for r in state.regions)
+    total = sum(d.costs.total for d in ordered)
+    return NashResult(state=state, outcome=GameOutcome(ordered, total),
+                      converged=converged, iterations=iterations)
+
+
+_GRID = 101   # the reference repeats every best response: keep them cheap
+
+
+@st.composite
+def nash_states(draw):
+    families = sorted(bundled_curve_sets().items())
+    regions = tuple(
+        RegionState(name, draw(st.integers(10**3, 10**7)),
+                    draw(st.sampled_from([0.0, 1e-4]) | st.floats(0.0, 0.01)),
+                    draw(st.floats(0.0, 50.0)), draw(st.sampled_from(families))[1])
+        for name in "AB")
+    links = []
+    for origin, destination in (("A", "B"), ("B", "A")):
+        travelers = draw(st.none() | st.integers(0, 2000))
+        if travelers is None:
+            continue
+        link = TravelLink(origin, destination, travelers,
+                          draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+        if draw(st.booleans()):
+            # configure the screening the region would choose anyway
+            responder, opponent = (regions[1], regions[0]) if origin == "A" else regions
+            link = replace(link, screening=best_response(
+                responder, opponent, link, grid_points=_GRID).screening)
+        links.append(link)
+    return GameState(regions, tuple(links))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(state=nash_states(), max_iters=st.sampled_from([1, 2, 3, 100]),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-3, 0.5, 2.0]))
+def test_nash_matches_the_best_response_loop(state, max_iters, tol):
+    got = nash_iterate(state, max_iters=max_iters, tol=tol, grid_points=_GRID)
+    want = reference_nash_iterate(state, max_iters, tol, _GRID, FOC_TOL)
+    assert got == want
 
 
 class TestCooperative:
