@@ -2,9 +2,12 @@
 
 Commands: ``import-dist``, ``optimize``, ``game``, ``simulate``,
 ``compare-schedules``, ``validate``. Reports are CSV for tables and JSON
-for solution objects (``--format`` overrides). Floats are written with 12
-significant digits and reports carry no timestamps, so identical inputs
-produce byte-identical files. Every report echoes the scenario config it
+for solution objects (``--format`` overrides). Each command writes one
+report, ``<command>.<format>`` in ``--out`` with ``-`` turned into ``_``
+(``compare_schedules.csv``): a handler returns the report body and its exit
+code, and ``run`` writes it. Floats are written with 12 significant digits
+and reports carry no timestamps, so identical inputs produce byte-identical
+files. Every report echoes the scenario config it
 was produced from (JSON key ``config``; leading ``# config:`` comment line
 in CSV).
 
@@ -15,9 +18,9 @@ invariant violation.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .costs import validate_curve_set
 from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailure
 from .game import GameState, best_response, solve_game
 from .importation import ImportScenario, expected_imports, pmf_support, sample_imports
-from .optimize import OptimizationResult, minimize_over_imports
+from .optimize import minimize_over_imports
 from .trajectory import compare_monotone_vs_relax, r_grid, simulate
 
 # rows formatted and written per step of the CSV writer
@@ -36,8 +39,6 @@ _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 # two links at once, so a run stays under about 0.8 GB
 MAX_MC_TRIALS = 50_000_000
 
-COMMANDS = ("import-dist", "optimize", "game", "simulate",
-            "compare-schedules", "validate")
 _DEFAULT_FORMAT = {
     "import-dist": "csv",
     "optimize": "json",
@@ -151,16 +152,6 @@ def _records(header, columns) -> list[dict]:
     return [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
 
 
-def _result_dict(res: OptimizationResult) -> dict:
-    return {
-        "variable": res.variable,
-        "argument": res.argument,
-        "cost": res.cost,
-        "classification": res.classification,
-        "foc_residual": res.foc_residual,
-    }
-
-
 def _decision_dict(d) -> dict:
     return {
         "domestic_cases": d.domestic_cases,
@@ -179,7 +170,15 @@ def _decision_dict(d) -> dict:
     }
 
 
-def cmd_validate(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
+class _Table(NamedTuple):
+    """A CSV report: column names, equal-length columns and comment lines."""
+
+    header: Sequence[str]
+    columns: Sequence
+    comments: Sequence[str] = ()
+
+
+def cmd_validate(cfg: ScenarioConfig, fmt: str, args):
     regions = {}
     all_pass = True
     for region in cfg.regions:
@@ -190,21 +189,15 @@ def cmd_validate(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                        for c in report.checks],
         }
+    code = 0 if all_pass else 1
     if fmt == "json":
-        path = _write_json(out / "validate.json",
-                           {"config": cfg.raw, "all_pass": all_pass,
-                            "regions": regions})
-    else:
-        rows = [(name, c["name"], c["passed"], c["detail"])
-                for name, rep in regions.items() for c in rep["checks"]]
-        path = _write_csv(out / "validate.csv",
-                          ("region", "check", "passed", "detail"), list(zip(*rows)),
-                          cfg.raw)
-    print(f"wrote {path}")
-    return 0 if all_pass else 1
+        return {"all_pass": all_pass, "regions": regions}, code
+    rows = [(name, c["name"], c["passed"], c["detail"])
+            for name, rep in regions.items() for c in rep["checks"]]
+    return _Table(("region", "check", "passed", "detail"), list(zip(*rows))), code
 
 
-def cmd_import_dist(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
+def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
     if not cfg.links:
         raise ConfigError(["links: import-dist needs at least one travel link"])
     trials = args.mc_trials
@@ -244,20 +237,15 @@ def cmd_import_dist(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
                 "expected_imports": expected_imports(link.travelers, origin.prevalence),
                 "rows": _records(header[2:], link_cols[2:])})
 
-    if fmt == "csv":
-        columns = [np.concatenate(parts) for parts in zip(*tables)]
-        path = _write_csv(out / "import_dist.csv", header, columns, cfg.raw)
-    else:
-        path = _write_json(out / "import_dist.json",
-                           {"config": cfg.raw, "links": link_reports})
-    print(f"wrote {path}")
-    return 0
+    if fmt == "json":
+        return {"links": link_reports}, 0
+    return _Table(header, [np.concatenate(parts) for parts in zip(*tables)]), 0
 
 
-def cmd_optimize(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
+def cmd_optimize(cfg: ScenarioConfig, fmt: str, args):
     per_region = {}
     for region in cfg.regions:
-        entry = {"imports": _result_dict(
+        entry = {"imports": asdict(
             minimize_over_imports(region.curves,
                                   grid_points=cfg.solver.grid_points,
                                   foc_tol=cfg.solver.foc_tol))}
@@ -272,27 +260,21 @@ def cmd_optimize(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
         per_region[region.name] = entry
 
     if fmt == "json":
-        path = _write_json(out / "optimize.json",
-                           {"config": cfg.raw, "regions": per_region})
-    else:
-        rows = []
-        for name, entry in per_region.items():
-            imp = entry["imports"]
-            rows.append((name, "imports", imp["argument"], imp["cost"],
-                         imp["classification"], imp["foc_residual"]))
-            scr = entry["screening"]
-            if scr is not None:
-                rows.append((name, "screening", scr["screening"],
-                             scr["objective"], scr["classification"], ""))
-        path = _write_csv(out / "optimize.csv",
-                          ("region", "variable", "argument", "cost",
-                           "classification", "foc_residual"), list(zip(*rows)),
-                          cfg.raw)
-    print(f"wrote {path}")
-    return 0
+        return {"regions": per_region}, 0
+    rows = []
+    for name, entry in per_region.items():
+        imp = entry["imports"]
+        rows.append((name, "imports", imp["argument"], imp["cost"],
+                     imp["classification"], imp["foc_residual"]))
+        scr = entry["screening"]
+        if scr is not None:
+            rows.append((name, "screening", scr["screening"],
+                         scr["objective"], scr["classification"], ""))
+    return _Table(("region", "variable", "argument", "cost", "classification",
+                   "foc_residual"), list(zip(*rows))), 0
 
 
-def cmd_game(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
+def cmd_game(cfg: ScenarioConfig, fmt: str, args):
     if len(cfg.regions) != 2:
         raise ConfigError(
             [f"regions: the game command needs exactly 2 regions, got {len(cfg.regions)}"])
@@ -303,7 +285,6 @@ def cmd_game(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
                           grid_points=cfg.solver.grid_points,
                           foc_tol=cfg.solver.foc_tol)
     report = {
-        "config": cfg.raw,
         "nash": {
             "regions": {d.region: _decision_dict(d)
                         for d in solution.nash.outcome.decisions},
@@ -321,28 +302,23 @@ def cmd_game(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
         "iterations": solution.iterations,
     }
     if fmt == "json":
-        path = _write_json(out / "game.json", report)
-    else:
-        rows = []
-        for concept in ("nash", "cooperative"):
-            for name, d in report[concept]["regions"].items():
-                rows.append((concept, name, d["domestic_cases"], d["screening"],
-                             d["import_threat"], d["imports"],
-                             d["costs"]["transmission"], d["costs"]["border"],
-                             d["costs"]["outbreak"], d["costs"]["total"]))
-        summary = (f"# summary: gap={_cell(solution.gap)} ratio={_cell(solution.ratio)} "
-                   f"converged={_cell(solution.converged)} "
-                   f"iterations={solution.iterations}")
-        path = _write_csv(out / "game.csv",
-                          ("solution", "region", "domestic_cases", "screening",
-                           "import_threat", "imports", "cost_transmission",
-                           "cost_border", "cost_outbreak", "cost_total"),
-                          list(zip(*rows)), cfg.raw, comments=[summary])
-    print(f"wrote {path}")
-    return 0
+        return report, 0
+    rows = []
+    for concept in ("nash", "cooperative"):
+        for name, d in report[concept]["regions"].items():
+            rows.append((concept, name, d["domestic_cases"], d["screening"],
+                         d["import_threat"], d["imports"],
+                         d["costs"]["transmission"], d["costs"]["border"],
+                         d["costs"]["outbreak"], d["costs"]["total"]))
+    summary = (f"# summary: gap={_cell(solution.gap)} ratio={_cell(solution.ratio)} "
+               f"converged={_cell(solution.converged)} "
+               f"iterations={solution.iterations}")
+    return _Table(("solution", "region", "domestic_cases", "screening",
+                   "import_threat", "imports", "cost_transmission", "cost_border",
+                   "cost_outbreak", "cost_total"), list(zip(*rows)), (summary,)), 0
 
 
-def cmd_simulate(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
+def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
     region = cfg.dynamics_region()
     schedule = cfg.dynamics.schedule()
     link = cfg.inbound_link(region.name)
@@ -358,22 +334,15 @@ def cmd_simulate(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
     columns = (np.arange(days), traj.cases[:days], traj.transmission_costs,
                traj.border_costs, traj.outbreak_costs, traj.total_costs,
                traj.cumulative)
-    if fmt == "csv":
-        path = _write_csv(out / "simulate.csv", header, columns, cfg.raw,
-                          comments=[f"# final_cases: {_cell(traj.final_cases)}"])
-    else:
-        path = _write_json(out / "simulate.json", {
-            "config": cfg.raw,
-            "region": region.name,
-            "days": _records(header, columns),
-            "final_cases": traj.final_cases,
-            "cumulative_cost": traj.cumulative_cost,
-        })
-    print(f"wrote {path}")
-    return 0
+    if fmt == "json":
+        return {"region": region.name,
+                "days": _records(header, columns),
+                "final_cases": traj.final_cases,
+                "cumulative_cost": traj.cumulative_cost}, 0
+    return _Table(header, columns, (f"# final_cases: {_cell(traj.final_cases)}",)), 0
 
 
-def cmd_compare(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
+def cmd_compare(cfg: ScenarioConfig, fmt: str, args):
     region = cfg.dynamics_region()
     dyn = cfg.dynamics
     cmp_ = compare_monotone_vs_relax(region.domestic_cases, dyn.target_cases,
@@ -397,34 +366,26 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, fmt: str, args) -> int:
                cmp_.switch_day, cmp_.total_cost, cmp_.final_cases, cmp_.max_cases,
                cmp_.feasible, cmp_.runaway, cmp_.contains_growth,
                cmp_.relax_then_tighten)
-    if fmt == "csv":
-        comment = "# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
-                                             separators=(",", ":"))
-        # r_first and r_second take the grid values only: format each once
-        rs = r_grid(dyn.params, dyn.r_grid_step)
-        coded = (_Coded(rs, np.searchsorted(rs, cmp_.r_first)),
-                 _Coded(rs, np.searchsorted(rs, cmp_.r_second)))
-        path = _write_csv(out / "compare_schedules.csv", header,
-                          columns[:1] + coded + columns[3:], cfg.raw,
-                          comments=[comment])
-    else:
-        path = _write_json(out / "compare_schedules.json", {
-            "config": cfg.raw,
-            "summary": summary,
-            "schedules": _records(header, columns),
-        })
-    print(f"wrote {path}")
-    return 0
+    if fmt == "json":
+        return {"summary": summary, "schedules": _records(header, columns)}, 0
+    comment = "# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
+                                         separators=(",", ":"))
+    # r_first and r_second take the grid values only: format each once
+    rs = r_grid(dyn.params, dyn.r_grid_step)
+    coded = (_Coded(rs, np.searchsorted(rs, cmp_.r_first)),
+             _Coded(rs, np.searchsorted(rs, cmp_.r_second)))
+    return _Table(header, columns[:1] + coded + columns[3:], (comment,)), 0
 
 
 _HANDLERS = {
-    "validate": cmd_validate,
     "import-dist": cmd_import_dist,
     "optimize": cmd_optimize,
     "game": cmd_game,
     "simulate": cmd_simulate,
     "compare-schedules": cmd_compare,
+    "validate": cmd_validate,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -478,7 +439,14 @@ def run(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fmt = args.format or _DEFAULT_FORMAT[args.command]
-    return _HANDLERS[args.command](cfg, out, fmt, args)
+    report, code = _HANDLERS[args.command](cfg, fmt, args)
+    path = out / f"{args.command.replace('-', '_')}.{fmt}"
+    if fmt == "json":
+        _write_json(path, {"config": cfg.raw, **report})
+    else:
+        _write_csv(path, report.header, report.columns, cfg.raw, report.comments)
+    print(f"wrote {path}")
+    return code
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,15 @@ def _require(cond: bool, msg: str):
         raise DomainError(msg)
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` for ``base >= 0``, ``inf`` where it overflows, as
+    the array ``**`` of ``cost_arr`` gives it."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def _finite(v: float, name: str, allow_inf: bool = False):
     if math.isnan(v) or (not allow_inf and math.isinf(v)):
         raise DomainError(f"{name} must be finite, got {v}")
@@ -71,7 +80,7 @@ class TransmissionCost:
         if x <= self.tti_capacity:
             return self.c0 + self.tti_slope * x
         return (self.c0 + self.tti_slope * self.tti_capacity + self.breakdown_jump
-                + self.wide_slope * (x - self.tti_capacity) ** self.wide_exponent)
+                + self.wide_slope * _power(x - self.tti_capacity, self.wide_exponent))
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
         """``cost`` elementwise, without the domain check.
@@ -178,7 +187,7 @@ class OutbreakCost:
     def cost(self, x: float) -> float:
         if x < 0:
             raise DomainError(f"case level must be >= 0, got {x}")
-        return self.per_case * x**self.exponent
+        return self.per_case * _power(x, self.exponent)
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
         """``cost`` elementwise, without the domain check (see TransmissionCost)."""

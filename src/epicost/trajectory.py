@@ -27,6 +27,10 @@ RUNAWAY_CASES = 1e12
 # most schedules compare_monotone_vs_relax enumerates: a JSON report costs
 # about 3.5 KB of memory per schedule, so the cap keeps it under 4 GB
 MAX_SCHEDULES = 1_000_000
+# most schedule-days the scan costs (schedule_days): a two-value grid, the
+# dearest per day, took 0.67 s for 81.0M schedule-days over 9,000 days on an
+# AMD EPYC (about 8 ns a schedule-day), so a scan at the cap takes about 1 s
+MAX_SCHEDULE_DAYS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,9 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
                 f"[0, {curves.border.i_free}]")
         border = curves.border.cost_arr(imports)
 
-    cases = _kernels.simulate_cases(x0, r, imports, curves.import_multiplier)
+    # an overflow to inf is a runaway, reported just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = _kernels.simulate_cases(x0, r, imports, curves.import_multiplier)
     if not np.all(np.isfinite(cases)) or np.any(cases > RUNAWAY_CASES):
         raise NumericalFailure(
             f"runaway epidemic: cases exceeded {RUNAWAY_CASES:g} within {T} days")
@@ -257,17 +263,24 @@ def schedule_count(n_r: int, horizon: int) -> int:
     return n_r + n_r * (n_r - 1) * (horizon - 1)
 
 
+def schedule_days(n_r: int, horizon: int) -> int:
+    """Schedule-days ``_kernels.two_segment_costs`` costs on an ``n_r``-value
+    grid: each constant prefix over the whole horizon, then each ordered
+    pair's suffixes, one per switch day ``s``, over ``horizon - s`` days."""
+    return n_r * horizon + n_r * (n_r - 1) * horizon * (horizon - 1) // 2
+
+
 def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
                               curves: CostCurveSet, params: DynamicsParams,
                               r_step: float = 0.1) -> ScheduleComparison:
     """Enumerate two-segment reproduction schedules reaching the target.
 
     Feasibility of the target itself is required up front (maximal
-    stringency for the whole horizon must reach it), and so is a schedule
-    count of at most ``MAX_SCHEDULES``; both are checked before anything is
-    allocated. Returns per-schedule cumulative costs and whether the
-    cheapest feasible schedule containing a growth day is beaten by the
-    best monotone one.
+    stringency for the whole horizon must reach it), and so are a schedule
+    count of at most ``MAX_SCHEDULES`` and at most ``MAX_SCHEDULE_DAYS``
+    schedule-days of work; all are checked before anything is allocated.
+    Returns per-schedule cumulative costs and whether the cheapest feasible
+    schedule containing a growth day is beaten by the best monotone one.
 
     Rows come in a fixed order: the constant schedules in grid order, then
     for each ordered pair ``(r1, r2)`` of distinct grid values in row-major
@@ -289,25 +302,33 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
         raise DomainError(
             f"target {x_target} unreachable from {x0} in {horizon} days "
             f"even at R={params.r_min}")
-    n = schedule_count(_grid_size(params, r_step), horizon)
+    n_r = _grid_size(params, r_step)
+    n = schedule_count(n_r, horizon)
     if n > MAX_SCHEDULES:
         raise DomainError(
             f"{n:,} schedules to compare exceed the cap of {MAX_SCHEDULES:,}; "
             f"raise r_grid_step or shorten the horizon")
+    days = schedule_days(n_r, horizon)
+    if days > MAX_SCHEDULE_DAYS:
+        raise DomainError(
+            f"{days:,} schedule-days to cost exceed the cap of "
+            f"{MAX_SCHEDULE_DAYS:,}; raise r_grid_step or shorten the horizon")
 
     rs = r_grid(params, r_step)
-    # the scan's temporaries are freed before the row triples are built
-    totals, max_cases, finals = _kernels.two_segment_costs(
-        rs, horizon, x0, params, curves)
+    # the scan's temporaries are freed before the row triples are built; a
+    # schedule whose cases overflow to inf is flagged runaway below
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals, max_cases, finals = _kernels.two_segment_costs(
+            rs, horizon, x0, params, curves)
     r_first, r_second, switch = _kernels.two_segment_rows(rs, horizon)
 
     runaway = max_cases > RUNAWAY_CASES
     feasible = (finals <= x_target) & ~runaway
 
     if x0 > 0:
-        first_grows = (r_first > 1.0) & (switch >= 1)
-        mid_positive = (r_first > 0.0) | (switch == 0)
-        second_grows = (r_second > 1.0) & (switch < horizon) & mid_positive
+        # every schedule runs r_first on day 0: its switch day is >= 1
+        first_grows = r_first > 1.0
+        second_grows = (r_second > 1.0) & (switch < horizon) & (r_first > 0.0)
         contains_growth = first_grows | second_grows
         # the relax-to-save-costs pattern: cases grow, then measures tighten
         relax_then_tighten = first_grows & (r_second < r_first) & (switch < horizon)

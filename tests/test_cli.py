@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import warnings
 
 import pytest
 
@@ -230,6 +232,61 @@ class TestExitCodes:
         assert "config error: 12,201 schedules" in err and "cap of 12,000" in err
         assert not (tmp_path / "compare_schedules.csv").exists()
 
+    @pytest.mark.parametrize("cap", [183_329, 183_330])
+    def test_schedule_days_cap_is_config_error(self, tmp_path, monkeypatch, capsys, cap):
+        # 21 grid values over 30 days: 21 * 30 + 21 * 20 * 30 * 29 / 2 = 183,330
+        # schedule-days; lower the cap rather than run an input over the real one
+        import epicost.trajectory as trajectory_module
+
+        monkeypatch.setattr(trajectory_module, "MAX_SCHEDULE_DAYS", cap)
+        code = run_cli("compare-schedules", "--config",
+                       str(fixture_path("one_region_quadratic")), "--out", str(tmp_path))
+        assert code == (1 if cap < 183_330 else 0)
+        assert (tmp_path / "compare_schedules.csv").exists() == (code == 0)
+        if code:
+            assert ("config error: 183,330 schedule-days to cost exceed the cap of "
+                    "183,329" in capsys.readouterr().err)
+
+    @staticmethod
+    def _quadratic_with(tmp_path, **dynamics):
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        cfg["dynamics"].update(dynamics)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    def test_compare_overflow_is_runaway_without_warnings(self, tmp_path, capsys):
+        # grid {0.5, 2.0}: schedules that hold R = 2 long enough overflow
+        # float range; they are flagged runaway and nothing reaches stderr
+        path = self._quadratic_with(tmp_path, r_grid_step=1.5, horizon=2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("compare-schedules", "--config", path,
+                           "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "compare_schedules.csv")
+        runaway = [row["runaway"] == "true" for row in rows]
+        # log2 of each schedule's peak over the start level 100, against 1e12
+        limit = math.log2(1e12 / 100.0)
+        want = []
+        for row in rows:
+            s = int(row["switch_day"])
+            up = math.log2(float(row["r_first"])) * s
+            down = math.log2(float(row["r_second"])) * (2000 - s)
+            want.append(max(0.0, up, up + down) > limit)
+        assert runaway == want
+        assert sum(runaway) == 2950
+
+    def test_simulate_overflow_is_numerical_failure_without_warnings(self, tmp_path,
+                                                                     capsys):
+        path = self._quadratic_with(tmp_path, reproduction=2.5, horizon=2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--config", path, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: runaway epidemic: cases exceeded 1e+12 within "
+            "2000 days\n")
+
     def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -259,7 +316,7 @@ class TestExitCodes:
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         import epicost.cli as cli_module
 
-        def explode(cfg, out, fmt, args):
+        def explode(cfg, fmt, args):
             raise InvariantViolation("forced for the exit-code contract")
 
         monkeypatch.setitem(cli_module._HANDLERS, "optimize", explode)

@@ -109,6 +109,52 @@ class TestOutbreakCost:
         assert OutbreakCost(1.0, 2.0).cost(3.0) == pytest.approx(9.0)
 
 
+class TestOverflow:
+    """A scalar ``cost`` overflows to inf, as ``cost_arr`` does, without warning."""
+
+    CURVES = (TransmissionCost(1.0, 2.0, 5.0, 1.0, 3.0, 3.5),
+              TransmissionCost(0.5, wide_slope=2.0, tti_capacity=0.0, wide_exponent=7.0),
+              OutbreakCost(1.0, 3.0), OutbreakCost(0.25, 41.5))
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_cost_matches_cost_arr_at_overflowing_loads(self, curve):
+        loads = [1e110, 1e200, 1e300, 1.7e308]
+        with np.errstate(over="ignore"):
+            want = curve.cost_arr(np.array(loads)).tolist()
+        assert all(math.isinf(v) for v in want)
+        for x, w in zip(loads, want):
+            assert curve.cost(x) == w
+            assert curve.cost(np.float64(x)) == w
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_finite_costs_keep_every_bit(self, curve):
+        # the spelling before overflow was mapped: ``**`` on the load as given
+        if isinstance(curve, OutbreakCost):
+            def reference(x):
+                return curve.per_case * x**curve.exponent
+        else:
+            def reference(x):
+                if x <= curve.tti_capacity:
+                    return curve.c0 + curve.tti_slope * x
+                return (curve.c0 + curve.tti_slope * curve.tti_capacity
+                        + curve.breakdown_jump
+                        + curve.wide_slope * (x - curve.tti_capacity) ** curve.wide_exponent)
+        rng = np.random.default_rng(11)
+        for x in np.exp(rng.uniform(-20, 14, 2000)).tolist():
+            assert curve.cost(x) == reference(x)
+            assert curve.cost(np.float64(x)) == reference(np.float64(x))
+
+    def test_objective_ignores_an_overflowing_outbreak_term(self):
+        # the objective has no outbreak term; its value overflows a float here
+        from epicost.optimize import aggregate_cost, minimize_over_imports
+
+        curves = CostCurveSet(TransmissionCost(1.0, 1.0), BorderCost(1.0, 1e120),
+                              OutbreakCost(1.0, 3.0))
+        assert aggregate_cost(curves, 1e110) == 1e110
+        res = minimize_over_imports(curves, grid_points=101)
+        assert (res.argument, res.classification) == (0.0, "boundary-closed")
+
+
 class TestDerivativeAgainstFiniteDifference:
     def test_hundred_random_interior_points(self):
         rng = np.random.default_rng(3)

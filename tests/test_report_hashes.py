@@ -42,6 +42,11 @@ JOBS += [(fixture, "import-dist", extra)
          for extra in (("--mc-trials", "2000", "--seed", "7"), ("--format", "json"))]
 JOBS += [(fixture, "game", ("--format", "csv"))
          for fixture, commands in _ACCEPTED.items() if "game" in commands]
+# the other format of every command each fixture accepts
+JOBS += [(fixture, command, ("--format", fmt))
+         for command, fmt in (("optimize", "csv"), ("simulate", "json"),
+                              ("compare-schedules", "json"), ("validate", "csv"))
+         for fixture in _ACCEPTED]
 
 # bundled fixtures with some keys replaced, for reports that span many
 # chunks of the CSV writer: name -> (fixture, {section: {key: value}})
@@ -276,6 +281,102 @@ EXPECTED = {
     'import_dist_small game --format csv': {
         'game.csv':
             '9134f33aec15a83e0a04c0e5374e3371442f7a5d7cb0386253059220afd31e3e',
+    },
+    'one_region_quadratic optimize --format csv': {
+        'optimize.csv':
+            'b77fdc0ad56a0eae30ad578d8b6b05eb46032661470af3b2dcc50e89a8339451',
+    },
+    'boundary_trio optimize --format csv': {
+        'optimize.csv':
+            '9d177b59fa2c1ffee7489a8444b087ee32877a0e8f29b8a8d1a0e37f78ceb067',
+    },
+    'two_region_symmetric optimize --format csv': {
+        'optimize.csv':
+            '8ad5dc517dfdb03a020432aef7f64350c4cbd000387614f6bd3472ce626eea2e',
+    },
+    'two_region_virus_free optimize --format csv': {
+        'optimize.csv':
+            '28e8786dd78add0f6617dd517482adc2bc6f1383fbf685a90dddbff3b34739a5',
+    },
+    'two_region_asymmetric optimize --format csv': {
+        'optimize.csv':
+            '5f77bea17e096e221d37449a9a8c088adb8de57e62cb2937aa1b5a7ddb111c0a',
+    },
+    'import_dist_small optimize --format csv': {
+        'optimize.csv':
+            'e545faec36caa2cbaaad5e9e34de847dc2a3b78de4c80022b5bfd82b0c41353a',
+    },
+    'one_region_quadratic simulate --format json': {
+        'simulate.json':
+            '9fc266ae763a9a6a4d9cc5326a6dc1e37f07d4f3e18dfe333d04ffe19deba6ce',
+    },
+    'boundary_trio simulate --format json': {
+        'simulate.json':
+            'd76655e282e8a028bb4aed862f0787bf23ee992701ecbb1da722ffb058dfd238',
+    },
+    'two_region_symmetric simulate --format json': {
+        'simulate.json':
+            'f0cf27b6a54b4314484b205eef9a74228680ebefe621f7af2417ea9a4d2d33c3',
+    },
+    'two_region_virus_free simulate --format json': {
+        'simulate.json':
+            'f6ba8cd6d7d32bf436aba3434d5c8fccfb2a5e989ef1b94e94882643e3fde8b5',
+    },
+    'two_region_asymmetric simulate --format json': {
+        'simulate.json':
+            '24fd223d14c0629f44ae794302f2dc6e76f97888ed91bd3e47d060f599376e93',
+    },
+    'import_dist_small simulate --format json': {
+        'simulate.json':
+            '8c39783f08d77d429d39fce25f57d28e1d7d1e2795e3cf682f56e22c9a4368ca',
+    },
+    'one_region_quadratic compare-schedules --format json': {
+        'compare_schedules.json':
+            '51601f78550f48bfd13a001aa0d12c99b0773c308a5b15a29c9e835baef51594',
+    },
+    'boundary_trio compare-schedules --format json': {
+        'compare_schedules.json':
+            '572c79e54edca80cd08f31afc1722e9bfeea446023be6f62375497e2adb9e998',
+    },
+    'two_region_symmetric compare-schedules --format json': {
+        'compare_schedules.json':
+            '8ddcc0413adf85c9b4ea82901b091397abbe37ee0eef1ecd35b059bfcea02f48',
+    },
+    'two_region_virus_free compare-schedules --format json': {
+        'compare_schedules.json':
+            '9f72ddd5f10bb2e5f03d951ef14b3e3ed94e443f89172c364692b23a00ef81a7',
+    },
+    'two_region_asymmetric compare-schedules --format json': {
+        'compare_schedules.json':
+            'e865f5fbdca1c3ed6b446ff5d5c92615552affa98aa29cb73a1ffb05cd73d88e',
+    },
+    'import_dist_small compare-schedules --format json': {
+        'compare_schedules.json':
+            'd474a83a50f7a042ed2c51825cd0952d930b3795bf895ecb6eb50937d674ca2b',
+    },
+    'one_region_quadratic validate --format csv': {
+        'validate.csv':
+            'cc3cd40fc03e32ea1199fe8669ddb79adbea69679e8a477de3310205934ae39f',
+    },
+    'boundary_trio validate --format csv': {
+        'validate.csv':
+            'a0b91ebe2537ae3f253568673d8d5050cab6b6665ab772cb35458eb202f52868',
+    },
+    'two_region_symmetric validate --format csv': {
+        'validate.csv':
+            '121489f8c784f130c25ca54d1ce52ef60250342a94973d75a5a69e00e3bf52bf',
+    },
+    'two_region_virus_free validate --format csv': {
+        'validate.csv':
+            '51506779288fc9bd329e8b2c3c264bc183a3671ec404ceb04fd4d357b3af4099',
+    },
+    'two_region_asymmetric validate --format csv': {
+        'validate.csv':
+            'bf6ff3ed6dbe796359375933809e55ca1372efabf298d0afc2eeba68c8fba74d',
+    },
+    'import_dist_small validate --format csv': {
+        'validate.csv':
+            '23968f0e044ce6429fb072efec9ef4aca98bd0db1cf4283a90de273af0fe0fed',
     },
     'one_region_quadratic[r_grid_step=0.05,horizon=60] compare-schedules': {
         'compare_schedules.csv':

@@ -5,10 +5,10 @@ from epicost.costs import (BorderCost, CostCurveSet, OutbreakCost,
                            TransmissionCost)
 from epicost import _kernels, trajectory
 from epicost.errors import DomainError, NumericalFailure
-from epicost.trajectory import (MAX_SCHEDULES, DynamicsParams, PolicySchedule,
-                                compare_monotone_vs_relax, daily_cost, r_grid,
-                                schedule_count, simulate, steady_state_holding_cost,
-                                step)
+from epicost.trajectory import (MAX_SCHEDULE_DAYS, MAX_SCHEDULES, DynamicsParams,
+                                PolicySchedule, compare_monotone_vs_relax, daily_cost,
+                                r_grid, schedule_count, schedule_days, simulate,
+                                steady_state_holding_cost, step)
 
 PARAMS = DynamicsParams()
 
@@ -231,4 +231,39 @@ class TestScheduleGridAndCap:
         else:
             cmp_ = compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
             assert cmp_.n_schedules == cap
+
+    @pytest.mark.parametrize("n_r,horizon", [(1, 1), (1, 9), (2, 1), (3, 2), (21, 30)])
+    def test_schedule_days_count_the_scan(self, n_r, horizon):
+        # each constant row runs every day; a row switching on day s adds its
+        # horizon - s suffix days to a prefix that is costed once
+        rs = np.arange(n_r, dtype=np.float64)
+        _, _, switch = _kernels.two_segment_rows(rs, horizon)
+        assert schedule_days(n_r, horizon) == n_r * horizon + int(
+            np.sum(horizon - switch[n_r:]))
+
+    def test_schedule_days_of_the_measured_scans(self):
+        # two values over 6,000 days; the largest and the pinned schedule
+        # benchmarks (steps 0.025 and 0.05 over 60 days)
+        assert schedule_days(2, 6000) == 36_006_000
+        assert schedule_days(len(r_grid(PARAMS, 0.025)), 60) == 11_474_460
+        assert schedule_days(len(r_grid(PARAMS, 0.05)), 60) == 2_905_260
+        assert 11_474_460 < MAX_SCHEDULE_DAYS < schedule_days(2, 100_000)
+
+    @pytest.mark.parametrize("cap", [183_329, 183_330])
+    def test_schedule_days_cap_checked_before_anything_is_built(self, quad_set,
+                                                                monkeypatch, cap):
+        # 21 grid values over 30 days: 21 * 30 + 420 * 30 * 29 / 2 = 183,330
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(trajectory, "MAX_SCHEDULE_DAYS", cap)
+        if cap < 183_330:
+            monkeypatch.setattr(trajectory, "r_grid", unreachable)
+            monkeypatch.setattr(_kernels, "two_segment_costs", unreachable)
+            with pytest.raises(DomainError,
+                               match="183,330 schedule-days .* cap of 183,329"):
+                compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
+        else:
+            cmp_ = compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
+            assert cmp_.n_schedules == 12_201
 
