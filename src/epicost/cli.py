@@ -18,13 +18,13 @@ invariant violation.
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config, parse_config
+from .config import ScenarioConfig, load_config
 from .costs import validate_curve_set
 from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailure
 from .game import GameState, best_response, solve_game
@@ -413,28 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override_solver(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    """``cfg`` with ``--seed``/``--grid``/``--tol`` merged into its solver block.
-
-    The merged copy goes through ``parse_config`` again (the curves already
-    passed the shape gate), so an override meets the same bounds as the
-    file's own value. The echoed ``raw`` stays the file's.
-    """
+def run(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    # --seed/--grid/--tol replace the file's solver values and meet their bounds
     overrides = {key: value for key, value in (("seed", args.seed),
                                                ("grid_points", args.grid),
                                                ("foc_tol", args.tol))
                  if value is not None}
-    if not overrides:
-        return cfg
-    solver = {**(cfg.raw.get("solver") or {}), **overrides}
-    merged = parse_config({**cfg.raw, "solver": solver}, shape_gate=False)
-    return replace(merged, raw=cfg.raw)
-
-
-def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _override_solver(
-        load_config(args.config, shape_gate=args.command != "validate"), args)
+    cfg = load_config(args.config, shape_gate=args.command != "validate",
+                      solver=overrides)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

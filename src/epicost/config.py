@@ -68,6 +68,11 @@ class ScenarioConfig(RegionLookup):
         return self.regions[0]
 
 
+# each value kind a field may take: accepted types and how diagnostics name it
+_KINDS = {"object": (dict, "an object"), "number": ((int, float), "a number"),
+          "integer": (int, "an integer"), "string": (str, "a string")}
+
+
 class _Reader:
     """Pulls typed values out of nested dicts, collecting path-tagged diagnostics."""
 
@@ -77,73 +82,39 @@ class _Reader:
     def fail(self, path: str, msg: str):
         self.diagnostics.append(f"{path}: {msg}")
 
-    def obj(self, data, key, path, required=True):
+    def read(self, data, key, path, kind, default=None, required=False,
+             minimum=None, maximum=None, allow_inf=False, positive=False):
+        """``data[key]`` as a ``kind`` of ``_KINDS`` (a number as a float) within
+        its bounds; ``default`` where it is missing, or invalid and reported."""
+        where = f"{path}{key}"
         v = data.get(key)
         if v is None:
             if required:
-                self.fail(f"{path}{key}", "missing required object")
-            return None
-        if not isinstance(v, dict):
-            self.fail(f"{path}{key}", f"expected an object, got {type(v).__name__}")
-            return None
-        return v
-
-    def num(self, data, key, path, default=None, required=False,
-            minimum=None, maximum=None, allow_inf=False, positive=False):
-        v = data.get(key)
-        if v is None:
-            if required:
-                self.fail(f"{path}{key}", "missing required number")
+                self.fail(where, f"missing required {kind}")
             return default
+        types, noun = _KINDS[kind]
         if allow_inf and v == "inf":
             v = math.inf
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}{key}", f"expected a number, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, types):
+            got = type(v).__name__ if kind == "object" else repr(v)
+            self.fail(where, f"expected {noun}, got {got}")
             return default
-        v = float(v)
+        if kind == "number":
+            v = float(v)
+        shown = f"{v:g}" if kind == "number" else v
         # json.loads takes NaN and Infinity, which every bound below lets pass
-        if math.isnan(v) or (math.isinf(v) and not allow_inf):
-            self.fail(f"{path}{key}", f"must be finite, got {v}")
-            return default
-        if minimum is not None and v < minimum:
-            self.fail(f"{path}{key}", f"must be >= {minimum}, got {v:g}")
-            return default
-        if maximum is not None and v > maximum:
-            self.fail(f"{path}{key}", f"must be <= {maximum}, got {v:g}")
-            return default
-        if positive and v <= 0:
-            self.fail(f"{path}{key}", f"must be > 0, got {v}")
-            return default
-        return v
-
-    def integer(self, data, key, path, default=None, required=False, minimum=None,
-                maximum=None):
-        v = data.get(key)
-        if v is None:
-            if required:
-                self.fail(f"{path}{key}", "missing required integer")
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(f"{path}{key}", f"expected an integer, got {v!r}")
-            return default
-        if minimum is not None and v < minimum:
-            self.fail(f"{path}{key}", f"must be >= {minimum}, got {v}")
-            return default
-        if maximum is not None and v > maximum:
-            self.fail(f"{path}{key}", f"must be <= {maximum}, got {v}")
-            return default
-        return v
-
-    def text(self, data, key, path, default=None, required=False):
-        v = data.get(key)
-        if v is None:
-            if required:
-                self.fail(f"{path}{key}", "missing required string")
-            return default
-        if not isinstance(v, str):
-            self.fail(f"{path}{key}", f"expected a string, got {v!r}")
-            return default
-        return v
+        if kind == "number" and (math.isnan(v) or (math.isinf(v) and not allow_inf)):
+            problem = f"must be finite, got {v}"
+        elif minimum is not None and v < minimum:
+            problem = f"must be >= {minimum}, got {shown}"
+        elif maximum is not None and v > maximum:
+            problem = f"must be <= {maximum}, got {shown}"
+        elif positive and v <= 0:
+            problem = f"must be > 0, got {v}"
+        else:
+            return v
+        self.fail(where, problem)
+        return default
 
 
 def _defaults(cls) -> dict:
@@ -152,46 +123,47 @@ def _defaults(cls) -> dict:
 
 
 def _parse_curves(r: _Reader, block: dict, path: str) -> CostCurveSet | None:
-    ct_b = r.obj(block, "transmission", path)
-    cb_b = r.obj(block, "border", path)
-    co_b = r.obj(block, "outbreak", path, required=False) or {}
-    alpha = r.num(block, "import_multiplier", path, default=1.0, minimum=1.0)
+    ct_b = r.read(block, "transmission", path, "object", required=True)
+    cb_b = r.read(block, "border", path, "object", required=True)
+    co_b = r.read(block, "outbreak", path, "object", default={})
+    alpha = r.read(block, "import_multiplier", path, "number", default=1.0, minimum=1.0)
     if ct_b is None or cb_b is None or alpha is None:
         return None
     before = len(r.diagnostics)
     ct_path = f"{path}transmission."
-    c0 = r.num(ct_b, "c0", ct_path, required=True, minimum=0.0)
-    tti_slope = r.num(ct_b, "tti_slope", ct_path, default=0.0, minimum=0.0)
-    tti_capacity = r.num(ct_b, "tti_capacity", ct_path, default=math.inf,
-                         minimum=0.0, allow_inf=True)
-    jump = r.num(ct_b, "breakdown_jump", ct_path, default=0.0, minimum=0.0)
-    wide_slope = r.num(ct_b, "wide_slope", ct_path, default=0.0, minimum=0.0)
-    wide_exponent = r.num(ct_b, "wide_exponent", ct_path, default=1.0, minimum=1.0)
+    c0 = r.read(ct_b, "c0", ct_path, "number", required=True, minimum=0.0)
+    tti_slope = r.read(ct_b, "tti_slope", ct_path, "number", default=0.0, minimum=0.0)
+    tti_capacity = r.read(ct_b, "tti_capacity", ct_path, "number", default=math.inf,
+                          minimum=0.0, allow_inf=True)
+    jump = r.read(ct_b, "breakdown_jump", ct_path, "number", default=0.0, minimum=0.0)
+    wide_slope = r.read(ct_b, "wide_slope", ct_path, "number", default=0.0, minimum=0.0)
+    wide_exponent = r.read(ct_b, "wide_exponent", ct_path, "number", default=1.0,
+                           minimum=1.0)
     cb_path = f"{path}border."
-    b0 = r.num(cb_b, "b0", cb_path, required=True, minimum=0.0)
-    i_free = r.num(cb_b, "i_free", cb_path, required=True)
-    curvature = r.num(cb_b, "curvature", cb_path, default=1.0, minimum=1.0)
+    b0 = r.read(cb_b, "b0", cb_path, "number", required=True, minimum=0.0)
+    i_free = r.read(cb_b, "i_free", cb_path, "number", required=True, positive=True)
+    curvature = r.read(cb_b, "curvature", cb_path, "number", default=1.0, minimum=1.0)
     co_path = f"{path}outbreak."
-    per_case = r.num(co_b, "per_case", co_path, default=0.0, minimum=0.0)
-    exponent = r.num(co_b, "exponent", co_path, default=1.0, minimum=1.0)
+    per_case = r.read(co_b, "per_case", co_path, "number", default=0.0, minimum=0.0)
+    exponent = r.read(co_b, "exponent", co_path, "number", default=1.0, minimum=1.0)
     if len(r.diagnostics) > before:
         return None
-    try:
-        return CostCurveSet(
-            TransmissionCost(c0, tti_slope, tti_capacity, jump, wide_slope, wide_exponent),
-            BorderCost(b0, i_free, curvature),
-            OutbreakCost(per_case, exponent),
-            alpha)
-    except DomainError as exc:
-        r.fail(path.rstrip("."), str(exc))
-        return None
+    # every bound the curve constructors check was read at its field above
+    return CostCurveSet(
+        TransmissionCost(c0, tti_slope, tti_capacity, jump, wide_slope, wide_exponent),
+        BorderCost(b0, i_free, curvature),
+        OutbreakCost(per_case, exponent),
+        alpha)
 
 
-def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
+def parse_config(data: dict, shape_gate: bool = True,
+                 solver: dict | None = None) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed JSON object.
 
     With ``shape_gate`` every region's curves must pass validate_curve_set;
     the ``validate`` command disables the gate to report failures instead.
+    ``solver`` holds values laid over the file's ``solver`` block before it
+    is read, so they meet the same bounds; ``raw`` stays ``data``.
     """
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a JSON object"])
@@ -207,15 +179,16 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
         if not isinstance(block, dict):
             r.fail(f"regions[{i}]", "expected an object")
             continue
-        name = r.text(block, "id", path, required=True)
-        population = r.integer(block, "population", path, required=True, minimum=1)
-        prevalence = r.num(block, "prevalence", path, required=True,
-                           minimum=0.0, maximum=1.0)
-        domestic = r.num(block, "domestic_cases", path, default=0.0, minimum=0.0)
-        curves_block = r.obj(block, "curves", path)
-        curves = None
-        if curves_block is not None:
-            curves = _parse_curves(r, curves_block, f"{path}curves.")
+        name = r.read(block, "id", path, "string", required=True)
+        population = r.read(block, "population", path, "integer", required=True,
+                            minimum=1)
+        prevalence = r.read(block, "prevalence", path, "number", required=True,
+                            minimum=0.0, maximum=1.0)
+        domestic = r.read(block, "domestic_cases", path, "number", default=0.0,
+                          minimum=0.0)
+        curves_block = r.read(block, "curves", path, "object", required=True)
+        curves = (None if curves_block is None
+                  else _parse_curves(r, curves_block, f"{path}curves."))
         if None in (name, population, prevalence, domestic, curves):
             continue
         if shape_gate:
@@ -224,10 +197,7 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
                 where = check.field_path or check.name
                 r.fail(f"{path}curves.{where}",
                        f"shape invariant {check.name} violated ({check.detail})")
-        try:
-            regions.append(RegionState(name, population, prevalence, domestic, curves))
-        except DomainError as exc:
-            r.fail(f"regions[{i}]", str(exc))
+        regions.append(RegionState(name, population, prevalence, domestic, curves))
 
     names = [reg.name for reg in regions]
     if len(set(names)) != len(names):
@@ -240,11 +210,11 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
         if not isinstance(block, dict):
             r.fail(f"links[{i}]", "expected an object")
             continue
-        origin = r.text(block, "origin", path, required=True)
-        destination = r.text(block, "destination", path, required=True)
-        travelers = r.integer(block, "travelers", path, required=True, minimum=0)
-        screening = r.num(block, "screening", path, default=1.0,
-                          minimum=0.0, maximum=1.0)
+        origin = r.read(block, "origin", path, "string", required=True)
+        destination = r.read(block, "destination", path, "string", required=True)
+        travelers = r.read(block, "travelers", path, "integer", required=True, minimum=0)
+        screening = r.read(block, "screening", path, "number", default=1.0,
+                           minimum=0.0, maximum=1.0)
         if None in (origin, destination, travelers, screening):
             continue
         for endpoint, label in ((origin, "origin"), (destination, "destination")):
@@ -258,31 +228,33 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
         except DomainError as exc:
             r.fail(f"links[{i}]", str(exc))
 
-    sb = r.obj(data, "solver", "", required=False) or {}
+    sb = {**r.read(data, "solver", "", "object", default={}), **(solver or {})}
     sd = _defaults(SolverSettings)
-    solver = SolverSettings(
-        grid_points=r.integer(sb, "grid_points", "solver.", default=sd["grid_points"],
-                              minimum=3, maximum=MAX_GRID_POINTS),
-        foc_tol=r.num(sb, "foc_tol", "solver.", default=sd["foc_tol"], positive=True),
-        max_iterations=r.integer(sb, "max_iterations", "solver.",
-                                 default=sd["max_iterations"], minimum=1),
-        nash_tol=r.num(sb, "nash_tol", "solver.", default=sd["nash_tol"], positive=True),
-        seed=r.integer(sb, "seed", "solver.", default=sd["seed"], minimum=0),
+    settings = SolverSettings(
+        grid_points=r.read(sb, "grid_points", "solver.", "integer",
+                           default=sd["grid_points"], minimum=3, maximum=MAX_GRID_POINTS),
+        foc_tol=r.read(sb, "foc_tol", "solver.", "number", default=sd["foc_tol"],
+                       positive=True),
+        max_iterations=r.read(sb, "max_iterations", "solver.", "integer",
+                              default=sd["max_iterations"], minimum=1),
+        nash_tol=r.read(sb, "nash_tol", "solver.", "number", default=sd["nash_tol"],
+                        positive=True),
+        seed=r.read(sb, "seed", "solver.", "integer", default=sd["seed"], minimum=0),
     )
 
-    db = r.obj(data, "dynamics", "", required=False) or {}
+    db = r.read(data, "dynamics", "", "object", default={})
     pd, dd = _defaults(DynamicsParams), _defaults(DynamicsSettings)
-    r0 = r.num(db, "r0", "dynamics.", default=pd["r0"])
-    r_min = r.num(db, "r_min", "dynamics.", default=pd["r_min"], minimum=0.0)
-    g_exp = r.num(db, "stringency_exponent", "dynamics.",
-                  default=pd["stringency_exponent"])
-    horizon = r.integer(db, "horizon", "dynamics.", default=dd["horizon"], minimum=1,
-                        maximum=MAX_HORIZON)
-    region_name = r.text(db, "region", "dynamics.", default=dd["region"])
-    target = r.num(db, "target_cases", "dynamics.", default=dd["target_cases"],
-                   minimum=0.0)
-    r_step = r.num(db, "r_grid_step", "dynamics.", default=dd["r_grid_step"],
-                   positive=True)
+    r0 = r.read(db, "r0", "dynamics.", "number", default=pd["r0"])
+    r_min = r.read(db, "r_min", "dynamics.", "number", default=pd["r_min"], minimum=0.0)
+    g_exp = r.read(db, "stringency_exponent", "dynamics.", "number",
+                   default=pd["stringency_exponent"], positive=True)
+    horizon = r.read(db, "horizon", "dynamics.", "integer", default=dd["horizon"],
+                     minimum=1, maximum=MAX_HORIZON)
+    region_name = r.read(db, "region", "dynamics.", "string", default=dd["region"])
+    target = r.read(db, "target_cases", "dynamics.", "number",
+                    default=dd["target_cases"], minimum=0.0)
+    r_step = r.read(db, "r_grid_step", "dynamics.", "number",
+                    default=dd["r_grid_step"], positive=True)
 
     def day_series(key, default):
         v = db.get(key, default)
@@ -322,10 +294,11 @@ def parse_config(data: dict, shape_gate: bool = True) -> ScenarioConfig:
 
     if r.diagnostics:
         raise ConfigError(sorted(r.diagnostics))
-    return ScenarioConfig(tuple(regions), tuple(links), solver, dynamics, data)
+    return ScenarioConfig(tuple(regions), tuple(links), settings, dynamics, data)
 
 
-def load_config(path: str | Path, shape_gate: bool = True) -> ScenarioConfig:
+def load_config(path: str | Path, shape_gate: bool = True,
+                solver: dict | None = None) -> ScenarioConfig:
     """Parse and validate a scenario file; raises ConfigError with diagnostics."""
     p = Path(path)
     if not p.exists():
@@ -334,4 +307,4 @@ def load_config(path: str | Path, shape_gate: bool = True) -> ScenarioConfig:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{p}: invalid JSON ({exc})"]) from exc
-    return parse_config(data, shape_gate=shape_gate)
+    return parse_config(data, shape_gate=shape_gate, solver=solver)

@@ -28,13 +28,21 @@ def _require(cond: bool, msg: str):
         raise DomainError(msg)
 
 
-def _power(base: float, exponent: float) -> float:
-    """``base ** exponent`` for ``base >= 0``, ``inf`` where it overflows, as
-    the array ``**`` of ``cost_arr`` gives it."""
+def _power(base: float, exponent: float, coef: float) -> float:
+    """``coef * base ** exponent`` for ``base >= 0``: ``inf`` where the power
+    overflows, as the array ``**`` of ``cost_arr`` gives it, and 0 for a
+    zero ``coef`` whatever the power."""
+    if coef == 0:
+        return 0.0
     try:
-        return float(base) ** exponent
+        return coef * float(base) ** exponent
     except OverflowError:
         return math.inf
+
+
+def _power_arr(base: np.ndarray, exponent: float, coef: float) -> np.ndarray:
+    """``_power`` elementwise; numpy warns where the power overflows."""
+    return np.zeros_like(base) if coef == 0 else coef * base**exponent
 
 
 def _finite(v: float, name: str, allow_inf: bool = False):
@@ -80,7 +88,7 @@ class TransmissionCost:
         if x <= self.tti_capacity:
             return self.c0 + self.tti_slope * x
         return (self.c0 + self.tti_slope * self.tti_capacity + self.breakdown_jump
-                + self.wide_slope * _power(x - self.tti_capacity, self.wide_exponent))
+                + _power(x - self.tti_capacity, self.wide_exponent, self.wide_slope))
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
         """``cost`` elementwise, without the domain check.
@@ -95,7 +103,7 @@ class TransmissionCost:
         if np.any(over):
             excess = np.where(over, x - cap, 0.0)
             out = np.where(over, self.c0 + self.tti_slope * cap + self.breakdown_jump
-                           + self.wide_slope * excess**self.wide_exponent, out)
+                           + _power_arr(excess, self.wide_exponent, self.wide_slope), out)
         return out
 
     def marginal(self, x: float, side: str | None = None) -> float:
@@ -110,7 +118,7 @@ class TransmissionCost:
         cap = self.tti_capacity
 
         def wide(z):
-            return self.wide_slope * self.wide_exponent * z ** (self.wide_exponent - 1.0)
+            return _power(z, self.wide_exponent - 1.0, self.wide_slope * self.wide_exponent)
 
         if x == cap and math.isfinite(cap):
             if cap > 0:
@@ -187,16 +195,16 @@ class OutbreakCost:
     def cost(self, x: float) -> float:
         if x < 0:
             raise DomainError(f"case level must be >= 0, got {x}")
-        return self.per_case * _power(x, self.exponent)
+        return _power(x, self.exponent, self.per_case)
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
         """``cost`` elementwise, without the domain check (see TransmissionCost)."""
-        return self.per_case * np.asarray(x, dtype=np.float64)**self.exponent
+        return _power_arr(np.asarray(x, dtype=np.float64), self.exponent, self.per_case)
 
     def marginal(self, x: float, side: str | None = None) -> float:
         if x < 0:
             raise DomainError(f"case level must be >= 0, got {x}")
-        return self.per_case * self.exponent * x ** (self.exponent - 1.0)
+        return _power(x, self.exponent - 1.0, self.per_case * self.exponent)
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,11 @@ class RegionLookup:
         raise DomainError(f"unknown region {name!r}")
 
     def inbound_link(self, name: str) -> TravelLink | None:
-        for link in self.links:
-            if link.destination == name:
-                return link
-        return None
+        inbound = [link for link in self.links if link.destination == name]
+        if len(inbound) > 1:
+            raise DomainError(f"region {name!r} has {len(inbound)} inbound links; "
+                              f"a region's screening takes at most one")
+        return inbound[0] if inbound else None
 
 
 @dataclass(frozen=True)

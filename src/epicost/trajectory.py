@@ -316,10 +316,12 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
 
     rs = r_grid(params, r_step)
     # the scan's temporaries are freed before the row triples are built; a
-    # schedule whose cases overflow to inf is flagged runaway below
+    # schedule whose cases overflow to inf is flagged runaway below, and its
+    # total reads inf also where 0 * inf made it nan (a zero weight or term)
     with np.errstate(over="ignore", invalid="ignore"):
         totals, max_cases, finals = _kernels.two_segment_costs(
             rs, horizon, x0, params, curves)
+    totals[np.isnan(totals)] = np.inf
     r_first, r_second, switch = _kernels.two_segment_rows(rs, horizon)
 
     runaway = max_cases > RUNAWAY_CASES

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from epicost.cli import main
+from epicost.cli import COMMANDS, main
 from epicost.errors import InvariantViolation
 from epicost.fixtures import fixture_path
 
@@ -277,6 +277,26 @@ class TestExitCodes:
         assert runaway == want
         assert sum(runaway) == 2950
 
+    @pytest.mark.parametrize("outbreak, step, horizon, overflowed", [
+        (True, 1.0, 1000, 3153), (False, 1.5, 2000, 2241)])
+    def test_compare_overflowed_totals_read_inf(self, tmp_path, outbreak, step, horizon,
+                                                overflowed):
+        # cases overflow to inf; 0 * inf (the weight of R = r0, or an absent
+        # outbreak term) made these totals nan, where other overflowed rows read inf
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        if not outbreak:
+            del cfg["regions"][0]["curves"]["outbreak"]
+        cfg["dynamics"].update(r_grid_step=step, horizon=horizon)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("compare-schedules", "--config", str(path),
+                       "--out", str(tmp_path)) == 0
+        rows = read_csv(tmp_path / "compare_schedules.csv")
+        assert not any("nan" in row.values() for row in rows)
+        inf_rows = [row for row in rows if row["total_cost"] == "inf"]
+        assert len(inf_rows) == overflowed
+        assert all(row["runaway"] == "true" for row in inf_rows)
+
     def test_simulate_overflow_is_numerical_failure_without_warnings(self, tmp_path,
                                                                      capsys):
         path = self._quadratic_with(tmp_path, reproduction=2.5, horizon=2000)
@@ -286,6 +306,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numerical failure: runaway epidemic: cases exceeded 1e+12 within "
             "2000 days\n")
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate"])
+    def test_region_with_two_inbound_links_is_config_error(self, tmp_path, command,
+                                                           capsys):
+        # screening is solved against one link; quad would see only hub's
+        cfg = json.loads(fixture_path("boundary_trio").read_text())
+        cfg["links"][1].update(origin="steep", destination="quad")
+        path = tmp_path / "two_into_quad.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "config error: region 'quad' has 2 inbound links; "
+            "a region's screening takes at most one\n")
+        assert list(tmp_path.iterdir()) == [path]
+        assert run_cli("import-dist", "--config", str(path), "--out", str(tmp_path)) == 0
 
     def test_out_under_a_file_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -412,6 +447,54 @@ class TestExitCodes:
         # seven grid points on [0, 4]: the interior optimum 0.25 is refined
         # from the bracket [0, 2/3], so a coarse grid still finds it
         assert report["regions"]["home"]["imports"]["argument"] == pytest.approx(0.25)
+
+
+class TestSolverOverrides:
+    """``--seed``, ``--grid`` and ``--tol`` are read in the one parse of the file."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("extra, solver", [
+        ((), {}),
+        (("--seed", "7", "--grid", "101", "--tol", "1e-6"),
+         {"seed": 7, "grid_points": 101, "foc_tol": 1e-6})])
+    def test_config_parsed_once(self, tmp_path, monkeypatch, command, extra, solver):
+        import epicost.config as config_module
+
+        calls = []
+        parse = config_module.parse_config
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["solver"])
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(config_module, "parse_config", counting)
+        assert run_cli(command, "--config", str(fixture_path("two_region_symmetric")),
+                       "--out", str(tmp_path), *extra) == 0
+        assert calls == [solver]
+
+    def test_override_replaces_an_invalid_file_value(self, tmp_path, capsys):
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        cfg["solver"]["grid_points"] = 2
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("optimize", "--config", str(path), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "config error: solver.grid_points: must be >= 3, got 2\n")
+        assert run_cli("optimize", "--config", str(path), "--out", str(tmp_path),
+                       "--grid", "101") == 0
+        assert json.loads((tmp_path / "optimize.json").read_text())["config"] == cfg
+
+    def test_file_and_override_diagnostics_in_one_list(self, tmp_path, capsys):
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        cfg["dynamics"]["horizon"] = 0
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("optimize", "--config", str(path), "--out", str(tmp_path),
+                       "--grid", "2", "--tol", "0") == 1
+        assert capsys.readouterr().err == (
+            "config error: dynamics.horizon: must be >= 1, got 0\n"
+            "config error: solver.foc_tol: must be > 0, got 0.0\n"
+            "config error: solver.grid_points: must be >= 3, got 2\n")
 
 
 class TestFocTolerance:

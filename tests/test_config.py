@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from epicost.config import DynamicsSettings, SolverSettings, load_config, parse_config
+from epicost.config import (DynamicsSettings, SolverSettings, _Reader, load_config,
+                            parse_config)
 from epicost.errors import ConfigError
 from epicost.fixtures import SCENARIOS, fixture_path
 from epicost.trajectory import DynamicsParams
@@ -159,6 +160,34 @@ class TestValidation:
         # json.loads reads NaN and Infinity; no bound would catch them
         cfg = json.loads(json.dumps(minimal_config(**{block: {key: value}})))
         assert f"{block}.{key}: must be finite, got {value}" in diagnostics_of(cfg)
+
+    def test_model_bounds_reported_at_their_fields(self):
+        cfg = minimal_config(dynamics={"horizon": 5, "stringency_exponent": 0})
+        cfg["regions"][0]["curves"]["border"]["i_free"] = 0
+        assert diagnostics_of(cfg) == [
+            "dynamics.stringency_exponent: must be > 0, got 0.0",
+            "regions[0].curves.border.i_free: must be > 0, got 0.0"]
+
+    def test_solver_values_laid_over_the_file_block(self):
+        data = minimal_config(solver={"seed": 42, "grid_points": 2})
+        cfg = parse_config(data, solver={"grid_points": 101})
+        assert (cfg.solver.seed, cfg.solver.grid_points) == (42, 101)
+        assert cfg.raw is data and data["solver"] == {"seed": 42, "grid_points": 2}
+        with pytest.raises(ConfigError) as err:
+            parse_config(data, solver={"seed": -1})
+        assert err.value.diagnostics == ["solver.grid_points: must be >= 3, got 2",
+                                         "solver.seed: must be >= 0, got -1"]
+
+    @pytest.mark.parametrize("kind, value, message", [
+        ("object", [1], "expected an object, got list"),
+        ("number", "x", "expected a number, got 'x'"),
+        ("integer", 1.5, "expected an integer, got 1.5"),
+        ("string", True, "expected a string, got True"),
+        ("number", True, "expected a number, got True")])
+    def test_reader_names_the_expected_kind(self, kind, value, message):
+        r = _Reader()
+        assert r.read({"k": value}, "k", "p.", kind, default="d") == "d"
+        assert r.diagnostics == [f"p.k: {message}"]
 
     def test_infinite_capacity_literal_allowed(self):
         cfg = minimal_config()

@@ -144,6 +144,43 @@ class TestOverflow:
             assert curve.cost(x) == reference(x)
             assert curve.cost(np.float64(x)) == reference(np.float64(x))
 
+    @pytest.mark.parametrize("curve", [CURVES[0], CURVES[2]])
+    def test_marginal_overflows_to_inf(self, curve):
+        for x in (1e200, np.float64(1e200), 1.7e308):
+            assert curve.marginal(x) == math.inf
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_finite_marginals_keep_every_bit(self, curve):
+        # the spelling before overflow was mapped: ``**`` on the load as given
+        if isinstance(curve, OutbreakCost):
+            def reference(x):
+                return curve.per_case * curve.exponent * x ** (curve.exponent - 1.0)
+        else:
+            def reference(x):
+                if x < curve.tti_capacity:
+                    return curve.tti_slope
+                return (curve.wide_slope * curve.wide_exponent
+                        * (x - curve.tti_capacity) ** (curve.wide_exponent - 1.0))
+        rng = np.random.default_rng(12)
+        # the random loads miss the breakdown kink, where a side is needed
+        for x in np.exp(rng.uniform(-20, 14, 2000)).tolist():
+            assert curve.marginal(x) == reference(x)
+            assert curve.marginal(np.float64(x)) == reference(np.float64(x))
+
+    # a zero coefficient times an overflowing power is 0, not 0 * inf = nan
+    @pytest.mark.parametrize("curve, level", [
+        (OutbreakCost(0.0, 3.0), 0.0),
+        (TransmissionCost(1.0, 0.0, 1.0, 0.0, 0.0, 3.0), 1.0),
+        (TransmissionCost(2.0, wide_slope=0.0, tti_capacity=0.0, wide_exponent=41.5), 2.0)])
+    def test_zero_coefficient_term_is_zero_at_overflowing_loads(self, curve, level):
+        loads = [1e110, 1e200, 1.7e308]
+        for x in loads:
+            assert curve.cost(x) == level
+            assert curve.cost(np.float64(x)) == level
+            assert curve.marginal(x) == 0.0
+        # no errstate here: the suite turns a numpy RuntimeWarning into an error
+        assert curve.cost_arr(np.array(loads)).tolist() == [level] * len(loads)
+
     def test_objective_ignores_an_overflowing_outbreak_term(self):
         # the objective has no outbreak term; its value overflows a float here
         from epicost.optimize import aggregate_cost, minimize_over_imports

@@ -2,8 +2,9 @@
 
 Criterion 11 compares two runs of the same code; this test compares the
 current code with recorded sha256 digests of every bundled-fixture report,
-and of two larger reports from variants of the fixtures that span many
-chunks of the CSV writer.
+of ``optimize`` and ``game`` reports under ``--grid`` and ``--tol``, and
+of two larger reports from variants of the fixtures that span many chunks
+of the CSV writer.
 A change that moves a float in any report must update the digest here and
 say in CHANGES.md which value moved and why. Digests were recorded with
 numpy's float64 arithmetic on x86-64 Linux; a platform whose libm rounds
@@ -57,6 +58,14 @@ VARIANTS = {
         "import_dist_small", {"regions": {"population": 100000},
                               "links": {"travelers": 10000}}),
 }
+# --grid and --tol laid over each file's solver block
+JOBS += [(fixture, command, ("--grid", "501", "--tol", "1e-4"))
+         for command, fixtures in (
+             ("optimize", ("boundary_trio", "two_region_symmetric",
+                           "two_region_asymmetric")),
+             ("game", ("two_region_symmetric", "two_region_virus_free",
+                       "two_region_asymmetric")))
+         for fixture in fixtures]
 JOBS += [("one_region_quadratic[r_grid_step=0.05,horizon=60]", "compare-schedules", ()),
          ("import_dist_small[population=100000,travelers=10000]", "import-dist",
           ("--mc-trials", "2000", "--seed", "7"))]
@@ -386,6 +395,30 @@ EXPECTED = {
     '--mc-trials 2000 --seed 7': {
         'import_dist.csv':
             'd24a70dc0a680161e0485e6991df2e14dbe92dffaf5cb12983d4b1a73b72b95e',
+    },
+    'boundary_trio optimize --grid 501 --tol 1e-4': {
+        'optimize.json':
+            '370df366f341b2aaa0c541156f256af7682c868de40022f625bb994a5f64113e',
+    },
+    'two_region_symmetric optimize --grid 501 --tol 1e-4': {
+        'optimize.json':
+            'fc305c9c1f5831e6bfea23b7d025e09c62b364998715a7ea174e65cc38723fd4',
+    },
+    'two_region_asymmetric optimize --grid 501 --tol 1e-4': {
+        'optimize.json':
+            '03e3bc7c4354acf9c133cf88e57928862d81367112f836dd9cb9de700466b4a5',
+    },
+    'two_region_symmetric game --grid 501 --tol 1e-4': {
+        'game.json':
+            'ad487ecdc5f822398289788a22daee700af243d494bdaaa0a4aef850f88eb943',
+    },
+    'two_region_virus_free game --grid 501 --tol 1e-4': {
+        'game.json':
+            '40e485b3e7738a5c498f8b4a08bf5d46feb45e012210e1b49747df8d4f8be5d2',
+    },
+    'two_region_asymmetric game --grid 501 --tol 1e-4': {
+        'game.json':
+            'e1213c026b97909a7ef1638f1ac0dbcd9269f465c6a46da7e99eb731efb3f076',
     },
 }
 
