@@ -33,22 +33,48 @@ def simulate_cases(x0, r_seq, imports_seq, alpha):
     return cases
 
 
-def two_segment_rows(rs, horizon):
-    """``(r_first, r_second, switch_day)`` of every two-segment schedule on
-    the R grid ``rs``, in the row order of ``two_segment_costs``.
+def _pairs(rs, horizon):
+    """Grid indices ``(first, second)`` of the ordered pairs of distinct
+    values of ``rs``, in row-major order; none over a one-day horizon,
+    which leaves no day to switch on (and needs no n_r-by-n_r mask)."""
+    if horizon == 1:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    return np.nonzero(rs[:, None] != rs[None, :])
 
-    The constant schedule of each grid value comes first, in grid order,
-    with switch day ``horizon``; then each ordered pair ``(r1, r2)`` of
-    distinct grid values in row-major order, with switch days ``1 ..
-    horizon - 1`` (``r1`` on the days before the switch, ``r2`` from it on).
+
+def two_segment_rows(rs, horizon):
+    """``(first_code, second_code, switch_day)`` of every two-segment
+    schedule on the R grid ``rs``, in the row order of ``two_segment_costs``.
+
+    The codes index ``rs`` (``r_first = rs[first_code]``) and are int16, or
+    int32 on a grid of 2**15 values or more; switch days are int32. The
+    constant schedule of each grid value comes first, in grid order, with
+    switch day ``horizon``; then each ordered pair ``(r1, r2)`` of distinct
+    grid values in row-major order, with switch days ``1 .. horizon - 1``
+    (``r1`` on the days before the switch, ``r2`` from it on). The three
+    columns are filled in place: 8 bytes a row with int16 codes.
     """
-    first, second = np.nonzero(rs[:, None] != rs[None, :])
-    days = np.arange(1, horizon, dtype=np.int64)
-    r_first = np.concatenate((rs, np.repeat(rs[first], days.shape[0])))
-    r_second = np.concatenate((rs, np.repeat(rs[second], days.shape[0])))
-    switch = np.concatenate((np.full(rs.shape[0], horizon, dtype=np.int64),
-                             np.tile(days, first.shape[0])))
-    return r_first, r_second, switch
+    n_r = rs.shape[0]
+    code = np.int16 if n_r < 2**15 else np.int32
+    first, second = _pairs(rs, horizon)
+    pairs = (first.shape[0], horizon - 1)
+    n = n_r + pairs[0] * pairs[1]
+    first_code, second_code = np.empty(n, code), np.empty(n, code)
+    switch = np.empty(n, np.int32)
+    first_code[:n_r] = second_code[:n_r] = np.arange(n_r)
+    switch[:n_r] = horizon
+    first_code[n_r:].reshape(pairs)[...] = first[:, None]
+    second_code[n_r:].reshape(pairs)[...] = second[:, None]
+    switch[n_r:].reshape(pairs)[...] = np.arange(1, horizon)
+    return first_code, second_code, switch
+
+
+# suffix-state cells (pairs x switch days) the scan holds per block: each of
+# its three state arrays and the day's temporaries then take 512 KB. Scanning
+# 382,401 schedules over 60 days on a 2-core Xeon (2 MB L2 a core) took
+# 142-179 ms at this size, 146-223 ms at a half or a quarter of it and
+# 172-240 ms at 2-8 times it
+_BLOCK_CELLS = 65_536
 
 
 def two_segment_costs(rs, horizon, x0, params, curves):
@@ -62,13 +88,18 @@ def two_segment_costs(rs, horizon, x0, params, curves):
     Schedules share prefixes: one pass over the grid values runs each
     constant-R trajectory, keeping each day's cases, running total and
     running maximum, and only the suffix after the switch is costed per
-    schedule. The suffix state is switch-major, ``(horizon - 1, n_pairs)``:
-    on day ``t`` the row of switch day ``t`` is seeded from its ``r1``
-    prefix, and the day's work is the leading block of rows switched by
-    then. ``g`` is evaluated once per grid value. Memory is O(n) in the
-    number of schedules. Every array handed to ``cost_arr`` or ``weight``
-    is contiguous, so numpy's ``**`` takes one loop for every element and
-    each figure equals a day-by-day scan of its schedule bit for bit.
+    schedule. The suffixes run over blocks of ``B = _BLOCK_CELLS //
+    (horizon - 1)`` pairs (at least one), whose state is switch-major,
+    ``(horizon - 1, B)``: on day ``t`` the row of switch day ``t`` is
+    seeded from its ``r1`` prefix, and the day's work is the leading rows
+    switched by then. Each finished block is transposed straight into the
+    three output columns. So the scan holds the 24 bytes a schedule of its
+    output, the ``(horizon + 1, n_r)`` prefixes and about ``_BLOCK_CELLS``
+    cells of block state and temporaries, whatever the number of schedules.
+    ``g`` is evaluated once per grid value. Every array handed to
+    ``cost_arr`` or ``weight`` is contiguous, so numpy's ``**`` takes one
+    loop for every element and each figure equals a day-by-day scan of its
+    schedule bit for bit.
     """
     ct, co = curves.transmission, curves.outbreak
     n_r = rs.shape[0]
@@ -85,30 +116,35 @@ def two_segment_costs(rs, horizon, x0, params, curves):
         np.multiply(rs, xs[t], out=xs[t + 1])
         np.maximum(peak[t], xs[t + 1], out=peak[t + 1])
 
-    # suffixes: row s - 1 holds the schedules that switch on day s
-    first, second = np.nonzero(rs[:, None] != rs[None, :])
-    if not first.shape[0]:    # a one-value grid: constant schedules only
-        return run[horizon].copy(), peak[horizon].copy(), xs[horizon].copy()
-    r2, g2 = rs[second], g[second]
-    shape = (horizon - 1, first.shape[0])
-    x, totals, max_cases = np.empty(shape), np.empty(shape), np.empty(shape)
-    for t in range(1, horizon):
-        x[t - 1] = xs[t, first]
-        totals[t - 1] = run[t, first]
-        max_cases[t - 1] = peak[t, first]
-        live = x[:t]
-        cost = ct.cost_arr(live)
-        cost *= g2
-        cost += co.cost_arr(live)
-        totals[:t] += cost
-        np.multiply(r2, live, out=live)
-        np.maximum(max_cases[:t], live, out=max_cases[:t])
-
-    out = []
-    for const, pairs in ((run[horizon], totals), (peak[horizon], max_cases),
-                         (xs[horizon], x)):
-        col = np.empty(n_r + pairs.size)
+    first, second = _pairs(rs, horizon)
+    days = horizon - 1
+    n = n_r + first.shape[0] * days
+    cols = np.empty(n), np.empty(n), np.empty(n)   # totals, max_cases, finals
+    for col, const in zip(cols, (run[horizon], peak[horizon], xs[horizon])):
         col[:n_r] = const
-        col[n_r:].reshape(shape[::-1])[...] = pairs.T
-        out.append(col)
-    return tuple(out)
+    if n == n_r:    # one grid value or one day: constant schedules only
+        return cols
+
+    # suffixes: row s - 1 of a block holds its pairs that switch on day s
+    block = max(1, _BLOCK_CELLS // days)
+    bufs = np.empty((3, days * min(block, first.shape[0])))
+    for lo in range(0, first.shape[0], block):
+        f, s = first[lo:lo + block], second[lo:lo + block]
+        r2, g2 = rs[s], g[s]
+        shape = (days, f.shape[0])
+        x, totals, max_cases = (buf[:days * f.shape[0]].reshape(shape) for buf in bufs)
+        for t in range(1, horizon):
+            x[t - 1] = xs[t, f]
+            totals[t - 1] = run[t, f]
+            max_cases[t - 1] = peak[t, f]
+            live = x[:t]
+            cost = ct.cost_arr(live)
+            cost *= g2
+            cost += co.cost_arr(live)
+            totals[:t] += cost
+            np.multiply(r2, live, out=live)
+            np.maximum(max_cases[:t], live, out=max_cases[:t])
+        rows = slice(n_r + lo * days, n_r + (lo + f.shape[0]) * days)
+        for col, state in zip(cols, (totals, max_cases, x)):
+            col[rows].reshape(shape[::-1])[...] = state.T
+    return cols

@@ -30,7 +30,7 @@ from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailu
 from .game import GameState, best_response, solve_game
 from .importation import ImportScenario, expected_imports, pmf_support, sample_imports
 from .optimize import minimize_over_imports
-from .trajectory import compare_monotone_vs_relax, r_grid, simulate
+from .trajectory import compare_monotone_vs_relax, simulate
 
 # rows formatted and written per step of the CSV writer
 _CSV_CHUNK_ROWS = 4096
@@ -91,7 +91,7 @@ def _quote(text: str) -> str:
 
 
 class _Coded(NamedTuple):
-    """A CSV column of few distinct numbers, ``values[codes]``."""
+    """A CSV column of few distinct values, ``values[codes]``."""
 
     values: np.ndarray
     codes: np.ndarray
@@ -100,15 +100,17 @@ class _Coded(NamedTuple):
 def _column_format(column):
     """A column's ``%`` format and a function from a row slice to its cells.
 
-    Numbers are filled in by the row template (floats ``%.12g``, ints
-    ``%d``); a ``_Coded`` column formats each of its values once by those
-    rules and takes the strings by code; bools index their two cells; any
-    other column is text.
+    Numbers are filled in by the row template (floats ``%.12g``, ints and
+    ``range`` columns ``%d``); a ``_Coded`` column formats each of its
+    values once by the rules of its ``values`` column and takes the strings
+    by code; bools index their two cells; any other column is text.
     """
     if isinstance(column, _Coded):
-        fmt, _ = _column_format(column.values)
-        cells = np.array([fmt % v for v in column.values.tolist()], dtype=object)
+        fmt, take = _column_format(column.values)
+        cells = np.array([fmt % v for v in take(slice(None))], dtype=object)
         return "%s", lambda rows: cells.take(column.codes[rows]).tolist()
+    if isinstance(column, range):
+        return "%d", lambda rows: list(column[rows])
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
     if kind == "b":
         return "%s", lambda rows: _BOOL_CELLS.take(column[rows].view(np.uint8)).tolist()
@@ -123,7 +125,7 @@ def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Pa
     A numeric or bool numpy column is converted with ``tolist`` once per
     chunk and filled into a ``%`` row template: floats ``%.12g``, ints
     ``%d``, bools ``true``/``false``. A ``_Coded`` column of few distinct
-    numbers is formatted once per value. Any other column (a list or tuple,
+    values is formatted once per value. Any other column (a list or tuple,
     a string or object array) is formatted by ``_cell`` and quoted as
     ``csv.QUOTE_MINIMAL`` quotes it. The bytes are those of a ``csv.writer``
     over ``_cell`` values; rows are built ``_CSV_CHUNK_ROWS`` at a time, so
@@ -222,9 +224,7 @@ def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
             origin.population, origin.prevalence, link.travelers)
         nus, probs = pmf_support(scenario)
         tails = np.cumsum(np.where(nus >= 1, probs, 0.0))
-        link_cols = [np.full(nus.shape[0], link.origin, dtype=object),
-                     np.full(nus.shape[0], link.destination, dtype=object),
-                     nus, probs, tails]
+        link_cols = [nus, probs, tails]
         if trials > 0:
             draws = sample_imports(scenario, seed, trials)
             counts = np.bincount(draws, minlength=int(nus[-1]) + 1)
@@ -235,11 +235,17 @@ def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
                 "origin": link.origin, "destination": link.destination,
                 "travelers": link.travelers,
                 "expected_imports": expected_imports(link.travelers, origin.prevalence),
-                "rows": _records(header[2:], link_cols[2:])})
+                "rows": _records(header[2:], link_cols)})
 
     if fmt == "json":
         return {"links": link_reports}, 0
-    return _Table(header, [np.concatenate(parts) for parts in zip(*tables)]), 0
+    # origin and destination take one name per link: code the rows by link
+    links = np.repeat(np.arange(len(cfg.links), dtype=np.int32),
+                      [cols[0].shape[0] for cols in tables])
+    origins = np.array([link.origin for link in cfg.links], dtype=object)
+    destinations = np.array([link.destination for link in cfg.links], dtype=object)
+    return _Table(header, [_Coded(origins, links), _Coded(destinations, links)]
+                  + [np.concatenate(parts) for parts in zip(*tables)]), 0
 
 
 def cmd_optimize(cfg: ScenarioConfig, fmt: str, args):
@@ -362,19 +368,17 @@ def cmd_compare(cfg: ScenarioConfig, fmt: str, args):
     header = ("index", "r_first", "r_second", "switch_day", "total_cost",
               "final_cases", "max_cases", "feasible", "runaway",
               "contains_growth", "relax_then_tighten")
-    columns = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second,
-               cmp_.switch_day, cmp_.total_cost, cmp_.final_cases, cmp_.max_cases,
+    columns = (cmp_.switch_day, cmp_.total_cost, cmp_.final_cases, cmp_.max_cases,
                cmp_.feasible, cmp_.runaway, cmp_.contains_growth,
                cmp_.relax_then_tighten)
     if fmt == "json":
-        return {"summary": summary, "schedules": _records(header, columns)}, 0
+        rows = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second) + columns
+        return {"summary": summary, "schedules": _records(header, rows)}, 0
     comment = "# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
                                          separators=(",", ":"))
     # r_first and r_second take the grid values only: format each once
-    rs = r_grid(dyn.params, dyn.r_grid_step)
-    coded = (_Coded(rs, np.searchsorted(rs, cmp_.r_first)),
-             _Coded(rs, np.searchsorted(rs, cmp_.r_second)))
-    return _Table(header, columns[:1] + coded + columns[3:], (comment,)), 0
+    coded = (_Coded(cmp_.r_grid, cmp_.first_code), _Coded(cmp_.r_grid, cmp_.second_code))
+    return _Table(header, (range(cmp_.n_schedules),) + coded + columns, (comment,)), 0
 
 
 _HANDLERS = {

@@ -14,6 +14,7 @@ it, for a numpy array of any shape (``cost_arr``).
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,24 +281,43 @@ class ShapeReport:
 
 
 def _strictly_monotone(values: np.ndarray, increasing: bool) -> bool:
-    diffs = np.diff(values)
-    return bool(np.all(diffs > 0) if increasing else np.all(diffs < 0))
+    # neighbours are compared, not differenced: inf - inf would be nan
+    before, after = values[:-1], values[1:]
+    return bool(np.all(after > before) if increasing else np.all(after < before))
 
 
 def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeReport:
-    """Sample every curve on a grid and report pass/fail per shape invariant."""
+    """Sample every curve on a grid and report pass/fail per shape invariant.
+
+    A curve with any sampled cost that is not finite (past float range, or
+    nan) gets a failing ``<curve>.finite`` check (present only then), even
+    at the last sample alone; its shape checks judge the finite samples.
+    """
     ct, cb, co = curves.transmission, curves.border, curves.outbreak
     checks = []
 
     def add(name, passed, detail, field_path=None):
         checks.append(ShapeCheck(name, bool(passed), detail, field_path))
 
+    def sample(name, curve, stop):
+        # costs on [0, stop]; any inf or nan among them fails "<name>.finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            at = np.linspace(0.0, stop, grid_points)
+            values = curve.cost_arr(at)
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = np.flatnonzero(~finite)[0]
+            what = "is nan" if np.isnan(values[first]) else "overflows float range"
+            add(f"{name}.finite", False,
+                f"sampled cost {what} from {at[first]:g} on [0, {stop:g}]", name)
+        return values[finite]
+
     horizon = max(1.0, curves.import_multiplier * cb.i_free)
     if 0 < ct.tti_capacity < math.inf:
         horizon = max(horizon, 2.0 * ct.tti_capacity)
+    horizon = min(horizon, sys.float_info.max)   # a range past float range ends there
 
-    xs = np.linspace(0.0, horizon, grid_points)
-    ct_vals = ct.cost_arr(xs)
+    ct_vals = sample("transmission", ct, horizon)
     add("transmission.baseline_positive", ct.c0 > 0,
         f"cost at zero cases is {ct.c0}", "transmission.c0")
     add("transmission.strictly_increasing", _strictly_monotone(ct_vals, True),
@@ -314,8 +334,7 @@ def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeRe
         add("transmission.breakdown_convex", True,
             "no interior breakdown point (capacity 0 or infinite)")
 
-    ys = np.linspace(0.0, cb.i_free, grid_points)
-    cb_vals = cb.cost_arr(ys)
+    cb_vals = sample("border", cb, cb.i_free)
     add("border.closure_cost_positive", cb.b0 > 0,
         f"cost at zero imports is {cb.b0}", "border.b0")
     add("border.strictly_decreasing", _strictly_monotone(cb_vals, False),
@@ -326,10 +345,10 @@ def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeRe
     add("border.convex", bool(np.all(second >= -1e-9 * max(1.0, cb.b0))),
         "second differences nonnegative on a uniform grid", "border.curvature")
 
-    co_vals = co.cost_arr(xs)
+    co_vals = sample("outbreak", co, horizon)
     add("outbreak.zero_at_zero", co_vals[0] == 0.0,
         f"burden at zero cases is {co_vals[0]:g}", "outbreak.per_case")
-    add("outbreak.nondecreasing", bool(np.all(np.diff(co_vals) >= 0)),
+    add("outbreak.nondecreasing", bool(np.all(co_vals[1:] >= co_vals[:-1])),
         f"sampled on [0, {horizon:g}]", "outbreak")
 
     return ShapeReport(tuple(checks))

@@ -206,9 +206,11 @@ def steady_state_holding_cost(curves: CostCurveSet, cases: float,
 class ScheduleComparison:
     """Exhaustive cost comparison over one- and two-segment R schedules.
 
-    Rows where ``switch_day == horizon`` are constant schedules. A schedule
-    "contains growth" when some day strictly increases cases. ``feasible``
-    means the endpoint reached the target without running away.
+    Rows where ``switch_day == horizon`` are constant schedules. A row's R
+    values are held as codes into the ascending grid ``r_grid``; ``r_first``
+    and ``r_second`` give them as floats. A schedule "contains growth" when
+    some day strictly increases cases. ``feasible`` means the endpoint
+    reached the target without running away.
     """
 
     horizon: int
@@ -216,8 +218,9 @@ class ScheduleComparison:
     x_target: float
     r_step: float
     degenerate: bool
-    r_first: np.ndarray
-    r_second: np.ndarray
+    r_grid: np.ndarray
+    first_code: np.ndarray
+    second_code: np.ndarray
     switch_day: np.ndarray
     total_cost: np.ndarray
     final_cases: np.ndarray
@@ -232,6 +235,14 @@ class ScheduleComparison:
     cheapest_relax_then_tighten_index: int   # -1 when none is feasible
     monotone_dominates: bool
     monotone_beats_relax_then_tighten: bool
+
+    @property
+    def r_first(self) -> np.ndarray:
+        return self.r_grid[self.first_code]
+
+    @property
+    def r_second(self) -> np.ndarray:
+        return self.r_grid[self.second_code]
 
     @property
     def n_schedules(self) -> int:
@@ -286,9 +297,10 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
     for each ordered pair ``(r1, r2)`` of distinct grid values in row-major
     order, switch days ``1 .. horizon - 1`` (``_kernels.two_segment_rows``).
     ``_kernels.two_segment_costs`` costs each ``r1`` prefix once and each
-    suffix per schedule, in O(n) memory for n schedules; the rows are held
-    as ``(r_first, r_second, switch_day)`` triples, never as an
-    n-by-horizon matrix.
+    suffix per schedule, over blocks of pairs whose state stays near a
+    fixed size. What grows with the n schedules is the result: 24 bytes a
+    schedule of costs and cases, 8 of grid codes and switch days and 4 of
+    flags, about 36 bytes a schedule in all.
     """
     if x_target > x0:
         raise DomainError(f"target {x_target} exceeds the start level {x0}")
@@ -315,25 +327,26 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
             f"{MAX_SCHEDULE_DAYS:,}; raise r_grid_step or shorten the horizon")
 
     rs = r_grid(params, r_step)
-    # the scan's temporaries are freed before the row triples are built; a
-    # schedule whose cases overflow to inf is flagged runaway below, and its
-    # total reads inf also where 0 * inf made it nan (a zero weight or term)
+    # a schedule whose cases overflow to inf is flagged runaway below, and
+    # its total reads inf also where 0 * inf made it nan (a zero weight or term)
     with np.errstate(over="ignore", invalid="ignore"):
         totals, max_cases, finals = _kernels.two_segment_costs(
             rs, horizon, x0, params, curves)
     totals[np.isnan(totals)] = np.inf
-    r_first, r_second, switch = _kernels.two_segment_rows(rs, horizon)
+    first, second, switch = _kernels.two_segment_rows(rs, horizon)
 
     runaway = max_cases > RUNAWAY_CASES
     feasible = (finals <= x_target) & ~runaway
 
     if x0 > 0:
         # every schedule runs r_first on day 0: its switch day is >= 1
-        first_grows = r_first > 1.0
-        second_grows = (r_second > 1.0) & (switch < horizon) & (r_first > 0.0)
+        grows = rs > 1.0
+        first_grows = grows[first]
+        second_grows = grows[second] & (switch < horizon) & (rs > 0.0)[first]
         contains_growth = first_grows | second_grows
         # the relax-to-save-costs pattern: cases grow, then measures tighten
-        relax_then_tighten = first_grows & (r_second < r_first) & (switch < horizon)
+        # (the grid ascends, so a lower code is a lower R)
+        relax_then_tighten = first_grows & (second < first) & (switch < horizon)
     else:
         contains_growth = np.zeros(n, dtype=bool)
         relax_then_tighten = np.zeros(n, dtype=bool)
@@ -361,7 +374,7 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
     return ScheduleComparison(
         horizon=horizon, x0=x0, x_target=x_target, r_step=r_step,
         degenerate=horizon == 1,
-        r_first=r_first, r_second=r_second, switch_day=switch,
+        r_grid=rs, first_code=first, second_code=second, switch_day=switch,
         total_cost=totals, final_cases=finals, max_cases=max_cases,
         feasible=feasible, runaway=runaway, contains_growth=contains_growth,
         relax_then_tighten=relax_then_tighten,

@@ -338,6 +338,33 @@ class TestExitCodes:
                        "--out", str(out)) == 1
         assert capsys.readouterr().err == f"config error: {out}: File exists\n"
 
+    @pytest.mark.parametrize("block, key, value, diagnostic", [
+        ("outbreak", "exponent", 1e300, "regions[0].curves.outbreak: shape invariant "
+         "outbreak.finite violated (sampled cost overflows float range from 1.001 "
+         "on [0, 4])"),
+        ("border", "i_free", 1e300, "regions[0].curves.transmission: shape invariant "
+         "transmission.finite violated (sampled cost overflows float range from "
+         "1.001e+297 on [0, 1e+300])"),
+        # 0.5 * 4 ** 512 is past float range at the last sample only: the
+        # command used to run, with a numpy overflow warning
+        ("outbreak", "exponent", 512, "regions[0].curves.outbreak: shape invariant "
+         "outbreak.finite violated (sampled cost overflows float range from 4 "
+         "on [0, 4])")],
+        ids=["outbreak.exponent", "border.i_free", "last-sample-only"])
+    def test_shape_gate_overflow_is_named_without_warnings(self, tmp_path, capsys, block,
+                                                            key, value, diagnostic):
+        # sampled costs past float range: inf - inf used to make the
+        # monotonicity checks fail on nan, with numpy warnings on stderr
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        cfg["regions"][0]["curves"][block][key] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("optimize", "--config", str(path),
+                           "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+
     def test_directory_paths_are_config_errors(self, tmp_path, capsys):
         # a report path and a --config path that name directories
         (tmp_path / "optimize.json").mkdir()

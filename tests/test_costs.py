@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -246,6 +247,55 @@ class TestMonotonicityProperties:
 
 
 class TestValidateShape:
+    def test_overflow_gets_its_own_check_without_warnings(self):
+        # x ** 1e300 is 0 below one case and inf above: nondecreasing, but
+        # past float range from the first sample over 1
+        curves = CostCurveSet(TransmissionCost(1.0, 0.5), BorderCost(2.0, 4.0),
+                              OutbreakCost(0.5, 1e300), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_curve_set(curves)
+        assert [(c.name, c.field_path) for c in report.failures()] == [
+            ("outbreak.finite", "outbreak")]
+        assert report.failures()[0].detail == (
+            "sampled cost overflows float range from 1.001 on [0, 4]")
+        assert {c.name for c in report.checks} >= {"outbreak.nondecreasing",
+                                                   "outbreak.zero_at_zero"}
+
+    def test_overflow_at_last_sample_alone_fails(self):
+        # behaviour change: 0.5 * 4 ** 512 is inf at the last sample only;
+        # the old difference checks passed this curve (finite -> inf is +inf)
+        curves = CostCurveSet(TransmissionCost(1.0, 0.5), BorderCost(2.0, 4.0),
+                              OutbreakCost(0.5, 512.0), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failures = validate_curve_set(curves).failures()
+        assert [(c.name, c.detail) for c in failures] == [
+            ("outbreak.finite", "sampled cost overflows float range from 4 on [0, 4]")]
+
+    def test_nan_sample_is_named_nan(self, monkeypatch):
+        monkeypatch.setattr(OutbreakCost, "cost_arr",
+                            lambda self, x: np.where(x > 2.0, np.nan, x))
+        curves = CostCurveSet(TransmissionCost(1.0, 0.5), BorderCost(2.0, 4.0),
+                              OutbreakCost(0.5), 1.0)
+        failures = validate_curve_set(curves).failures()
+        assert [(c.name, c.field_path) for c in failures] == [("outbreak.finite", "outbreak")]
+        assert failures[0].detail.startswith("sampled cost is nan from 2.00")
+
+    def test_finite_check_only_on_overflow(self, quad_set):
+        assert not any(c.name.endswith(".finite")
+                       for c in validate_curve_set(quad_set).checks)
+
+    def test_sampling_range_past_float_range(self):
+        # import_multiplier * i_free overflows: the grid ends at the largest float
+        curves = CostCurveSet(TransmissionCost(1.0, 0.0, 0.0, 0.0, 1.0, 2.0),
+                              BorderCost(2.0, 4.0), OutbreakCost(0.5), 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failures = validate_curve_set(curves).failures()
+        assert [c.name for c in failures] == ["transmission.finite"]
+        assert failures[0].detail.endswith("on [0, 1.79769e+308]")
+
     def test_valid_default_set_passes(self, quad_set):
         report = validate_curve_set(quad_set)
         assert report.all_pass

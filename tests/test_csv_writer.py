@@ -3,11 +3,13 @@
 import csv
 import json
 import tracemalloc
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
 from epicost import cli
+from epicost.config import parse_config
 from epicost.fixtures import fixture_path
 
 CONFIG = {"regions": [{"id": "a,b", "weight": 0.1 + 0.2}], "note": 'say "hi"'}
@@ -84,6 +86,47 @@ def test_coded_columns_write_their_values(n_rows, code_dtype, tmp_path):
     got = cli._write_csv(tmp_path / "coded.csv", header, coded, CONFIG, COMMENTS)
     want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * cli._CSV_CHUNK_ROWS + 123])
+def test_coded_text_and_range_columns(n_rows, tmp_path):
+    # coded text is quoted as a plain text column is; a range writes as ints
+    rng = np.random.default_rng(13)
+    labels = np.array(STRINGS, dtype=object)
+    codes = rng.integers(0, labels.shape[0], n_rows).astype(np.int32)
+    header = ("index", "label")
+    got = cli._write_csv(tmp_path / "coded.csv", header,
+                         [range(n_rows), cli._Coded(labels, codes)], CONFIG)
+    rows = [[i, labels[c]] for i, c in enumerate(codes.tolist())]
+    want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# the import-dist table of the scenario below holds 28 bytes a row (three
+# numeric columns and an int32 link code); a str per row for origin and
+# destination held 144
+IMPORT_TABLE_BYTES_PER_ROW = 32
+
+
+def test_import_dist_table_holds_no_string_per_row():
+    cfg = json.loads(fixture_path("import_dist_small").read_text())
+    for region in cfg["regions"]:
+        region.update(population=10**6, prevalence=0.1)
+    cfg["links"] = [{"origin": "src", "destination": "dst", "travelers": 20_000},
+                    {"origin": "dst", "destination": "src", "travelers": 20_000}]
+    scenario = parse_config(cfg)
+    tracemalloc.start()
+    try:
+        table, _ = cli.cmd_import_dist(scenario, "csv", Namespace(mc_trials=0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    origin, destination, nus = table.columns[:3]
+    assert origin.values.tolist() == ["src", "dst"]
+    assert destination.values.tolist() == ["dst", "src"]
+    assert origin.codes is destination.codes
+    assert origin.codes.tolist() == [0] * 20_001 + [1] * 20_001 and len(nus) == 40_002
+    assert held / len(nus) < IMPORT_TABLE_BYTES_PER_ROW, f"{held / len(nus):.1f} B a row"
 
 
 # tracemalloc peak inside _write_csv for the table below was 2.0 MB before the

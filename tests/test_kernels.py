@@ -159,9 +159,11 @@ def test_simulate_cases_matches_python_recurrence(x0, alpha, days):
 
 
 def grid_rows(rs, horizon):
-    """``(r1, r2, switch_day)`` per row, in the order the scan documents."""
-    rows = [(r, r, horizon) for r in rs]
-    rows += [(r1, r2, s) for r1 in rs for r2 in rs if r1 != r2
+    """``(first_code, second_code, switch_day)`` per row, in the order the
+    scan documents; the codes index ``rs``."""
+    codes = range(len(rs))
+    rows = [(i, i, horizon) for i in codes]
+    rows += [(i, j, s) for i in codes for j in codes if rs[i] != rs[j]
              for s in range(1, horizon)]
     return rows
 
@@ -175,11 +177,12 @@ def scan_and_check(rs, horizon, x0, ct_params, co_params, exponent=1.0):
     grid = np.array(rs, dtype=np.float64)
     got = K.two_segment_costs(grid, horizon, x0, params, curves)
     rows = grid_rows(grid.tolist(), horizon)
-    r_first, r_second, switch = K.two_segment_rows(grid, horizon)
-    assert list(zip(r_first.tolist(), r_second.tolist(), switch.tolist())) == rows
+    first, second, switch = K.two_segment_rows(grid, horizon)
+    assert (first.dtype, second.dtype, switch.dtype) == (np.int16, np.int16, np.int32)
+    assert list(zip(first.tolist(), second.tolist(), switch.tolist())) == rows
     want = [], [], []
-    for r1, r2, s in rows:
-        r = np.where(np.arange(horizon) < s, r1, r2)
+    for i, j, s in rows:
+        r = np.where(np.arange(horizon) < s, grid[i], grid[j])
         cases = K.simulate_cases(x0, r, np.zeros(horizon), 1.0)
         live = cases[:horizon]
         daily = ct.cost_arr(live) * params.weight(r) + co.cost_arr(live)
@@ -208,7 +211,8 @@ class TestTwoSegmentCosts:
         curves = CostCurveSet(TransmissionCost(1.0, 0.3, 50.0, 5.0, 0.8, 1.5),
                               BorderCost(1.0, 1.0), OutbreakCost(1.0, 1.0))
         totals, max_cases, finals = K.two_segment_costs(rs, 20, 80.0, params, curves)
-        for i, (r1, r2, s) in enumerate(grid_rows(rs.tolist(), 20)):
+        for i, (first, second, s) in enumerate(grid_rows(rs.tolist(), 20)):
+            r1, r2 = float(rs[first]), float(rs[second])
             schedule = PolicySchedule((r1,) * s + (r2,) * (20 - s), (1.0,) * 20, params)
             traj = simulate(schedule, 80.0, curves)
             assert totals[i] == traj.cumulative_cost
@@ -239,3 +243,44 @@ class TestTwoSegmentCosts:
                                          (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.5))
         runaway = max_cases > RUNAWAY_CASES
         assert np.any(runaway) and not np.all(runaway)
+
+
+class TestScanBlocks:
+    """The suffix scan over blocks of pairs gives the unblocked figures bit
+    for bit, whatever the block size and wherever the last block ends."""
+
+    HORIZON = 9   # 8 switch days a pair
+
+    @pytest.mark.parametrize("pairs_per_block,spare_cells", [
+        (1, 0), (1, 7), (2, 0), (2, 5), (3, 0), (3, 7), (7, 0)])
+    def test_block_boundaries(self, monkeypatch, pairs_per_block, spare_cells):
+        # five grid values make 20 pairs: 3 and 7 a block leave a partial
+        # last block; spare cells short of one more pair change nothing
+        days = self.HORIZON - 1
+        monkeypatch.setattr(K, "_BLOCK_CELLS", pairs_per_block * days + spare_cells)
+        assert K._BLOCK_CELLS // days == pairs_per_block
+        scan_and_check([0.5, 0.9, 1.3, 1.8, 2.5], self.HORIZON, 40.0,
+                       (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.3), exponent=1.7)
+
+    def test_block_smaller_than_one_pair(self, monkeypatch):
+        # fewer cells than switch days still scan one pair a block
+        monkeypatch.setattr(K, "_BLOCK_CELLS", 3)
+        scan_and_check([0.5, 1.5, 2.5], 30, 20.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5),
+                       (0.5, 1.0))
+
+    @pytest.mark.parametrize("cells", [1, 2, 3])
+    def test_horizon_one_and_one_value_grid(self, monkeypatch, cells):
+        monkeypatch.setattr(K, "_BLOCK_CELLS", cells)
+        scan_and_check([0.5, 1.0, 2.5], 1, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
+        scan_and_check([1.2], 7, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
+
+
+def test_rows_code_large_grids_in_int32():
+    # 2**15 grid values over one day: constants only, no pairs mask built
+    rs = np.linspace(0.5, 2.5, 2**15)
+    first, second, switch = K.two_segment_rows(rs, 1)
+    assert (first.dtype, second.dtype, switch.dtype) == (np.int32, np.int32, np.int32)
+    assert first.tolist() == second.tolist() == list(range(2**15))
+    assert np.all(switch == 1)
+    first, _, _ = K.two_segment_rows(rs[:-1], 1)
+    assert first.dtype == np.int16 and first[-1] == 2**15 - 2

@@ -36,23 +36,25 @@ def reference_compare(x0, x_target, horizon, curves, params, r_step):
     rs = np.round(params.r_min + np.arange(n_r) * r_step, 12)
     rs = rs[rs <= params.r0 + 1e-12]
 
-    rows_r1, rows_r2, rows_s = [], [], []
-    for r in rs:
-        rows_r1.append(r)
-        rows_r2.append(r)
+    rows_c1, rows_c2, rows_s = [], [], []
+    for i in range(len(rs)):
+        rows_c1.append(i)
+        rows_c2.append(i)
         rows_s.append(horizon)
-    for r1 in rs:
-        for r2 in rs:
+    for i, r1 in enumerate(rs):
+        for j, r2 in enumerate(rs):
             if r1 == r2:
                 continue
             for s in range(1, horizon):
-                rows_r1.append(r1)
-                rows_r2.append(r2)
+                rows_c1.append(i)
+                rows_c2.append(j)
                 rows_s.append(s)
 
-    r_first = np.array(rows_r1)
-    r_second = np.array(rows_r2)
-    switch = np.array(rows_s, dtype=np.int64)
+    first_code = np.array(rows_c1, dtype=np.int16)
+    second_code = np.array(rows_c2, dtype=np.int16)
+    r_first = np.array([rs[i] for i in rows_c1])
+    r_second = np.array([rs[j] for j in rows_c2])
+    switch = np.array(rows_s, dtype=np.int32)
     n = r_first.shape[0]
 
     R = np.empty((n, horizon))
@@ -94,7 +96,7 @@ def reference_compare(x0, x_target, horizon, curves, params, r_step):
     return ScheduleComparison(
         horizon=horizon, x0=x0, x_target=x_target, r_step=r_step,
         degenerate=horizon == 1,
-        r_first=r_first, r_second=r_second, switch_day=switch,
+        r_grid=rs, first_code=first_code, second_code=second_code, switch_day=switch,
         total_cost=totals, final_cases=finals, max_cases=max_cases,
         feasible=feasible, runaway=runaway, contains_growth=contains_growth,
         relax_then_tighten=relax_then_tighten,
@@ -113,17 +115,19 @@ def outcome(fn, *args):
 
 
 def assert_same(got, want):
-    """Every array equal in dtype and value (NaN equal to NaN), every scalar equal."""
+    """Every array equal in dtype and value (NaN equal to NaN), every scalar
+    equal; the R values of each row too, not only their grid codes."""
     if want is NumericalFailure or got is NumericalFailure:
         assert got is want
         return
-    for field in dataclasses.fields(ScheduleComparison):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+    names = [field.name for field in dataclasses.fields(ScheduleComparison)]
+    for name in names + ["r_first", "r_second"]:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype, field.name
-            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), field.name
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), name
         else:
-            assert a == b, field.name
+            assert a == b, name
 
 
 def check(x0, target_share, horizon, curves, params, r_step):
@@ -188,3 +192,41 @@ def test_memory_stays_linear_in_schedules():
     assert got.n_schedules == 96_801
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
+
+# tracemalloc peak of the comparator at 382,401 schedules over 60 days:
+# 42.7 bytes a schedule, 36 of them the result (costs and cases 24, grid
+# codes and switch days 8, flags 4); the unblocked scan with float R
+# columns peaked at 65.7
+PEAK_BYTES_PER_SCHEDULE = 48
+
+
+def test_memory_guard_bytes_per_schedule():
+    tracemalloc.start()
+    try:
+        got = compare_monotone_vs_relax(100.0, 1.0, 60, quadratic_set(),
+                                        DynamicsParams(), r_step=0.025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.n_schedules == 382_401
+    held = sum(getattr(got, f.name).nbytes for f in dataclasses.fields(got)
+               if isinstance(getattr(got, f.name), np.ndarray))
+    assert held == 36 * got.n_schedules + got.r_grid.nbytes
+    per_schedule = peak / got.n_schedules
+    assert per_schedule < PEAK_BYTES_PER_SCHEDULE, f"{per_schedule:.1f} B a schedule"
+
+
+def test_one_day_horizon_builds_no_pair_mask():
+    # 2,001 grid values over one day are 2,001 constant schedules; an
+    # n_r-by-n_r pair mask and its indices took 128 MB here
+    params = DynamicsParams()
+    tracemalloc.start()
+    try:
+        got = compare_monotone_vs_relax(100.0, 60.0, 1, quadratic_set(), params,
+                                        r_step=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.n_schedules == 2_001
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+    assert_same(got, reference_compare(100.0, 60.0, 1, quadratic_set(), params, 0.001))
