@@ -96,6 +96,8 @@ def two_segment_costs(rs, horizon, x0, params, curves):
     three output columns. So the scan holds the 24 bytes a schedule of its
     output, the ``(horizon + 1, n_r)`` prefixes and about ``_BLOCK_CELLS``
     cells of block state and temporaries, whatever the number of schedules.
+    With constant schedules only, the prefix pass runs in the output
+    columns and keeps no history.
     ``g`` is evaluated once per grid value. Every array handed to
     ``cost_arr`` or ``weight`` is contiguous, so numpy's ``**`` takes one
     loop for every element and each figure equals a day-by-day scan of its
@@ -104,26 +106,30 @@ def two_segment_costs(rs, horizon, x0, params, curves):
     ct, co = curves.transmission, curves.outbreak
     n_r = rs.shape[0]
     g = params.weight(rs)
-
-    # constant-R prefixes: cases, running total and running max at the
-    # start of each day 0 .. horizon
-    xs = np.empty((horizon + 1, n_r))
-    run = np.empty((horizon + 1, n_r))
-    peak = np.empty((horizon + 1, n_r))
-    xs[0], run[0], peak[0] = x0, 0.0, x0
-    for t in range(horizon):
-        run[t + 1] = run[t] + (ct.cost_arr(xs[t]) * g + co.cost_arr(xs[t]))
-        np.multiply(rs, xs[t], out=xs[t + 1])
-        np.maximum(peak[t], xs[t + 1], out=peak[t + 1])
-
     first, second = _pairs(rs, horizon)
     days = horizon - 1
     n = n_r + first.shape[0] * days
     cols = np.empty(n), np.empty(n), np.empty(n)   # totals, max_cases, finals
+
+    # constant-R prefixes: cases, running total and running max at the
+    # start of each day 0 .. horizon; with constant schedules only (one
+    # grid value or one day) one row of state, the output columns, is
+    # advanced in place
+    if n == n_r:
+        run, peak, xs = (col.reshape(1, n_r) for col in cols)
+    else:
+        xs, run, peak = np.empty((3, horizon + 1, n_r))
+    last = xs.shape[0] - 1
+    xs[0], run[0], peak[0] = x0, 0.0, x0
+    for t in range(horizon):
+        now, nxt = min(t, last), min(t + 1, last)
+        np.add(run[now], ct.cost_arr(xs[now]) * g + co.cost_arr(xs[now]), out=run[nxt])
+        np.multiply(rs, xs[now], out=xs[nxt])
+        np.maximum(peak[now], xs[nxt], out=peak[nxt])
+    if n == n_r:
+        return cols
     for col, const in zip(cols, (run[horizon], peak[horizon], xs[horizon])):
         col[:n_r] = const
-    if n == n_r:    # one grid value or one day: constant schedules only
-        return cols
 
     # suffixes: row s - 1 of a block holds its pairs that switch on day s
     block = max(1, _BLOCK_CELLS // days)

@@ -11,12 +11,16 @@ files. Every report echoes the scenario config it
 was produced from (JSON key ``config``; leading ``# config:`` comment line
 in CSV).
 
+A CSV table of four chunks or more is formatted on up to one process per
+usable CPU and written in row order by this one (``_write_csv``).
+
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 runtime
 invariant violation.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -119,6 +123,15 @@ def _column_format(column):
     return "%s", lambda rows: [_quote(_cell(v)) for v in column[rows]]
 
 
+def _csv_workers(n_chunks: int) -> int:
+    """Processes that format a table of ``n_chunks`` chunks: one per usable
+    CPU, but at most one per two chunks; 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_chunks // 2))
+
+
 def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Path:
     """Write a table given as equal-length columns, one chunk of rows at a time.
 
@@ -130,11 +143,26 @@ def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Pa
     ``csv.QUOTE_MINIMAL`` quotes it. The bytes are those of a ``csv.writer``
     over ``_cell`` values; rows are built ``_CSV_CHUNK_ROWS`` at a time, so
     a large table never exists as Python objects all at once.
+
+    Chunk k is formatted by process ``k % W``, ``W =
+    _csv_workers(n_chunks)``: process 0 is this one, the others are forked
+    after the header is flushed (``_forkwrite``) and run the same
+    ``text``. This process writes every chunk to the file in chunk order,
+    so the bytes do not depend on W. A child starts as a copy of this
+    process, sharing its pages, and each process holds about one chunk of
+    text at a time. With W = 1 nothing is forked.
     """
     formats, takes = zip(*map(_column_format, columns))
     template = ",".join(formats) + "\n"
     first = columns[0]
     n_rows = len(first.codes if isinstance(first, _Coded) else first)
+    n_chunks = -(-n_rows // _CSV_CHUNK_ROWS)
+
+    def text(k: int) -> str:
+        rows = slice(k * _CSV_CHUNK_ROWS, (k + 1) * _CSV_CHUNK_ROWS)
+        cells = [take(rows) for take in takes]
+        return "".join([template % row for row in zip(*cells)])
+
     with open(path, "w", newline="") as fh:
         fh.write("# config: "
                  + json.dumps(_jsonable(config_raw), sort_keys=True,
@@ -142,10 +170,15 @@ def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Pa
         for line in comments:
             fh.write(line + "\n")
         fh.write(",".join(_quote(name) for name in header) + "\n")
-        for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-            cells = [take(rows) for take in takes]
-            fh.write("".join([template % row for row in zip(*cells)]))
+        workers = _csv_workers(n_chunks)
+        if workers == 1:
+            for k in range(n_chunks):
+                fh.write(text(k))
+        else:
+            from ._forkwrite import write_forked   # compiled only by commands that fork
+
+            fh.flush()
+            write_forked(fh.buffer, text, n_chunks, workers, fh.encoding)
     return path
 
 

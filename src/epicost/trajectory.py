@@ -314,6 +314,14 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
         raise DomainError(
             f"target {x_target} unreachable from {x0} in {horizon} days "
             f"even at R={params.r_min}")
+    # every grid value is a constant schedule, and a grid of s steps has at
+    # least round(s) values: one past the cap is refused on its float step
+    # count, before numpy sees a count beyond int64 (or inf)
+    steps = (params.r0 - params.r_min) / r_step
+    if not steps < MAX_SCHEDULES + 1:
+        raise DomainError(
+            f"an R grid of {steps:.3g} steps gives more schedules than the cap "
+            f"of {MAX_SCHEDULES:,}; raise r_grid_step")
     n_r = _grid_size(params, r_step)
     n = schedule_count(n_r, horizon)
     if n > MAX_SCHEDULES:
@@ -355,8 +363,10 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
         raise NumericalFailure("no enumerated schedule reaches the target")
 
     def argmin_masked(mask):
-        idx = np.nonzero(mask)[0]
-        return int(idx[np.argmin(totals[idx])])
+        # the first masked row holding the least masked total (the first
+        # masked row where all are inf), through 1-byte temporaries only
+        least = totals.min(where=mask, initial=np.inf)
+        return int(np.argmax(mask & (totals == least)))
 
     best_index = argmin_masked(feasible)
     monotone_mask = feasible & ~contains_growth

@@ -247,6 +247,18 @@ class TestExitCodes:
             assert ("config error: 183,330 schedule-days to cost exceed the cap of "
                     "183,329" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("dynamics", [
+        {"r_grid_step": 1e-300}, {"r0": 1e20}, {"r0": 1e300, "r_grid_step": 1e-300}])
+    def test_grid_past_int64_is_config_error(self, tmp_path, capsys, dynamics):
+        # each grid counts more values than int64 holds (the last one
+        # overflows to inf): numpy made an object array of the count and
+        # raised TypeError before the schedule cap was checked
+        path = self._quadratic_with(tmp_path, **dynamics)
+        assert run_cli("compare-schedules", "--config", path, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: an R grid of ") and err.count("\n") == 1
+        assert "more schedules than the cap of 1,000,000" in err
+
     @staticmethod
     def _quadratic_with(tmp_path, **dynamics):
         cfg = json.loads(fixture_path("one_region_quadratic").read_text())

@@ -1,14 +1,17 @@
 """The columnar CSV writer against the ``csv.writer`` row writer it replaced."""
 
 import csv
+import errno
+import io
 import json
+import os
 import tracemalloc
 from argparse import Namespace
 
 import numpy as np
 import pytest
 
-from epicost import cli
+from epicost import _forkwrite, cli
 from epicost.config import parse_config
 from epicost.fixtures import fixture_path
 
@@ -157,3 +160,140 @@ def test_compare_schedules_writer_memory_is_chunk_sized(tmp_path, monkeypatch):
         assert sum(not line.startswith("#") for line in fh) == 96_801 + 1
     assert peaks[0] < WRITER_PEAK_BOUND, f"peak {peaks[0] / 1e6:.2f} MB"
 
+
+
+# rows a chunk holds in the forked-writer tests, so that few rows span many chunks
+SMALL_CHUNK = 5
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_one_per_cpu_and_two_chunks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [cli._csv_workers(n) for n in (0, 1, 3, 4, 5, 6, 100)] == [1, 1, 1, 2, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._csv_workers(100) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [0, SMALL_CHUNK, 2 * SMALL_CHUNK, 3 * SMALL_CHUNK,
+                                    7 * SMALL_CHUNK, 7 * SMALL_CHUNK + 2])
+def test_forked_writer_same_bytes(workers, n_rows, tmp_path, monkeypatch):
+    # text, coded, bool and float columns over 0-7 whole chunks and a partial one
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: workers)
+    cols = table(n_rows)
+    labels = np.array(STRINGS, dtype=object)
+    codes = np.arange(n_rows, dtype=np.int16) % len(STRINGS)
+    header = (*cols, "coded")
+    columns = [*cols.values(), cli._Coded(labels, codes)]
+    rows = [[col[i] for col in cols.values()] + [labels[codes[i]]] for i in range(n_rows)]
+    got = cli._write_csv(tmp_path / "forked.csv", header, columns, CONFIG, COMMENTS)
+    want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
+    assert got.read_bytes() == want.read_bytes()
+    assert_no_child_left()
+
+
+def schedules_args(tmp_path):
+    # one_region_quadratic's 12,201 schedules: 2,441 chunks of SMALL_CHUNK rows
+    return ["compare-schedules", "--config", str(fixture_path("one_region_quadratic")),
+            "--out", str(tmp_path)]
+
+
+def test_failing_formatter_child_is_invariant_violation(tmp_path, monkeypatch, capfd):
+    parent = os.getpid()
+    column_format = cli._column_format
+
+    def failing_in_children(column):
+        fmt, take = column_format(column)
+
+        def checked(rows):
+            if os.getpid() != parent:
+                raise ValueError("formatter failed")
+            return take(rows)
+        return fmt, checked
+
+    monkeypatch.setattr(cli, "_column_format", failing_in_children)
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 3)
+    assert cli.main(schedules_args(tmp_path)) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("invariant violation: CSV formatter process ")
+    assert err.endswith(" ended before sending chunk 1\n") and err.count("\n") == 1
+    assert_no_child_left()
+
+
+def test_child_exit_status_is_checked(tmp_path, monkeypatch, capfd):
+    # a child that sends every chunk and then exits 1
+    format_chunks, exit_ = _forkwrite._format_chunks, os._exit
+
+    def sends_then_fails(*args):
+        os._exit = lambda code: exit_(1)
+        format_chunks(*args)
+
+    monkeypatch.setattr(_forkwrite, "_format_chunks", sends_then_fails)
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 1000)
+    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 2)
+    assert cli.main(schedules_args(tmp_path)) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("invariant violation: CSV formatter process ")
+    assert err.endswith(" exited with 1\n") and err.count("\n") == 1
+    assert_no_child_left()
+
+
+class FillingFile(io.BufferedWriter):
+    """A file whose device fills up after ``room`` bytes."""
+
+    def __init__(self, path, room):
+        super().__init__(io.FileIO(path, "w"))
+        self.path, self.room = str(path), room
+
+    def write(self, data):
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.path)
+        self.room -= len(data)
+        return super().write(data)
+
+
+def test_parent_write_error_mid_table_is_config_error(tmp_path, monkeypatch, capfd):
+    # the device fills after the header and some chunks, while the children
+    # still hold chunks to send
+    writes = []
+
+    def open_filling(file, mode, newline):
+        writes.append(FillingFile(file, room=50_000))
+        return io.TextIOWrapper(writes[-1], newline=newline)
+
+    monkeypatch.setattr(cli, "open", open_filling, raising=False)
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 100)
+    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 2)
+    assert cli.main(schedules_args(tmp_path)) == 1
+    err = capfd.readouterr().err
+    assert err == f"config error: {tmp_path / 'compare_schedules.csv'}: No space left on device\n"
+    assert 0 < writes[0].room < 50_000
+    assert_no_child_left()
+
+
+def test_large_table_is_formatted_in_children_and_reaps_them(tmp_path, monkeypatch):
+    cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+    cfg["dynamics"].update(horizon=60, r_grid_step=0.05)
+    path = tmp_path / "schedules.json"
+    path.write_text(json.dumps(cfg))
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert cli.main(["compare-schedules", "--config", str(path), "--out", str(tmp_path)]) == 0
+    # 96,801 rows are 24 chunks: one process per usable CPU, at most 12
+    assert len(forks) == cli._csv_workers(24) - 1
+    with open(tmp_path / "compare_schedules.csv") as fh:
+        assert sum(not line.startswith("#") for line in fh) == 96_801 + 1
+    assert_no_child_left()

@@ -230,3 +230,22 @@ def test_one_day_horizon_builds_no_pair_mask():
     assert got.n_schedules == 2_001
     assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
     assert_same(got, reference_compare(100.0, 60.0, 1, quadratic_set(), params, 0.001))
+
+
+# tracemalloc peak of the comparator at 500,001 one-day schedules: 73.0
+# bytes a schedule, with the prefix pass run in the output columns; its
+# (horizon + 1, n_r) prefix history made it 97.0
+ONE_DAY_PEAK_BYTES_PER_SCHEDULE = 80
+
+
+def test_one_day_horizon_keeps_no_prefix_history():
+    tracemalloc.start()
+    try:
+        got = compare_monotone_vs_relax(100.0, 60.0, 1, quadratic_set(), DynamicsParams(),
+                                        r_step=4e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.n_schedules == 500_001
+    per_schedule = peak / got.n_schedules
+    assert per_schedule < ONE_DAY_PEAK_BYTES_PER_SCHEDULE, f"{per_schedule:.1f} B a schedule"
