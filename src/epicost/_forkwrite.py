@@ -1,32 +1,35 @@
-"""CSV chunks formatted in forked child processes, written in order.
+"""An ordered map over forked child processes, for the CSV writer.
 
 ``cli._write_csv`` imports this module only for a table it splits over
 more than one process, so commands that write small tables or JSON do
 not compile it. Each child starts as a copy of the writer, with the
-table's columns and row formatter, and sends its chunks back through a
+table's row source and formatter, and sends its results back through a
 pipe; only the writer touches the report file.
 """
 
 import contextlib
 import fcntl
 import os
+import pickle
 
 from .errors import InvariantViolation
 
-# bytes asked for each pipe that carries formatted chunks to the writer
+# bytes asked for each pipe that carries results to the writer
 _PIPE_BYTES = 1 << 20
 
 
-def write_forked(out, text, n_chunks: int, workers: int, encoding: str) -> None:
-    """Write the encoded ``text(k)`` of chunks ``0 .. n_chunks - 1`` to the
-    binary file ``out``, formatting chunk k in process ``k % workers``.
+def forked_map(fn, n: int, workers: int):
+    """Yield ``fn(k)`` for ``k = 0 .. n - 1`` in order, computing chunk k
+    in process ``k % workers``: this one, or one of ``workers - 1``
+    children forked at the first request.
 
-    Each of the ``workers - 1`` forked children sends its chunks, each as
-    an 8-byte length and the encoded text, through a pipe of its own
-    (enlarged to ``_PIPE_BYTES`` where the system allows, so a child can
-    format its next chunk while the last one waits). Children never touch
-    ``out``. Every child is reaped before this returns or raises; a child
-    that fails or ends early raises ``InvariantViolation``.
+    Each child sends its results, each pickled behind an 8-byte length,
+    through a pipe of its own (enlarged to ``_PIPE_BYTES`` where the
+    system allows, so a child can go on to its next chunk while the last
+    one waits). Every child is reaped before the generator finishes or is
+    closed; a child that fails or ends early raises
+    ``InvariantViolation``. Close the generator (``contextlib.closing``)
+    when it may be left unfinished.
     """
     readers, pids = [], []
     try:
@@ -40,14 +43,14 @@ def write_forked(out, text, n_chunks: int, workers: int, encoding: str) -> None:
                 if pid == 0:
                     for reader in readers:
                         reader.close()
-                    _format_chunks(wfd, text, range(w, n_chunks, workers), encoding)
+                    _format_chunks(wfd, fn, range(w, n, workers))
                 pids.append(pid)
             finally:
                 os.close(wfd)
-        for k in range(n_chunks):
+        for k in range(n):
             w = k % workers
-            out.write(text(k).encode(encoding) if w == 0
-                      else _read_chunk(readers[w - 1], pids[w - 1], k))
+            yield (fn(k) if w == 0
+                   else pickle.loads(_read_chunk(readers[w - 1], pids[w - 1], k)))
     finally:
         for reader in readers:
             reader.close()
@@ -57,24 +60,27 @@ def write_forked(out, text, n_chunks: int, workers: int, encoding: str) -> None:
             raise InvariantViolation(f"CSV formatter process {pid} exited with {code}")
 
 
-def _format_chunks(fd: int, text, chunks, encoding: str):
-    """A forked child's work: send each chunk's encoded text, length first,
-    to the pipe ``fd``, then leave through ``os._exit`` without flushing
-    any inherited buffer or running exit hooks (status 1 on any error)."""
+def _format_chunks(fd: int, fn, chunks):
+    """A forked child's work: send each chunk's pickled ``fn(k)``, length
+    first, to the pipe ``fd``, then leave through ``os._exit`` without
+    flushing any inherited buffer or running exit hooks (status 1 on any
+    error)."""
     code = 1
     try:
         with open(fd, "wb", closefd=False) as pipe:
             for k in chunks:
-                data = text(k).encode(encoding)
+                data = pickle.dumps(fn(k), protocol=pickle.HIGHEST_PROTOCOL)
                 pipe.write(len(data).to_bytes(8, "little"))
                 pipe.write(data)
+                pipe.flush()   # a small result must not wait for the next
+                del data       # before the next is made
         code = 0
     finally:
         os._exit(code)
 
 
 def _read_chunk(reader, pid: int, k: int) -> bytes:
-    """The encoded text of chunk ``k`` from child ``pid``'s pipe."""
+    """The pickled result of chunk ``k`` from child ``pid``'s pipe."""
     head = reader.read(8)
     size = int.from_bytes(head, "little")
     data = reader.read(size)

@@ -12,19 +12,26 @@ was produced from (JSON key ``config``; leading ``# config:`` comment line
 in CSV).
 
 A CSV table of four chunks or more is formatted on up to one process per
-usable CPU and written in row order by this one (``_write_csv``).
+usable CPU and written in row order by this one (``_write_csv``). The
+``compare-schedules`` table is never held whole: each process computes
+the rows of the chunks it formats from the schedule scan, with their part
+of the summary line, and the formatted rows wait in an unnamed file until
+the summary, which precedes them, is known.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 runtime
 invariant violation.
 """
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailu
 from .game import GameState, best_response, solve_game
 from .importation import ImportScenario, expected_imports, pmf_support, sample_imports
 from .optimize import minimize_over_imports
-from .trajectory import compare_monotone_vs_relax, simulate
+from .trajectory import ScheduleScan, compare_monotone_vs_relax, simulate, summarize
 
 # rows formatted and written per step of the CSV writer
 _CSV_CHUNK_ROWS = 4096
@@ -95,24 +102,32 @@ def _quote(text: str) -> str:
 
 
 class _Coded(NamedTuple):
-    """A CSV column of few distinct values, ``values[codes]``."""
+    """A CSV column of few distinct values, ``values[codes]``, with the
+    values' cells (``_coded_cells``) when they are worth formatting once."""
 
     values: np.ndarray
     codes: np.ndarray
+    cells: Optional[np.ndarray] = None
+
+
+def _coded_cells(values) -> np.ndarray:
+    """Each value's cell, by the rules of its column, as an object array."""
+    fmt, take = _column_format(values)
+    return np.array([fmt % v for v in take(slice(None))], dtype=object)
 
 
 def _column_format(column):
     """A column's ``%`` format and a function from a row slice to its cells.
 
     Numbers are filled in by the row template (floats ``%.12g``, ints and
-    ``range`` columns ``%d``); a ``_Coded`` column formats each of its
-    values once by the rules of its ``values`` column and takes the strings
-    by code; bools index their two cells; any other column is text.
+    ``range`` columns ``%d``); a ``_Coded`` column takes its values' cells
+    by code, or is formatted as ``values[codes]`` when it holds no cells;
+    bools index their two cells; any other column is text.
     """
     if isinstance(column, _Coded):
-        fmt, take = _column_format(column.values)
-        cells = np.array([fmt % v for v in take(slice(None))], dtype=object)
-        return "%s", lambda rows: cells.take(column.codes[rows]).tolist()
+        if column.cells is None:
+            return _column_format(column.values[column.codes])
+        return "%s", lambda rows: column.cells.take(column.codes[rows]).tolist()
     if isinstance(column, range):
         return "%d", lambda rows: list(column[rows])
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
@@ -132,54 +147,131 @@ def _csv_workers(n_chunks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_chunks // 2))
 
 
+class _Rows(NamedTuple):
+    """A table body of ``n`` rows computed a chunk at a time.
+
+    ``chunk(lo, hi)`` gives the columns of rows ``lo .. hi - 1``. A table
+    whose comment lines summarise every row also gives ``summary``: its
+    ``chunk`` then gives the columns and a picklable summary of their
+    rows, and ``summary`` turns the summaries of every chunk, in row
+    order, into those lines.
+    """
+
+    n: int
+    chunk: Callable
+    summary: Optional[Callable] = None
+
+
+def _sliced(columns) -> _Rows:
+    """Equal-length columns as the ``_Rows`` that slices them, each coded
+    column's values formatted once."""
+    first = columns[0]
+    columns = [col._replace(cells=_coded_cells(col.values))
+               if isinstance(col, _Coded) and col.cells is None else col for col in columns]
+
+    def chunk(lo: int, hi: int):
+        return [col._replace(codes=col.codes[lo:hi]) if isinstance(col, _Coded)
+                else col[lo:hi] for col in columns]
+
+    return _Rows(len(first.codes if isinstance(first, _Coded) else first), chunk)
+
+
+def _chunk_text(columns) -> str:
+    """The CSV lines of a chunk given as equal-length columns."""
+    formats, takes = zip(*map(_column_format, columns))
+    template = ",".join(formats) + "\n"
+    cells = [take(slice(None)) for take in takes]
+    lines = [template % row for row in zip(*cells)]
+    del cells   # before the lines are joined
+    return "".join(lines)
+
+
+def _ordered_map(fn, n: int, workers: int):
+    """``fn(k)`` for ``k = 0 .. n - 1`` in order: in this process with one
+    worker, else over ``workers`` processes (``_forkwrite``)."""
+    if workers == 1:
+        yield from map(fn, range(n))
+    else:
+        from ._forkwrite import forked_map   # compiled only by commands that fork
+
+        yield from forked_map(fn, n, workers)
+
+
 def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Path:
-    """Write a table given as equal-length columns, one chunk of rows at a time.
+    """Write a table, given as equal-length columns or as ``_Rows``, one
+    chunk of rows at a time.
 
     A numeric or bool numpy column is converted with ``tolist`` once per
     chunk and filled into a ``%`` row template: floats ``%.12g``, ints
     ``%d``, bools ``true``/``false``. A ``_Coded`` column of few distinct
-    values is formatted once per value. Any other column (a list or tuple,
-    a string or object array) is formatted by ``_cell`` and quoted as
-    ``csv.QUOTE_MINIMAL`` quotes it. The bytes are those of a ``csv.writer``
-    over ``_cell`` values; rows are built ``_CSV_CHUNK_ROWS`` at a time, so
-    a large table never exists as Python objects all at once.
+    values is formatted once per value (``_coded_cells``). Any other column
+    (a list or tuple, a string or object array) is formatted by ``_cell``
+    and quoted as ``csv.QUOTE_MINIMAL`` quotes it. The bytes are those of a
+    ``csv.writer`` over ``_cell`` values; rows are built
+    ``_CSV_CHUNK_ROWS`` at a time, so a large table never exists as Python
+    objects all at once.
 
-    Chunk k is formatted by process ``k % W``, ``W =
-    _csv_workers(n_chunks)``: process 0 is this one, the others are forked
-    after the header is flushed (``_forkwrite``) and run the same
-    ``text``. This process writes every chunk to the file in chunk order,
-    so the bytes do not depend on W. A child starts as a copy of this
-    process, sharing its pages, and each process holds about one chunk of
-    text at a time. With W = 1 nothing is forked.
+    The chunks are one ordered map (``_ordered_map``) over ``W =
+    _csv_workers(n_chunks)`` processes: process 0 is this one, the others
+    are forked at its start and each does every W-th chunk. Each chunk's
+    rows are computed and formatted in the process the chunk falls to, so
+    a computed table is never whole anywhere. This process writes the
+    config line, the comments, the header and every chunk in chunk order,
+    so the bytes do not depend on W. A ``_Rows`` with a ``summary`` has
+    its formatted chunks spooled to an unnamed file beside the report
+    until every chunk's summary is in; only then is the report opened, so
+    a summary that fails leaves no report. A child starts as a copy of
+    this process, sharing its pages, and each process holds about one
+    chunk at a time. With W = 1 nothing is forked.
     """
-    formats, takes = zip(*map(_column_format, columns))
-    template = ",".join(formats) + "\n"
-    first = columns[0]
-    n_rows = len(first.codes if isinstance(first, _Coded) else first)
-    n_chunks = -(-n_rows // _CSV_CHUNK_ROWS)
+    rows = columns if isinstance(columns, _Rows) else _sliced(columns)
+    n_chunks = -(-rows.n // _CSV_CHUNK_ROWS)
 
-    def text(k: int) -> str:
-        rows = slice(k * _CSV_CHUNK_ROWS, (k + 1) * _CSV_CHUNK_ROWS)
-        cells = [take(rows) for take in takes]
-        return "".join([template % row for row in zip(*cells)])
+    def work(k: int):
+        lo = k * _CSV_CHUNK_ROWS
+        chunk = rows.chunk(lo, min(lo + _CSV_CHUNK_ROWS, rows.n))
+        if rows.summary is None:
+            return _chunk_text(chunk)
+        columns, part = chunk
+        return _chunk_text(columns), part
 
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: "
-                 + json.dumps(_jsonable(config_raw), sort_keys=True,
-                              separators=(",", ":")) + "\n")
-        for line in comments:
-            fh.write(line + "\n")
-        fh.write(",".join(_quote(name) for name in header) + "\n")
-        workers = _csv_workers(n_chunks)
-        if workers == 1:
-            for k in range(n_chunks):
-                fh.write(text(k))
-        else:
-            from ._forkwrite import write_forked   # compiled only by commands that fork
-
-            fh.flush()
-            write_forked(fh.buffer, text, n_chunks, workers, fh.encoding)
+    results = _ordered_map(work, n_chunks, _csv_workers(n_chunks))
+    with contextlib.closing(results), contextlib.ExitStack() as files:
+        spool = None
+        if rows.summary is not None:
+            spool = files.enter_context(
+                tempfile.TemporaryFile("w+", dir=path.parent, newline=""))
+            comments = [*comments, *rows.summary(_spool(results, spool))]
+            spool.seek(0)
+        with open(path, "w", newline="") as fh:
+            fh.write("# config: "
+                     + json.dumps(_jsonable(config_raw), sort_keys=True,
+                                  separators=(",", ":")) + "\n")
+            for line in comments:
+                fh.write(line + "\n")
+            fh.write(",".join(_quote(name) for name in header) + "\n")
+            if spool is None:
+                # each chunk is dropped before the next is made, as a loop
+                # variable would not be
+                fh.writelines(results)
+            else:
+                shutil.copyfileobj(spool, fh)
     return path
+
+
+def _spool(results, spool) -> list:
+    """Write the text of each ``(text, summary)`` result to ``spool`` and
+    return the summaries, in order."""
+    parts = []
+
+    def texts():
+        for text, part in results:
+            parts.append(part)
+            yield text
+            del text   # before the next is made
+
+    spool.writelines(texts())
+    return parts
 
 
 def _records(header, columns) -> list[dict]:
@@ -206,10 +298,11 @@ def _decision_dict(d) -> dict:
 
 
 class _Table(NamedTuple):
-    """A CSV report: column names, equal-length columns and comment lines."""
+    """A CSV report: column names, equal-length columns (or ``_Rows``) and
+    comment lines."""
 
     header: Sequence[str]
-    columns: Sequence
+    columns: Sequence | _Rows
     comments: Sequence[str] = ()
 
 
@@ -381,37 +474,54 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
     return _Table(header, columns, (f"# final_cases: {_cell(traj.final_cases)}",)), 0
 
 
+def _compare_summary(verdicts, degenerate: bool, n_schedules: int) -> dict:
+    """The ``summary`` of a compare-schedules report from a
+    ``ScheduleComparison`` or a ``ScheduleSummary``."""
+    return {
+        "degenerate": degenerate,
+        "n_schedules": n_schedules,
+        **{key: getattr(verdicts, key) for key in (
+            "best_cost", "best_index", "best_monotone_index", "cheapest_growth_index",
+            "cheapest_relax_then_tighten_index", "monotone_dominates",
+            "monotone_beats_relax_then_tighten")},
+    }
+
+
 def cmd_compare(cfg: ScenarioConfig, fmt: str, args):
     region = cfg.dynamics_region()
     dyn = cfg.dynamics
-    cmp_ = compare_monotone_vs_relax(region.domestic_cases, dyn.target_cases,
-                                     dyn.horizon, region.curves, dyn.params,
-                                     r_step=dyn.r_grid_step)
-    summary = {
-        "degenerate": cmp_.degenerate,
-        "n_schedules": cmp_.n_schedules,
-        "best_cost": cmp_.best_cost,
-        "best_index": cmp_.best_index,
-        "best_monotone_index": cmp_.best_monotone_index,
-        "cheapest_growth_index": cmp_.cheapest_growth_index,
-        "cheapest_relax_then_tighten_index": cmp_.cheapest_relax_then_tighten_index,
-        "monotone_dominates": cmp_.monotone_dominates,
-        "monotone_beats_relax_then_tighten": cmp_.monotone_beats_relax_then_tighten,
-    }
+    comparison = (region.domestic_cases, dyn.target_cases, dyn.horizon, region.curves,
+                  dyn.params, dyn.r_grid_step)
     header = ("index", "r_first", "r_second", "switch_day", "total_cost",
               "final_cases", "max_cases", "feasible", "runaway",
               "contains_growth", "relax_then_tighten")
-    columns = (cmp_.switch_day, cmp_.total_cost, cmp_.final_cases, cmp_.max_cases,
-               cmp_.feasible, cmp_.runaway, cmp_.contains_growth,
-               cmp_.relax_then_tighten)
     if fmt == "json":
-        rows = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second) + columns
-        return {"summary": summary, "schedules": _records(header, rows)}, 0
-    comment = "# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
-                                         separators=(",", ":"))
-    # r_first and r_second take the grid values only: format each once
-    coded = (_Coded(cmp_.r_grid, cmp_.first_code), _Coded(cmp_.r_grid, cmp_.second_code))
-    return _Table(header, (range(cmp_.n_schedules),) + coded + columns, (comment,)), 0
+        cmp_ = compare_monotone_vs_relax(*comparison)
+        rows = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second, cmp_.switch_day,
+                cmp_.total_cost, cmp_.final_cases, cmp_.max_cases, cmp_.feasible,
+                cmp_.runaway, cmp_.contains_growth, cmp_.relax_then_tighten)
+        return {"summary": _compare_summary(cmp_, cmp_.degenerate, cmp_.n_schedules),
+                "schedules": _records(header, rows)}, 0
+
+    # the CSV table is computed a chunk at a time, in the writer's processes
+    scan = ScheduleScan(*comparison)
+    # r_first and r_second take the grid values only: format each once,
+    # unless the grid is longer than a chunk (a one-day grid of up to
+    # MAX_SCHEDULES values), whose cells would outweigh the chunk's
+    grid = _coded_cells(scan.r_grid) if scan.r_grid.shape[0] <= _CSV_CHUNK_ROWS else None
+
+    def chunk(lo: int, hi: int):
+        rows = scan.rows(lo, hi)
+        return ((range(lo, hi), _Coded(scan.r_grid, rows.first_code, grid),
+                 _Coded(scan.r_grid, rows.second_code, grid)) + rows[2:],
+                rows.least(lo))
+
+    def summary_line(parts):
+        summary = _compare_summary(summarize(parts), scan.degenerate, scan.n)
+        return ["# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
+                                           separators=(",", ":"))]
+
+    return _Table(header, _Rows(scan.n, chunk, summary_line)), 0
 
 
 _HANDLERS = {

@@ -200,6 +200,7 @@ def parse_config(data: dict, shape_gate: bool = True,
         regions.append(RegionState(name, population, prevalence, domestic, curves))
 
     names = [reg.name for reg in regions]
+    populations = {reg.name: reg.population for reg in regions}
     if len(set(names)) != len(names):
         r.fail("regions", "region ids must be unique")
 
@@ -220,6 +221,10 @@ def parse_config(data: dict, shape_gate: bool = True,
         for endpoint, label in ((origin, "origin"), (destination, "destination")):
             if names and endpoint not in names:
                 r.fail(f"{path}{label}", f"unknown region {endpoint!r}")
+        # travellers are drawn from the origin's population
+        if travelers > populations.get(origin, travelers):
+            r.fail(f"{path}travelers", f"must be <= the population of {origin!r} "
+                   f"({populations[origin]}), got {travelers}")
         if (origin, destination) in seen_directions:
             r.fail(f"links[{i}]", f"duplicate link {origin} -> {destination}")
         seen_directions.add((origin, destination))

@@ -42,8 +42,14 @@ def _power(base: float, exponent: float, coef: float) -> float:
 
 
 def _power_arr(base: np.ndarray, exponent: float, coef: float) -> np.ndarray:
-    """``_power`` elementwise; numpy warns where the power overflows."""
-    return np.zeros_like(base) if coef == 0 else coef * base**exponent
+    """``_power`` elementwise, computed in ``base``, which it overwrites and
+    returns; numpy warns where the power overflows."""
+    if coef == 0:
+        base[...] = 0.0
+    else:
+        base **= exponent
+        base *= coef
+    return base
 
 
 def _finite(v: float, name: str, allow_inf: bool = False):
@@ -99,12 +105,23 @@ class TransmissionCost:
         """
         x = np.asarray(x, dtype=np.float64)
         cap = self.tti_capacity
-        out = self.c0 + self.tti_slope * np.minimum(x, cap)
+        if cap == math.inf:   # no load is over: min(x, cap) is x
+            out = x * self.tti_slope
+            out += self.c0
+            return out
+        # into arrays of x's shape, so that a 0-d load is also worked in place
+        out = np.minimum(x, cap, out=np.empty_like(x))
+        out *= self.tti_slope
+        out += self.c0
         over = x > cap
-        if np.any(over):
-            excess = np.where(over, x - cap, 0.0)
-            out = np.where(over, self.c0 + self.tti_slope * cap + self.breakdown_jump
-                           + _power_arr(excess, self.wide_exponent, self.wide_slope), out)
+        if over.any():
+            # the wide branch in place, 17 bytes a value with ``out`` and
+            # ``over``; a NaN load is never over, so it powers 0.0, not NaN
+            excess = np.subtract(x, cap, out=np.empty_like(x))
+            np.copyto(excess, 0.0, where=~over)
+            _power_arr(excess, self.wide_exponent, self.wide_slope)
+            excess += self.c0 + self.tti_slope * cap + self.breakdown_jump
+            np.copyto(out, excess, where=over)
         return out
 
     def marginal(self, x: float, side: str | None = None) -> float:
@@ -200,7 +217,7 @@ class OutbreakCost:
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
         """``cost`` elementwise, without the domain check (see TransmissionCost)."""
-        return _power_arr(np.asarray(x, dtype=np.float64), self.exponent, self.per_case)
+        return _power_arr(np.array(x, dtype=np.float64), self.exponent, self.per_case)
 
     def marginal(self, x: float, side: str | None = None) -> float:
         if x < 0:

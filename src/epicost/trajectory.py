@@ -10,11 +10,17 @@ without a travel channel carry no border term.
 
 The schedule comparator enumerates every one- and two-segment reproduction
 schedule on an R grid and checks whether any schedule that lets cases grow
-beats the best monotone one.
+beats the best monotone one. ``ScheduleScan`` holds only the constant-R
+prefixes of the schedules and computes rows when a range of them is asked
+for; the reductions of row ranges (``ScheduleRows.least``) merge into the
+verdicts (``summarize``), so the comparison can run a range at a time.
+``compare_monotone_vs_relax`` is the scan's whole table and its one
+reduction.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -255,8 +261,16 @@ class ScheduleComparison:
 
 def r_grid(params: DynamicsParams, r_step: float) -> np.ndarray:
     """The R values the comparator enumerates: ``r_min`` upward by ``r_step``
-    to ``r0``, rounded to 12 decimals."""
-    return np.round(params.r_min + np.arange(_grid_size(params, r_step)) * r_step, 12)
+    to ``r0``, rounded to 12 decimals (a value too large to round, above
+    about 1.8e296, is kept as it is)."""
+    return _round12(params.r_min + np.arange(_grid_size(params, r_step)) * r_step)
+
+
+def _round12(v: np.ndarray) -> np.ndarray:
+    # np.round scales by 1e12, which overflows to inf past about 1.8e296
+    with np.errstate(over="ignore"):
+        rounded = np.round(v, 12)
+    return np.where(np.isinf(rounded), v, rounded)
 
 
 def _grid_size(params: DynamicsParams, r_step: float) -> int:
@@ -264,7 +278,7 @@ def _grid_size(params: DynamicsParams, r_step: float) -> int:
     n_r = int(round((params.r0 - params.r_min) / r_step)) + 1
     # only the last of the n_r steps can pass r0, by up to half a step;
     # it is computed with the same array arithmetic as r_grid's values
-    last = np.round(params.r_min + np.arange(n_r - 1, n_r) * r_step, 12)
+    last = _round12(params.r_min + np.arange(n_r - 1, n_r) * r_step)
     return n_r - int(last[0] > params.r0 + 1e-12)
 
 
@@ -275,10 +289,164 @@ def schedule_count(n_r: int, horizon: int) -> int:
 
 
 def schedule_days(n_r: int, horizon: int) -> int:
-    """Schedule-days ``_kernels.two_segment_costs`` costs on an ``n_r``-value
+    """Schedule-days ``_kernels.TwoSegmentScan`` costs on an ``n_r``-value
     grid: each constant prefix over the whole horizon, then each ordered
     pair's suffixes, one per switch day ``s``, over ``horizon - s`` days."""
     return n_r * horizon + n_r * (n_r - 1) * horizon * (horizon - 1) // 2
+
+
+class ScheduleRows(NamedTuple):
+    """The columns of a range of rows of a ``ScheduleComparison``."""
+
+    first_code: np.ndarray
+    second_code: np.ndarray
+    switch_day: np.ndarray
+    total_cost: np.ndarray
+    final_cases: np.ndarray
+    max_cases: np.ndarray
+    feasible: np.ndarray
+    runaway: np.ndarray
+    contains_growth: np.ndarray
+    relax_then_tighten: np.ndarray
+
+    def least(self, offset: int) -> tuple:
+        """For each of the verdicts' masks (feasible; feasible and
+        monotone; feasible with growth; feasible relax-then-tighten), the
+        least masked total and the first masked row holding it, counted
+        from row ``offset`` (the first masked row where all are inf), or
+        ``(inf, -1)`` for an empty mask; computed through 1-byte
+        temporaries only."""
+        totals, feasible, growth = self.total_cost, self.feasible, self.contains_growth
+        out = []
+        for mask in (feasible, feasible & ~growth, feasible & growth,
+                     feasible & self.relax_then_tighten):
+            if not mask.any():
+                out.append((math.inf, -1))
+                continue
+            least = totals.min(where=mask, initial=np.inf)
+            out.append((float(least), offset + int(np.argmax(mask & (totals == least)))))
+        return tuple(out)
+
+
+class ScheduleSummary(NamedTuple):
+    """The verdicts of a ``ScheduleComparison`` and the rows behind them."""
+
+    best_index: int
+    best_cost: float
+    best_monotone_index: int
+    cheapest_growth_index: int
+    cheapest_relax_then_tighten_index: int
+    monotone_dominates: bool
+    monotone_beats_relax_then_tighten: bool
+
+
+class ScheduleScan:
+    """A schedule comparison as a scan and two row-range operations.
+
+    Construction checks the inputs and the caps (see
+    ``compare_monotone_vs_relax``) before anything is allocated, then runs
+    the constant-R prefix pass (``_kernels.TwoSegmentScan``): what it holds
+    grows with the grid and the horizon, not with the ``n`` schedules.
+    Rows are computed only when asked for: ``rows(lo, hi)`` gives the
+    columns of rows ``lo .. hi - 1``, and their ``least(lo)`` condenses
+    them to what the verdicts need. ``summarize`` merges the reductions of
+    consecutive row ranges, so the verdicts over every row can be reached
+    one range at a time, in any process. A one-day horizon is
+    ``degenerate``: every schedule is constant.
+    """
+
+    def __init__(self, x0: float, x_target: float, horizon: int,
+                 curves: CostCurveSet, params: DynamicsParams, r_step: float = 0.1):
+        if x_target > x0:
+            raise DomainError(f"target {x_target} exceeds the start level {x0}")
+        if x_target < 0:
+            raise DomainError(f"target must be >= 0, got {x_target}")
+        if horizon < 1:
+            raise DomainError(f"horizon must be >= 1, got {horizon}")
+        if not r_step > 0:
+            raise DomainError(f"r_step must be > 0, got {r_step}")
+        if x0 * params.r_min**horizon > x_target:
+            raise DomainError(
+                f"target {x_target} unreachable from {x0} in {horizon} days "
+                f"even at R={params.r_min}")
+        # every grid value is a constant schedule, and a grid of s steps has
+        # at least round(s) values: one past the cap is refused on its float
+        # step count, before numpy sees a count beyond int64 (or inf)
+        steps = (params.r0 - params.r_min) / r_step
+        if not steps < MAX_SCHEDULES + 1:
+            raise DomainError(
+                f"an R grid of {steps:.3g} steps gives more schedules than the cap "
+                f"of {MAX_SCHEDULES:,}; raise r_grid_step")
+        n_r = _grid_size(params, r_step)
+        n = schedule_count(n_r, horizon)
+        if n > MAX_SCHEDULES:
+            raise DomainError(
+                f"{n:,} schedules to compare exceed the cap of {MAX_SCHEDULES:,}; "
+                f"raise r_grid_step or shorten the horizon")
+        days = schedule_days(n_r, horizon)
+        if days > MAX_SCHEDULE_DAYS:
+            raise DomainError(
+                f"{days:,} schedule-days to cost exceed the cap of "
+                f"{MAX_SCHEDULE_DAYS:,}; raise r_grid_step or shorten the horizon")
+
+        self.x0, self.x_target, self.horizon = x0, x_target, horizon
+        self.degenerate = horizon == 1
+        self.r_grid = r_grid(params, r_step)
+        # a schedule whose cases overflow to inf is flagged runaway in rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._kernel = _kernels.TwoSegmentScan(self.r_grid, horizon, x0, params, curves)
+        self.n = self._kernel.n
+
+    def rows(self, lo: int, hi: int) -> ScheduleRows:
+        """The columns of rows ``lo .. hi - 1``: about 36 bytes a row."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals, max_cases, finals = self._kernel.costs(lo, hi)
+        # an overflowed total reads inf also where 0 * inf made it nan (a
+        # zero weight or term)
+        totals[np.isnan(totals)] = np.inf
+        first, second, switch = self._kernel.codes(lo, hi)
+
+        runaway = max_cases > RUNAWAY_CASES
+        feasible = (finals <= self.x_target) & ~runaway
+        if self.x0 > 0:
+            rs, horizon = self.r_grid, self.horizon
+            # every schedule runs r_first on day 0: its switch day is >= 1
+            grows = rs > 1.0
+            first_grows = grows[first]
+            second_grows = grows[second] & (switch < horizon) & (rs > 0.0)[first]
+            contains_growth = first_grows | second_grows
+            # the relax-to-save-costs pattern: cases grow, then measures
+            # tighten (the grid ascends, so a lower code is a lower R)
+            relax_then_tighten = first_grows & (second < first) & (switch < horizon)
+        else:
+            contains_growth = np.zeros(hi - lo, dtype=bool)
+            relax_then_tighten = np.zeros(hi - lo, dtype=bool)
+        return ScheduleRows(first, second, switch, totals, finals, max_cases, feasible,
+                            runaway, contains_growth, relax_then_tighten)
+
+
+def summarize(reductions) -> ScheduleSummary:
+    """The verdicts over every row from ``ScheduleRows.least`` of
+    consecutive row ranges that cover them, in row order: ``min`` keeps
+    the first of equal totals, so a tie goes to the first row, as in one
+    argmin over all rows.
+
+    Raises ``NumericalFailure`` when no schedule is feasible.
+    """
+    best, monotone, growth, rtt = (
+        min((pair for pair in pairs if pair[1] >= 0), key=lambda pair: pair[0],
+            default=(math.inf, -1))
+        for pairs in zip(*reductions))
+    if best[1] < 0:
+        raise NumericalFailure("no enumerated schedule reaches the target")
+
+    def beaten(challenger):
+        if challenger[1] < 0 or monotone[1] < 0:
+            return monotone[1] >= 0
+        return challenger[0] >= monotone[0]
+
+    return ScheduleSummary(best[1], best[0], monotone[1], growth[1], rtt[1],
+                           beaten(growth), beaten(rtt))
 
 
 def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
@@ -295,101 +463,22 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
 
     Rows come in a fixed order: the constant schedules in grid order, then
     for each ordered pair ``(r1, r2)`` of distinct grid values in row-major
-    order, switch days ``1 .. horizon - 1`` (``_kernels.two_segment_rows``).
-    ``_kernels.two_segment_costs`` costs each ``r1`` prefix once and each
-    suffix per schedule, over blocks of pairs whose state stays near a
-    fixed size. What grows with the n schedules is the result: 24 bytes a
-    schedule of costs and cases, 8 of grid codes and switch days and 4 of
-    flags, about 36 bytes a schedule in all.
+    order, switch days ``1 .. horizon - 1`` (``_kernels.TwoSegmentRows``).
+    This is ``ScheduleScan.rows`` over every row and ``summarize`` of its
+    one reduction, so it holds the whole table: 24 bytes a schedule of
+    costs and cases, 8 of grid codes and switch days and 4 of flags, about
+    36 bytes a schedule in all. A caller that can take the rows a range at
+    a time uses ``ScheduleScan`` itself.
     """
-    if x_target > x0:
-        raise DomainError(f"target {x_target} exceeds the start level {x0}")
-    if x_target < 0:
-        raise DomainError(f"target must be >= 0, got {x_target}")
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if not r_step > 0:
-        raise DomainError(f"r_step must be > 0, got {r_step}")
-    if x0 * params.r_min**horizon > x_target:
-        raise DomainError(
-            f"target {x_target} unreachable from {x0} in {horizon} days "
-            f"even at R={params.r_min}")
-    # every grid value is a constant schedule, and a grid of s steps has at
-    # least round(s) values: one past the cap is refused on its float step
-    # count, before numpy sees a count beyond int64 (or inf)
-    steps = (params.r0 - params.r_min) / r_step
-    if not steps < MAX_SCHEDULES + 1:
-        raise DomainError(
-            f"an R grid of {steps:.3g} steps gives more schedules than the cap "
-            f"of {MAX_SCHEDULES:,}; raise r_grid_step")
-    n_r = _grid_size(params, r_step)
-    n = schedule_count(n_r, horizon)
-    if n > MAX_SCHEDULES:
-        raise DomainError(
-            f"{n:,} schedules to compare exceed the cap of {MAX_SCHEDULES:,}; "
-            f"raise r_grid_step or shorten the horizon")
-    days = schedule_days(n_r, horizon)
-    if days > MAX_SCHEDULE_DAYS:
-        raise DomainError(
-            f"{days:,} schedule-days to cost exceed the cap of "
-            f"{MAX_SCHEDULE_DAYS:,}; raise r_grid_step or shorten the horizon")
-
-    rs = r_grid(params, r_step)
-    # a schedule whose cases overflow to inf is flagged runaway below, and
-    # its total reads inf also where 0 * inf made it nan (a zero weight or term)
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals, max_cases, finals = _kernels.two_segment_costs(
-            rs, horizon, x0, params, curves)
-    totals[np.isnan(totals)] = np.inf
-    first, second, switch = _kernels.two_segment_rows(rs, horizon)
-
-    runaway = max_cases > RUNAWAY_CASES
-    feasible = (finals <= x_target) & ~runaway
-
-    if x0 > 0:
-        # every schedule runs r_first on day 0: its switch day is >= 1
-        grows = rs > 1.0
-        first_grows = grows[first]
-        second_grows = grows[second] & (switch < horizon) & (rs > 0.0)[first]
-        contains_growth = first_grows | second_grows
-        # the relax-to-save-costs pattern: cases grow, then measures tighten
-        # (the grid ascends, so a lower code is a lower R)
-        relax_then_tighten = first_grows & (second < first) & (switch < horizon)
-    else:
-        contains_growth = np.zeros(n, dtype=bool)
-        relax_then_tighten = np.zeros(n, dtype=bool)
-
-    if not np.any(feasible):
-        raise NumericalFailure("no enumerated schedule reaches the target")
-
-    def argmin_masked(mask):
-        # the first masked row holding the least masked total (the first
-        # masked row where all are inf), through 1-byte temporaries only
-        least = totals.min(where=mask, initial=np.inf)
-        return int(np.argmax(mask & (totals == least)))
-
-    best_index = argmin_masked(feasible)
-    monotone_mask = feasible & ~contains_growth
-    growth_mask = feasible & contains_growth
-    rtt_mask = feasible & relax_then_tighten
-    best_monotone_index = argmin_masked(monotone_mask) if np.any(monotone_mask) else -1
-    cheapest_growth_index = argmin_masked(growth_mask) if np.any(growth_mask) else -1
-    cheapest_rtt_index = argmin_masked(rtt_mask) if np.any(rtt_mask) else -1
-
-    def beaten(challenger_index):
-        if challenger_index < 0 or best_monotone_index < 0:
-            return best_monotone_index >= 0
-        return bool(totals[challenger_index] >= totals[best_monotone_index])
-
+    scan = ScheduleScan(x0, x_target, horizon, curves, params, r_step)
+    rows = scan.rows(0, scan.n)
+    summary = summarize([rows.least(0)])
     return ScheduleComparison(
         horizon=horizon, x0=x0, x_target=x_target, r_step=r_step,
-        degenerate=horizon == 1,
-        r_grid=rs, first_code=first, second_code=second, switch_day=switch,
-        total_cost=totals, final_cases=finals, max_cases=max_cases,
-        feasible=feasible, runaway=runaway, contains_growth=contains_growth,
-        relax_then_tighten=relax_then_tighten,
-        best_index=best_index, best_monotone_index=best_monotone_index,
-        cheapest_growth_index=cheapest_growth_index,
-        cheapest_relax_then_tighten_index=cheapest_rtt_index,
-        monotone_dominates=beaten(cheapest_growth_index),
-        monotone_beats_relax_then_tighten=beaten(cheapest_rtt_index))
+        degenerate=scan.degenerate, r_grid=scan.r_grid, **rows._asdict(),
+        best_index=summary.best_index,
+        best_monotone_index=summary.best_monotone_index,
+        cheapest_growth_index=summary.cheapest_growth_index,
+        cheapest_relax_then_tighten_index=summary.cheapest_relax_then_tighten_index,
+        monotone_dominates=summary.monotone_dominates,
+        monotone_beats_relax_then_tighten=summary.monotone_beats_relax_then_tighten)

@@ -200,10 +200,11 @@ class TestExitCodes:
 
     def test_game_needs_no_threat_off_the_configured_prevalence(self, tmp_path):
         # expected_imports(3000, L) overflows once L reaches about 0.27; the game
-        # evaluates the threat only at the configured prevalence 0.1
+        # evaluates the threat only at the configured prevalence 0.1 (the
+        # population holds the 3,000 travellers each link draws from it)
         cfg = json.loads(fixture_path("two_region_symmetric").read_text())
         for region in cfg["regions"]:
-            region.update(population=1000, domestic_cases=100)
+            region.update(population=3000, domestic_cases=100)
         for link in cfg["links"]:
             link["travelers"] = 3000
         path = tmp_path / "crowded.json"
@@ -258,6 +259,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: an R grid of ") and err.count("\n") == 1
         assert "more schedules than the cap of 1,000,000" in err
+
+    def test_grid_of_huge_r_values_keeps_every_value(self, tmp_path, capsys):
+        # rounding to 12 decimals scales by 1e12, which overflowed these R
+        # values to inf: the grid read [0.5, inf x 9], dropping r0, with an
+        # overflow warning on stderr
+        path = self._quadratic_with(tmp_path, r0=1e300, r_grid_step=1e299)
+        code = run_cli("compare-schedules", "--config", path, "--out", str(tmp_path))
+        assert code in (0, 1, 2, 3)
+        err = capsys.readouterr().err
+        assert err == "" or err.count("\n") == 1
+        assert code == 0
+        rows = read_csv(tmp_path / "compare_schedules.csv")
+        constants = [row["r_first"] for row in rows if row["switch_day"] == "30"]
+        assert constants == ["0.5"] + [f"{k}e+299" for k in range(1, 10)] + ["1e+300"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_travelers_past_origin_population_is_config_error(self, tmp_path, capsys,
+                                                              command):
+        # travellers are drawn from the origin's population: only import-dist
+        # refused more, through its scenario, and the others looped over them
+        cfg = json.loads(fixture_path("two_region_symmetric").read_text())
+        cfg["links"][1]["travelers"] = 1_000_001
+        path = tmp_path / "crowded.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "config error: links[1].travelers: must be <= the population of 'B' "
+            "(1000000), got 1000001\n")
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "game"])
+    def test_import_overflow_at_huge_travelers_is_immediate(self, tmp_path, capsys,
+                                                            command):
+        # 2**63 travellers looped for minutes before expected_imports had a
+        # closed form
+        cfg = json.loads(fixture_path("two_region_asymmetric").read_text())
+        for region in cfg["regions"]:
+            region.update(population=2**63, prevalence=0.1)
+        for link in cfg["links"]:
+            link["travelers"] = 2**63
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(command, "--config", str(path), "--out", str(tmp_path)) == 2
+        assert "numerical failure: expected imports overflow" in capsys.readouterr().err
 
     @staticmethod
     def _quadratic_with(tmp_path, **dynamics):

@@ -3,7 +3,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
 from epicost import importation
-from epicost.errors import DomainError
+from epicost.errors import DomainError, NumericalFailure
 from epicost.importation import (ImportScenario, SourceProfile, approx_tail_sum,
                                  expected_imports, expected_imports_multi,
                                  hypergeom_mean, hypergeom_pmf, import_tail_sum,
@@ -154,12 +153,46 @@ class TestRenormalisedPmf:
         nus, probs = pmf_support(s)
         assert abs(math.fsum(probs) - 1.0) <= 2.3e-16   # 1 ulp above 1.0
         lo, hi = s.support
-        # exact binomials, computed faster than math.comb does at N ~ 1e6
-        with mock.patch.object(importation, "comb", factored_comb):
-            for nu in {lo, hi, (lo + hi) // 2, int(nus[np.argmax(probs)])}:
-                assert probs[nu - lo] == pytest.approx(
-                    hypergeom_pmf(s, nu), rel=PMF_RTOL, abs=TINY)
+        for nu in {lo, hi, (lo + hi) // 2, int(nus[np.argmax(probs)])}:
+            assert probs[nu - lo] == pytest.approx(
+                hypergeom_pmf(s, nu), rel=PMF_RTOL, abs=TINY)
         assert_matches_scipy(s, nus, probs)
+
+    @pytest.mark.parametrize("s,nus", [
+        (ImportScenario(10, 2, 3), range(0, 3)),
+        (ImportScenario(97, 40, 61), range(4, 41)),
+        (ImportScenario(123_457, 45_678, 3_000), (1_000, 1_110, 1_200)),
+        (ImportScenario(10**6, 5 * 10**5, 5 * 10**5), (0, 249_000, 250_000))])
+    def test_pmf_is_the_correctly_rounded_binomial_ratio(self, s, nus, monkeypatch):
+        # the prime-exponent ratio and math.comb, each forced, give the
+        # float of the ratio of the exact binomials
+        for nu in nus:
+            want = (factored_comb(s.infected, nu)
+                    * factored_comb(s.population - s.infected, s.travelers - nu)
+                    / factored_comb(s.population, s.travelers))
+            assert hypergeom_pmf(s, nu) == want
+            with monkeypatch.context() as patch:
+                patch.setattr(importation, "_COMB_MAX", -1)
+                assert hypergeom_pmf(s, nu) == want
+            if s.population < 10**6:
+                with monkeypatch.context() as patch:
+                    patch.setattr(importation, "_SIEVE_MAX", 0)
+                    assert hypergeom_pmf(s, nu) == want
+
+    def test_few_travelers_sieve_no_primes(self, monkeypatch):
+        # math.comb is cheap for a small min(k, N - k): a sieve up to N
+        # would cost milliseconds for each new N
+        def no_sieve(n):
+            raise AssertionError(f"sieved the primes up to {n}")
+
+        monkeypatch.setattr(importation, "_primes_upto", no_sieve)
+        for s in (ImportScenario(10**6, 10**4, 10), ImportScenario(10**6, 10**4, 10**6 - 10)):
+            lo, hi = s.support
+            assert hypergeom_pmf(s, lo) == (
+                factored_comb(s.infected, lo)
+                * factored_comb(s.population - s.infected, s.travelers - lo)
+                / factored_comb(s.population, s.travelers))
+            assert 0.0 < import_tail_sum(s, hi) <= 1.0 + 1e-12
 
     def test_no_binomial_at_benchmark_scale(self, monkeypatch):
         def no_comb(*args):
@@ -235,7 +268,32 @@ class TestTailSums:
         assert import_tail_sum(s, 2) == pytest.approx(float(exact), abs=1e-15)
 
 
+def loop_expected_imports(k, prevalence):
+    """The direct sum over nu = 1..k of nu C(k,nu) L**nu, term by term."""
+    term, total = 1.0, 0.0
+    for nu in range(1, k + 1):
+        term *= (k - nu + 1) / nu * prevalence
+        total += nu * term
+    return total
+
+
 class TestExpectedImports:
+    @pytest.mark.parametrize("k", [1, 2, 7, 100, 1_000, 5_000, 100_000])
+    @pytest.mark.parametrize("L", [0.0, 1e-5, 1e-3, 1e-2, 0.1, 1.0])
+    def test_closed_form_matches_the_sum(self, k, L):
+        # the loop overflows where the closed form raises
+        want = loop_expected_imports(k, L)
+        if not math.isfinite(want):
+            with pytest.raises(NumericalFailure):
+                expected_imports(k, L)
+        else:
+            assert expected_imports(k, L) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_overflow_is_numerical_failure_without_a_loop(self):
+        for k in (10**8, 2**63, 10**400):
+            with pytest.raises(NumericalFailure, match="expected imports overflow"):
+                expected_imports(k, 0.01)
+
     def test_direct_sum_example(self):
         assert expected_imports(2, 0.1) == pytest.approx(0.22)
 

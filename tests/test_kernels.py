@@ -86,6 +86,17 @@ class TestCurveKernels:
         assert got.shape == grid.shape
         assert_matches_scalar(got, [[ct.cost(v) for v in row] for row in grid.tolist()])
 
+    @pytest.mark.parametrize("load", [3.0, 12.0, np.float64(12.0), np.array(12.0)])
+    def test_scalar_load(self, load):
+        # a scalar on either side of a finite capacity gives a 0-d result
+        ct = TransmissionCost(1.0, 2.0, tti_capacity=5.0, breakdown_jump=4.0,
+                              wide_slope=0.5, wide_exponent=2.0)
+        assert np.shape(ct.cost_arr(load)) == ()
+        assert float(ct.cost_arr(load)) == ct.cost(float(load))
+        for co in (OutbreakCost(0.5, 2.0), OutbreakCost(0.0, 2.0)):
+            assert np.shape(co.cost_arr(load)) == ()
+            assert float(co.cost_arr(load)) == co.cost(float(load))
+
     @_oracle
     @given(cb=border_costs())
     def test_border(self, cb):
@@ -175,9 +186,10 @@ def scan_and_check(rs, horizon, x0, ct_params, co_params, exponent=1.0):
     ct, co = TransmissionCost(*ct_params), OutbreakCost(*co_params)
     curves = CostCurveSet(ct, BorderCost(1.0, 1.0), co)
     grid = np.array(rs, dtype=np.float64)
-    got = K.two_segment_costs(grid, horizon, x0, params, curves)
+    scan = K.TwoSegmentScan(grid, horizon, x0, params, curves)
+    got = scan.costs(0, scan.n)
     rows = grid_rows(grid.tolist(), horizon)
-    first, second, switch = K.two_segment_rows(grid, horizon)
+    first, second, switch = scan.codes(0, scan.n)
     assert (first.dtype, second.dtype, switch.dtype) == (np.int16, np.int16, np.int32)
     assert list(zip(first.tolist(), second.tolist(), switch.tolist())) == rows
     want = [], [], []
@@ -210,7 +222,8 @@ class TestTwoSegmentCosts:
         params = DynamicsParams(2.5, 0.5, 1.0)
         curves = CostCurveSet(TransmissionCost(1.0, 0.3, 50.0, 5.0, 0.8, 1.5),
                               BorderCost(1.0, 1.0), OutbreakCost(1.0, 1.0))
-        totals, max_cases, finals = K.two_segment_costs(rs, 20, 80.0, params, curves)
+        scan = K.TwoSegmentScan(rs, 20, 80.0, params, curves)
+        totals, max_cases, finals = scan.costs(0, scan.n)
         for i, (first, second, s) in enumerate(grid_rows(rs.tolist(), 20)):
             r1, r2 = float(rs[first]), float(rs[second])
             schedule = PolicySchedule((r1,) * s + (r2,) * (20 - s), (1.0,) * 20, params)
@@ -278,9 +291,9 @@ class TestScanBlocks:
 def test_rows_code_large_grids_in_int32():
     # 2**15 grid values over one day: constants only, no pairs mask built
     rs = np.linspace(0.5, 2.5, 2**15)
-    first, second, switch = K.two_segment_rows(rs, 1)
+    first, second, switch = K.TwoSegmentRows(rs, 1).codes(0, 2**15)
     assert (first.dtype, second.dtype, switch.dtype) == (np.int32, np.int32, np.int32)
     assert first.tolist() == second.tolist() == list(range(2**15))
     assert np.all(switch == 1)
-    first, _, _ = K.two_segment_rows(rs[:-1], 1)
+    first, _, _ = K.TwoSegmentRows(rs[:-1], 1).codes(0, 2**15 - 1)
     assert first.dtype == np.int16 and first[-1] == 2**15 - 2

@@ -153,7 +153,7 @@ EXPECTED = {
     },
     'two_region_symmetric simulate': {
         'simulate.csv':
-            '036fe90ed9cf275ad7f928cf105d94ef6f23d7e5374eea8aabad963fa3ed4a37',
+            '806c0dcc0f6a7459887cbccfb9fe1aa86594abbc3cee60e16b163dbeea6515a3',
     },
     'two_region_symmetric compare-schedules': {
         'compare_schedules.csv':
@@ -325,7 +325,7 @@ EXPECTED = {
     },
     'two_region_symmetric simulate --format json': {
         'simulate.json':
-            'f0cf27b6a54b4314484b205eef9a74228680ebefe621f7af2417ea9a4d2d33c3',
+            '74a28913e510b5a3a8e39f870fb3f18951290abbda0d223072f46c16db1b5e36',
     },
     'two_region_virus_free simulate --format json': {
         'simulate.json':

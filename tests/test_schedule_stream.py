@@ -1,0 +1,269 @@
+"""The streamed compare-schedules CSV against the whole-table path it replaced.
+
+The CLI computes each chunk's rows, and their part of the summary, in the
+process that formats the chunk, and spools the formatted rows until the
+summary line that precedes them is known. These tests check the bytes
+against the report written from ``compare_monotone_vs_relax``'s full
+columns, the chunk-wise verdicts against one argmin over every row, the
+memory of the whole command, and its exit paths.
+"""
+
+import csv
+import json
+import math
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epicost import cli, trajectory
+from epicost.config import parse_config
+from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
+from epicost.errors import NumericalFailure
+from epicost.fixtures import fixture_path, quadratic_set
+from epicost.trajectory import (DynamicsParams, ScheduleRows, ScheduleScan,
+                                compare_monotone_vs_relax, summarize)
+
+HEADER = ("index", "r_first", "r_second", "switch_day", "total_cost", "final_cases",
+          "max_cases", "feasible", "runaway", "contains_growth", "relax_then_tighten")
+
+
+def reference_compare_csv(path, cfg):
+    """The report as the CLI wrote it from the whole comparison: the summary
+    of ``compare_monotone_vs_relax``, then one ``csv.writer`` row per
+    schedule, every value through ``_cell``."""
+    scenario = parse_config(cfg)
+    region, dyn = scenario.dynamics_region(), scenario.dynamics
+    cmp_ = compare_monotone_vs_relax(region.domestic_cases, dyn.target_cases, dyn.horizon,
+                                     region.curves, dyn.params, r_step=dyn.r_grid_step)
+    summary = {
+        "degenerate": cmp_.degenerate,
+        "n_schedules": cmp_.n_schedules,
+        "best_cost": cmp_.best_cost,
+        "best_index": cmp_.best_index,
+        "best_monotone_index": cmp_.best_monotone_index,
+        "cheapest_growth_index": cmp_.cheapest_growth_index,
+        "cheapest_relax_then_tighten_index": cmp_.cheapest_relax_then_tighten_index,
+        "monotone_dominates": cmp_.monotone_dominates,
+        "monotone_beats_relax_then_tighten": cmp_.monotone_beats_relax_then_tighten,
+    }
+    columns = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second, cmp_.switch_day,
+               cmp_.total_cost, cmp_.final_cases, cmp_.max_cases, cmp_.feasible,
+               cmp_.runaway, cmp_.contains_growth, cmp_.relax_then_tighten)
+    with open(path, "w", newline="") as fh:
+        fh.write("# config: " + json.dumps(cli._jsonable(cfg), sort_keys=True,
+                                           separators=(",", ":")) + "\n")
+        fh.write("# summary: " + json.dumps(cli._jsonable(summary), sort_keys=True,
+                                            separators=(",", ":")) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(HEADER)
+        for row in zip(*(col.tolist() for col in columns)):
+            writer.writerow([cli._cell(v) for v in row])
+    return path
+
+
+def quadratic(**dynamics):
+    cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+    cfg["dynamics"].update(dynamics)
+    return cfg
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 9 grid values over 12 days: 801 rows, 11 a pair, so 7-row chunks split
+# pairs; one day (constants only); a one-value grid; a start level from
+# which some schedules run away
+SCENARIOS = {
+    "pairs": quadratic(horizon=12, r_grid_step=0.25),
+    "one_day": quadratic(horizon=1, r_grid_step=0.1, target_cases=60.0),
+    "one_value": quadratic(horizon=9, r_grid_step=3.0),
+    "runaway": {**quadratic(horizon=20, r_grid_step=0.5, target_cases=1e5),
+                "regions": [{**quadratic()["regions"][0], "domestic_cases": 1e6}]},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_streamed_report_same_bytes(name, workers, tmp_path, monkeypatch):
+    cfg = SCENARIOS[name]
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: workers)
+    out = tmp_path / "out"
+    assert cli.main(["compare-schedules", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    want = reference_compare_csv(tmp_path / "reference.csv", cfg)
+    assert (out / "compare_schedules.csv").read_bytes() == want.read_bytes()
+    assert_no_child_left()
+
+
+def reference_least(totals, mask):
+    """(least total, first row holding it) by one argmin over every row."""
+    idx = np.flatnonzero(mask)
+    if not idx.shape[0]:
+        return math.inf, -1
+    first = int(idx[np.argmin(totals[idx])])
+    return float(totals[first]), first
+
+
+def assert_blockwise_summary(rows, cuts):
+    """``summarize`` of ``least`` over the ranges ``cuts`` split the rows
+    into equals the verdicts of one argmin over every row."""
+    n = rows.total_cost.shape[0]
+    bounds = [0, *sorted(set(cuts)), n]
+    parts = [ScheduleRows(*(col[lo:hi] for col in rows)).least(lo)
+             for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    feasible = rows.feasible
+    want = [reference_least(rows.total_cost, mask) for mask in (
+        feasible, feasible & ~rows.contains_growth, feasible & rows.contains_growth,
+        feasible & rows.relax_then_tighten)]
+    if want[0][1] < 0:
+        with pytest.raises(NumericalFailure):
+            summarize(parts)
+        return
+    got = summarize(parts)
+    assert (got.best_cost, got.best_index) == want[0]
+    assert [got.best_monotone_index, got.cheapest_growth_index,
+            got.cheapest_relax_then_tighten_index] == [w[1] for w in want[1:]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_ties_and_inf_across_block_boundaries(data, n):
+    # totals from three values tie often; a mask may hold inf totals only
+    def pick(values):
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+    totals = pick(st.sampled_from([0.0, 1.0, math.inf]))
+    flags = [pick(st.booleans()) for _ in range(3)]
+    codes = np.zeros(n, np.int16)
+    rows = ScheduleRows(codes, codes, codes.astype(np.int32), totals, totals, totals,
+                        flags[0], ~flags[0], flags[1], flags[2])
+    assert_blockwise_summary(rows, data.draw(st.lists(st.integers(1, n), max_size=6)))
+
+
+# all daily costs zero: every total ties; an outbreak power past float
+# range: every total is inf; the quadratic fixture curves
+_CURVES = {
+    "zero": CostCurveSet(TransmissionCost(0.0), BorderCost(1.0, 1.0), OutbreakCost(0.0)),
+    "inf": CostCurveSet(TransmissionCost(1.0), BorderCost(1.0, 1.0),
+                        OutbreakCost(1.0, 60.0)),
+    "quadratic": quadratic_set(),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), curves=st.sampled_from(sorted(_CURVES)),
+       horizon=st.integers(1, 8), r_step=st.sampled_from([0.3, 0.5, 0.7, 2.5]),
+       x0=st.sampled_from([0.0, 50.0, 1e6]), share=st.floats(0.0, 1.0))
+def test_scan_summary_over_blocks(data, curves, horizon, r_step, x0, share):
+    params = DynamicsParams()
+    reachable = x0 * params.r_min**horizon
+    scan = ScheduleScan(x0, reachable + share * (x0 - reachable), horizon, _CURVES[curves],
+                        params, r_step)
+    rows = scan.rows(0, scan.n)
+    cuts = data.draw(st.lists(st.integers(1, scan.n), max_size=5))
+    assert_blockwise_summary(rows, cuts)
+    # the rows of any range are those of the whole table, bit for bit
+    lo = data.draw(st.integers(0, scan.n - 1))
+    hi = data.draw(st.integers(lo + 1, scan.n))
+    for got, want in zip(scan.rows(lo, hi), rows):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want[lo:hi].view(np.uint8))
+
+
+def command_peak(tmp_path, **dynamics):
+    """tracemalloc peak of this process over one compare-schedules run."""
+    path = write_config(tmp_path, quadratic(**dynamics))
+    tracemalloc.start()
+    try:
+        assert cli.main(["compare-schedules", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_command_memory_does_not_grow_with_schedules(tmp_path):
+    # 96,801 and 382,401 schedules over 60 days; the whole table of the
+    # larger is 13.8 MB at 36 bytes a schedule
+    small = command_peak(tmp_path, horizon=60, r_grid_step=0.05)
+    large = command_peak(tmp_path, horizon=60, r_grid_step=0.025)
+    assert large < 1.5 * small, f"{small / 1e6:.2f} MB, then {large / 1e6:.2f} MB"
+    assert_no_child_left()
+
+
+def test_grid_longer_than_a_chunk_is_not_held_as_cells(tmp_path):
+    # 200,001 one-day schedules, one a grid value: the scan holds about
+    # 33 bytes a schedule; the grid's cells, formatted once, would add
+    # about 87 more
+    n = 200_001
+    peak = command_peak(tmp_path, horizon=1, r_grid_step=1e-5, target_cases=60.0)
+    assert peak < 60 * n, f"{peak / n:.1f} bytes a schedule"
+
+
+def unreachable_by_any_schedule():
+    # every schedule starts above the runaway level, so none is feasible,
+    # though R = r_min reaches the target
+    cfg = quadratic(horizon=10, r_grid_step=0.05, target_cases=2e12 * 0.5**10)
+    cfg["regions"][0]["domestic_cases"] = 2e12
+    return cfg
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_feasible_schedule_writes_no_report(tmp_path, monkeypatch, capfd, workers):
+    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: workers)
+    path = write_config(tmp_path, unreachable_by_any_schedule())
+    assert cli.main(["compare-schedules", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capfd.readouterr().err == ("numerical failure: no enumerated schedule "
+                                      "reaches the target\n")
+    # nor any spooled row: the output directory is empty
+    assert list((tmp_path / "out").iterdir()) == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("step", ["rows", "format"])
+def test_child_failing_at_either_step_is_invariant_violation(tmp_path, monkeypatch,
+                                                             capfd, step):
+    parent = os.getpid()
+    if step == "rows":
+        rows = ScheduleScan.rows
+
+        def failing(self, lo, hi):
+            if os.getpid() != parent:
+                raise ValueError("rows failed")
+            return rows(self, lo, hi)
+
+        monkeypatch.setattr(ScheduleScan, "rows", failing)
+    else:
+        chunk_text = cli._chunk_text
+
+        def failing(columns):
+            if os.getpid() != parent:
+                raise ValueError("formatting failed")
+            return chunk_text(columns)
+
+        monkeypatch.setattr(cli, "_chunk_text", failing)
+    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 2)
+    # the fixture's 12,201 schedules: 3 chunks, one in the child
+    out = tmp_path / "out"
+    assert cli.main(["compare-schedules", "--config",
+                     str(fixture_path("one_region_quadratic")), "--out", str(out)]) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("invariant violation: CSV formatter process ")
+    assert err.count("\n") == 1
+    # the command stops before the report is opened
+    assert list(out.iterdir()) == []
+    assert_no_child_left()

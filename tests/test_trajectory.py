@@ -205,6 +205,17 @@ class TestScheduleGridAndCap:
                                          r_step=r_step)
         assert cmp_.n_schedules == schedule_count(len(r_grid(PARAMS, r_step)), horizon)
 
+    def test_grid_values_merged_by_rounding(self, quad_set):
+        # 300 steps of 1e-13 round to 31 distinct values, so pairs of equal
+        # values drop out: 87,316 rows, not schedule_count's 90,000, which
+        # the zero-start flags were sized by (a ValueError)
+        params = DynamicsParams(0.5 + 2.99e-11, 0.5)
+        rs = r_grid(params, 1e-13)
+        assert (len(rs), len(np.unique(rs))) == (300, 31)
+        cmp_ = compare_monotone_vs_relax(0.0, 0.0, 2, quad_set, params, r_step=1e-13)
+        assert cmp_.n_schedules == 300 + int(np.sum(rs[:, None] != rs[None, :])) == 87_316
+        assert not np.any(cmp_.contains_growth)
+
     @pytest.mark.parametrize("r_step", [0.0, -0.1, float("nan")])
     def test_step_must_be_positive(self, quad_set, r_step):
         # a step <= 0 used to divide by zero or count a negative grid
@@ -225,7 +236,7 @@ class TestScheduleGridAndCap:
         monkeypatch.setattr(trajectory, "MAX_SCHEDULES", cap)
         if cap < 12_201:
             monkeypatch.setattr(trajectory, "r_grid", unreachable)
-            monkeypatch.setattr(_kernels, "two_segment_costs", unreachable)
+            monkeypatch.setattr(_kernels, "TwoSegmentScan", unreachable)
             with pytest.raises(DomainError, match="12,201 schedules .* cap of 12,200"):
                 compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
         else:
@@ -237,7 +248,8 @@ class TestScheduleGridAndCap:
         # each constant row runs every day; a row switching on day s adds its
         # horizon - s suffix days to a prefix that is costed once
         rs = np.arange(n_r, dtype=np.float64)
-        _, _, switch = _kernels.two_segment_rows(rs, horizon)
+        rows = _kernels.TwoSegmentRows(rs, horizon)
+        _, _, switch = rows.codes(0, rows.n)
         assert schedule_days(n_r, horizon) == n_r * horizon + int(
             np.sum(horizon - switch[n_r:]))
 
@@ -259,7 +271,7 @@ class TestScheduleGridAndCap:
         monkeypatch.setattr(trajectory, "MAX_SCHEDULE_DAYS", cap)
         if cap < 183_330:
             monkeypatch.setattr(trajectory, "r_grid", unreachable)
-            monkeypatch.setattr(_kernels, "two_segment_costs", unreachable)
+            monkeypatch.setattr(_kernels, "TwoSegmentScan", unreachable)
             with pytest.raises(DomainError,
                                match="183,330 schedule-days .* cap of 183,329"):
                 compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
