@@ -1,10 +1,11 @@
-"""An ordered map over forked child processes, for the CSV writer.
+"""An ordered map over forked child processes, for the report writer.
 
-``cli._write_csv`` imports this module only for a table it splits over
-more than one process, so commands that write small tables or JSON do
-not compile it. Each child starts as a copy of the writer, with the
-table's row source and formatter, and sends its results back through a
-pipe; only the writer touches the report file.
+``cli._write_report`` imports this module only for a report it splits
+over more than one process, so commands that write small reports do not
+compile it. Each child starts as a copy of the writer, with the tables'
+row sources and formatters, and sends its results back through a pipe;
+only the writer touches the report file. A failed child's error names it
+a ``CSV formatter process`` whatever the report's format.
 """
 
 import contextlib

@@ -5,18 +5,21 @@ Commands: ``import-dist``, ``optimize``, ``game``, ``simulate``,
 for solution objects (``--format`` overrides). Each command writes one
 report, ``<command>.<format>`` in ``--out`` with ``-`` turned into ``_``
 (``compare_schedules.csv``): a handler returns the report body and its exit
-code, and ``run`` writes it. Floats are written with 12 significant digits
+code, and ``run`` writes it. The body is a ``_Table`` for CSV and a dict
+for JSON, which may hold ``_Table`` values; each handler builds each table
+once, for either format. Floats are written with 12 significant digits
 and reports carry no timestamps, so identical inputs produce byte-identical
 files. Every report echoes the scenario config it
 was produced from (JSON key ``config``; leading ``# config:`` comment line
 in CSV).
 
-A CSV table of four chunks or more is formatted on up to one process per
-usable CPU and written in row order by this one (``_write_csv``). The
+Every table, CSV or JSON, is written a chunk of rows at a time by one
+writer (``_write_report``): a report of four chunks or more is formatted
+on up to one process per usable CPU, and the formatted rows wait in an
+unnamed file until this process writes the text around them. The
 ``compare-schedules`` table is never held whole: each process computes
 the rows of the chunks it formats from the schedule scan, with their part
-of the summary line, and the formatted rows wait in an unnamed file until
-the summary, which precedes them, is known.
+of the summary, and the report is written once the summary is known.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 runtime
 invariant violation.
@@ -26,7 +29,7 @@ import argparse
 import contextlib
 import json
 import os
-import shutil
+import re
 import sys
 import tempfile
 from dataclasses import asdict
@@ -41,10 +44,12 @@ from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailu
 from .game import GameState, best_response, solve_game
 from .importation import ImportScenario, expected_imports, pmf_support, sample_imports
 from .optimize import minimize_over_imports
-from .trajectory import ScheduleScan, compare_monotone_vs_relax, simulate, summarize
+from .trajectory import ScheduleScan, simulate, summarize
 
-# rows formatted and written per step of the CSV writer
-_CSV_CHUNK_ROWS = 4096
+# rows computed and formatted per step of the report writer
+_CHUNK_ROWS = 4096
+# characters copied per step from the spool to the report
+_COPY_CHARS = 1 << 16
 _BOOL_CELLS = np.array(["false", "true"], dtype=object)
 # largest accepted --mc-trials: the sampler holds 8 bytes per trial for up to
 # two links at once, so a run stays under about 0.8 GB
@@ -75,6 +80,8 @@ def _cell(v) -> str:
 
 
 def _jsonable(obj):
+    if isinstance(obj, _Table):
+        return np.nan   # the table's place in a JSON report (_frame)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -89,9 +96,9 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, obj: dict) -> Path:
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
-    return path
+def _compact(obj) -> str:
+    """``obj`` as one line of JSON, for the comment lines of a CSV report."""
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
 def _quote(text: str) -> str:
@@ -102,32 +109,25 @@ def _quote(text: str) -> str:
 
 
 class _Coded(NamedTuple):
-    """A CSV column of few distinct values, ``values[codes]``, with the
-    values' cells (``_coded_cells``) when they are worth formatting once."""
+    """A column of few distinct values, ``values[codes]``."""
 
     values: np.ndarray
     codes: np.ndarray
-    cells: Optional[np.ndarray] = None
-
-
-def _coded_cells(values) -> np.ndarray:
-    """Each value's cell, by the rules of its column, as an object array."""
-    fmt, take = _column_format(values)
-    return np.array([fmt % v for v in take(slice(None))], dtype=object)
 
 
 def _column_format(column):
     """A column's ``%`` format and a function from a row slice to its cells.
 
     Numbers are filled in by the row template (floats ``%.12g``, ints and
-    ``range`` columns ``%d``); a ``_Coded`` column takes its values' cells
-    by code, or is formatted as ``values[codes]`` when it holds no cells;
-    bools index their two cells; any other column is text.
+    ``range`` columns ``%d``); a ``_Coded`` column formats each value its
+    rows use once, and takes the cells by code; bools index their two
+    cells; any other column is text.
     """
     if isinstance(column, _Coded):
-        if column.cells is None:
-            return _column_format(column.values[column.codes])
-        return "%s", lambda rows: column.cells.take(column.codes[rows]).tolist()
+        used, codes = np.unique(column.codes, return_inverse=True)
+        fmt, take = _column_format(column.values[used])
+        cells = np.array([fmt % v for v in take(slice(None))], dtype=object)
+        return "%s", lambda rows: cells.take(codes[rows]).tolist()
     if isinstance(column, range):
         return "%d", lambda rows: list(column[rows])
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
@@ -138,8 +138,8 @@ def _column_format(column):
     return "%s", lambda rows: [_quote(_cell(v)) for v in column[rows]]
 
 
-def _csv_workers(n_chunks: int) -> int:
-    """Processes that format a table of ``n_chunks`` chunks: one per usable
+def _workers(n_chunks: int) -> int:
+    """Processes that format a report of ``n_chunks`` chunks: one per usable
     CPU, but at most one per two chunks; 1 where ``os.fork`` or
     ``os.sched_getaffinity`` is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -151,10 +151,11 @@ class _Rows(NamedTuple):
     """A table body of ``n`` rows computed a chunk at a time.
 
     ``chunk(lo, hi)`` gives the columns of rows ``lo .. hi - 1``. A table
-    whose comment lines summarise every row also gives ``summary``: its
-    ``chunk`` then gives the columns and a picklable summary of their
-    rows, and ``summary`` turns the summaries of every chunk, in row
-    order, into those lines.
+    summarised over every row also gives ``summary``: its ``chunk`` then
+    gives the columns and a picklable summary of their rows, and
+    ``summary`` turns the summaries of every chunk, in row order, into the
+    report's entries that hold them (a comment line each in CSV, keys at
+    the top of the document in JSON).
     """
 
     n: int
@@ -163,11 +164,8 @@ class _Rows(NamedTuple):
 
 
 def _sliced(columns) -> _Rows:
-    """Equal-length columns as the ``_Rows`` that slices them, each coded
-    column's values formatted once."""
+    """Equal-length columns as the ``_Rows`` that slices them."""
     first = columns[0]
-    columns = [col._replace(cells=_coded_cells(col.values))
-               if isinstance(col, _Coded) and col.cells is None else col for col in columns]
 
     def chunk(lo: int, hi: int):
         return [col._replace(codes=col.codes[lo:hi]) if isinstance(col, _Coded)
@@ -186,6 +184,60 @@ def _chunk_text(columns) -> str:
     return "".join(lines)
 
 
+def _listed(column) -> list:
+    """A column's values as Python objects, a ``_Coded`` column's by code."""
+    if isinstance(column, _Coded):
+        column = column.values[column.codes]
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _json_chunk(header, columns, depth: int, lo: int) -> str:
+    """The rows of a chunk as ``json.dumps(indent=2, sort_keys=True)``
+    writes the items of a list of row objects ``depth`` levels deep: one
+    ``json.dumps`` of the chunk's rows, its brackets dropped and its lines
+    indented, after a comma unless the chunk starts the table (``lo``)."""
+    records = [dict(zip(header, row)) for row in zip(*map(_listed, columns))]
+    text = json.dumps(_jsonable(records), indent=2, sort_keys=True)[1:-2]
+    return ("," if lo else "") + text.replace("\n", "\n" + "  " * depth)
+
+
+def _json_tables(obj, depth: int = 0):
+    """The ``(table, depth)`` of each ``_Table`` in a JSON report, in the
+    order ``json.dumps(sort_keys=True)`` writes them."""
+    if isinstance(obj, _Table):
+        yield obj, depth
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _json_tables(obj[key], depth + 1)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _json_tables(value, depth + 1)
+
+
+def _frame(fmt: str, report, config_raw: dict, tables, summary: dict) -> list:
+    """The text before each table of a report and after the last one.
+
+    For CSV: the config line, the comments and the summary's entries as
+    comment lines, then the header. For JSON: the document dumped once
+    with each table as a bare ``NaN`` (``_jsonable``), cut there, and the
+    table's brackets put in its place; no other value writes a bare
+    ``NaN`` at the end of a line, for ``_jsonable`` turns non-finite
+    floats into strings and a string holds no newline.
+    """
+    if fmt == "csv":
+        lines = [f"# config: {_compact(config_raw)}", *report.comments,
+                 *(f"# {key}: {_compact(value)}" for key, value in summary.items()),
+                 ",".join(_quote(name) for name in report.header)]
+        return ["".join(line + "\n" for line in lines), ""]
+    text = json.dumps(_jsonable({"config": config_raw, **report, **summary}),
+                      indent=2, sort_keys=True) + "\n"
+    pieces = re.split(r"(?<=: )NaN(?=,?\n)", text)
+    for i, (table, rows, depth) in enumerate(tables):
+        pieces[i] += "["
+        pieces[i + 1] = ("\n" + "  " * depth if rows.n else "") + "]" + pieces[i + 1]
+    return pieces
+
+
 def _ordered_map(fn, n: int, workers: int):
     """``fn(k)`` for ``k = 0 .. n - 1`` in order: in this process with one
     worker, else over ``workers`` processes (``_forkwrite``)."""
@@ -197,86 +249,67 @@ def _ordered_map(fn, n: int, workers: int):
         yield from forked_map(fn, n, workers)
 
 
-def _write_csv(path: Path, header, columns, config_raw: dict, comments=()) -> Path:
-    """Write a table, given as equal-length columns or as ``_Rows``, one
-    chunk of rows at a time.
+def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
+    """Write a report, its tables a chunk of rows at a time.
 
-    A numeric or bool numpy column is converted with ``tolist`` once per
-    chunk and filled into a ``%`` row template: floats ``%.12g``, ints
-    ``%d``, bools ``true``/``false``. A ``_Coded`` column of few distinct
-    values is formatted once per value (``_coded_cells``). Any other column
-    (a list or tuple, a string or object array) is formatted by ``_cell``
-    and quoted as ``csv.QUOTE_MINIMAL`` quotes it. The bytes are those of a
-    ``csv.writer`` over ``_cell`` values; rows are built
-    ``_CSV_CHUNK_ROWS`` at a time, so a large table never exists as Python
-    objects all at once.
+    A CSV report is one ``_Table``: a ``# config:`` line, its comments and
+    header, then its rows. A JSON report is a dict, written as
+    ``json.dumps(indent=2, sort_keys=True)`` writes ``{"config":
+    config_raw, **report}``, where each ``_Table`` it holds as a value is a
+    list of row objects keyed by the header. The bytes are those of that
+    one dump, and in CSV those of a ``csv.writer`` over ``_cell`` values
+    (``_column_format`` says how each column is formatted).
 
-    The chunks are one ordered map (``_ordered_map``) over ``W =
-    _csv_workers(n_chunks)`` processes: process 0 is this one, the others
-    are forked at its start and each does every W-th chunk. Each chunk's
-    rows are computed and formatted in the process the chunk falls to, so
-    a computed table is never whole anywhere. This process writes the
-    config line, the comments, the header and every chunk in chunk order,
-    so the bytes do not depend on W. A ``_Rows`` with a ``summary`` has
-    its formatted chunks spooled to an unnamed file beside the report
-    until every chunk's summary is in; only then is the report opened, so
-    a summary that fails leaves no report. A child starts as a copy of
-    this process, sharing its pages, and each process holds about one
-    chunk at a time. With W = 1 nothing is forked.
+    The tables are taken as equal-length columns or as ``_Rows``, and
+    their chunks of ``_CHUNK_ROWS`` rows are one ordered map
+    (``_ordered_map``) over ``W = _workers(n_chunks)`` processes: process
+    0 is this one, the others are forked at its start and each does every
+    W-th chunk. Each chunk's rows are computed and formatted (``_chunk_text``
+    or ``_json_chunk``) in the process the chunk falls to, so a computed
+    table is never whole anywhere, nor a large table ever held as Python
+    objects all at once. This process spools the formatted chunks, in
+    order, to an unnamed file beside the report; when every chunk's
+    summary is in, it opens the report and writes the frame around the
+    tables (``_frame``) and the spooled rows, so the bytes do not depend
+    on W and a summary that fails leaves no report. A child starts as a
+    copy of this process, sharing its pages, and each process holds about
+    one chunk at a time. With W = 1 nothing is forked.
     """
-    rows = columns if isinstance(columns, _Rows) else _sliced(columns)
-    n_chunks = -(-rows.n // _CSV_CHUNK_ROWS)
+    found = _json_tables(report) if fmt == "json" else [(report, 0)]
+    tables = [(table, table.columns if isinstance(table.columns, _Rows)
+               else _sliced(table.columns), depth) for table, depth in found]
+    chunks = [(i, lo) for i, (_, rows, _) in enumerate(tables)
+              for lo in range(0, rows.n, _CHUNK_ROWS)]
 
     def work(k: int):
-        lo = k * _CSV_CHUNK_ROWS
-        chunk = rows.chunk(lo, min(lo + _CSV_CHUNK_ROWS, rows.n))
-        if rows.summary is None:
-            return _chunk_text(chunk)
-        columns, part = chunk
-        return _chunk_text(columns), part
+        i, lo = chunks[k]
+        table, rows, depth = tables[i]
+        chunk = rows.chunk(lo, min(lo + _CHUNK_ROWS, rows.n))
+        columns, part = chunk if rows.summary else (chunk, None)
+        if fmt == "csv":
+            return i, _chunk_text(columns), part
+        return i, _json_chunk(table.header, columns, depth, lo), part
 
-    results = _ordered_map(work, n_chunks, _csv_workers(n_chunks))
-    with contextlib.closing(results), contextlib.ExitStack() as files:
-        spool = None
-        if rows.summary is not None:
-            spool = files.enter_context(
-                tempfile.TemporaryFile("w+", dir=path.parent, newline=""))
-            comments = [*comments, *rows.summary(_spool(results, spool))]
-            spool.seek(0)
-        with open(path, "w", newline="") as fh:
-            fh.write("# config: "
-                     + json.dumps(_jsonable(config_raw), sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-            for line in comments:
-                fh.write(line + "\n")
-            fh.write(",".join(_quote(name) for name in header) + "\n")
-            if spool is None:
-                # each chunk is dropped before the next is made, as a loop
-                # variable would not be
-                fh.writelines(results)
-            else:
-                shutil.copyfileobj(spool, fh)
-    return path
-
-
-def _spool(results, spool) -> list:
-    """Write the text of each ``(text, summary)`` result to ``spool`` and
-    return the summaries, in order."""
-    parts = []
-
-    def texts():
-        for text, part in results:
-            parts.append(part)
-            yield text
+    sizes, parts, summary = [0] * len(tables), [[] for _ in tables], {}
+    results = _ordered_map(work, len(chunks), _workers(len(chunks)))
+    with (contextlib.closing(results),
+          tempfile.TemporaryFile("w+", dir=path.parent, newline="") as spool):
+        for i, text, part in results:
+            sizes[i] += spool.write(text)
+            parts[i].append(part)
             del text   # before the next is made
-
-    spool.writelines(texts())
-    return parts
-
-
-def _records(header, columns) -> list[dict]:
-    """One dict per row of a table given as numpy columns, for JSON reports."""
-    return [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
+        for (_, rows, _), rows_parts in zip(tables, parts):
+            if rows.summary:
+                summary.update(rows.summary(rows_parts))
+        pieces = _frame(fmt, report, config_raw, tables, summary)
+        spool.seek(0)
+        with open(path, "w", newline="") as fh:
+            for piece, size in zip(pieces, sizes):
+                fh.write(piece)
+                while size:
+                    size -= fh.write(spool.read(min(size, _COPY_CHARS)))
+            fh.write(pieces[-1])
+    return path
 
 
 def _decision_dict(d) -> dict:
@@ -298,8 +331,8 @@ def _decision_dict(d) -> dict:
 
 
 class _Table(NamedTuple):
-    """A CSV report: column names, equal-length columns (or ``_Rows``) and
-    comment lines."""
+    """A table: column names, equal-length columns (or ``_Rows``) and, for
+    a CSV report, comment lines."""
 
     header: Sequence[str]
     columns: Sequence | _Rows
@@ -361,7 +394,7 @@ def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
                 "origin": link.origin, "destination": link.destination,
                 "travelers": link.travelers,
                 "expected_imports": expected_imports(link.travelers, origin.prevalence),
-                "rows": _records(header[2:], link_cols)})
+                "rows": _Table(header[2:], link_cols)})
 
     if fmt == "json":
         return {"links": link_reports}, 0
@@ -466,62 +499,36 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
     columns = (np.arange(days), traj.cases[:days], traj.transmission_costs,
                traj.border_costs, traj.outbreak_costs, traj.total_costs,
                traj.cumulative)
+    table = _Table(header, columns, (f"# final_cases: {_cell(traj.final_cases)}",))
     if fmt == "json":
         return {"region": region.name,
-                "days": _records(header, columns),
+                "days": table,
                 "final_cases": traj.final_cases,
                 "cumulative_cost": traj.cumulative_cost}, 0
-    return _Table(header, columns, (f"# final_cases: {_cell(traj.final_cases)}",)), 0
-
-
-def _compare_summary(verdicts, degenerate: bool, n_schedules: int) -> dict:
-    """The ``summary`` of a compare-schedules report from a
-    ``ScheduleComparison`` or a ``ScheduleSummary``."""
-    return {
-        "degenerate": degenerate,
-        "n_schedules": n_schedules,
-        **{key: getattr(verdicts, key) for key in (
-            "best_cost", "best_index", "best_monotone_index", "cheapest_growth_index",
-            "cheapest_relax_then_tighten_index", "monotone_dominates",
-            "monotone_beats_relax_then_tighten")},
-    }
+    return table, 0
 
 
 def cmd_compare(cfg: ScenarioConfig, fmt: str, args):
     region = cfg.dynamics_region()
     dyn = cfg.dynamics
-    comparison = (region.domestic_cases, dyn.target_cases, dyn.horizon, region.curves,
-                  dyn.params, dyn.r_grid_step)
+    # the table is computed a chunk at a time, in the writer's processes
+    scan = ScheduleScan(region.domestic_cases, dyn.target_cases, dyn.horizon,
+                        region.curves, dyn.params, dyn.r_grid_step)
     header = ("index", "r_first", "r_second", "switch_day", "total_cost",
               "final_cases", "max_cases", "feasible", "runaway",
               "contains_growth", "relax_then_tighten")
-    if fmt == "json":
-        cmp_ = compare_monotone_vs_relax(*comparison)
-        rows = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second, cmp_.switch_day,
-                cmp_.total_cost, cmp_.final_cases, cmp_.max_cases, cmp_.feasible,
-                cmp_.runaway, cmp_.contains_growth, cmp_.relax_then_tighten)
-        return {"summary": _compare_summary(cmp_, cmp_.degenerate, cmp_.n_schedules),
-                "schedules": _records(header, rows)}, 0
-
-    # the CSV table is computed a chunk at a time, in the writer's processes
-    scan = ScheduleScan(*comparison)
-    # r_first and r_second take the grid values only: format each once,
-    # unless the grid is longer than a chunk (a one-day grid of up to
-    # MAX_SCHEDULES values), whose cells would outweigh the chunk's
-    grid = _coded_cells(scan.r_grid) if scan.r_grid.shape[0] <= _CSV_CHUNK_ROWS else None
 
     def chunk(lo: int, hi: int):
         rows = scan.rows(lo, hi)
-        return ((range(lo, hi), _Coded(scan.r_grid, rows.first_code, grid),
-                 _Coded(scan.r_grid, rows.second_code, grid)) + rows[2:],
-                rows.least(lo))
+        return ((range(lo, hi), _Coded(scan.r_grid, rows.first_code),
+                 _Coded(scan.r_grid, rows.second_code)) + rows[2:], rows.least(lo))
 
-    def summary_line(parts):
-        summary = _compare_summary(summarize(parts), scan.degenerate, scan.n)
-        return ["# summary: " + json.dumps(_jsonable(summary), sort_keys=True,
-                                           separators=(",", ":"))]
+    def summary(parts):
+        return {"summary": {"degenerate": scan.degenerate, "n_schedules": scan.n,
+                            **summarize(parts)._asdict()}}
 
-    return _Table(header, _Rows(scan.n, chunk, summary_line)), 0
+    table = _Table(header, _Rows(scan.n, chunk, summary))
+    return ({"schedules": table} if fmt == "json" else table), 0
 
 
 _HANDLERS = {
@@ -575,10 +582,7 @@ def run(argv=None) -> int:
     fmt = args.format or _DEFAULT_FORMAT[args.command]
     report, code = _HANDLERS[args.command](cfg, fmt, args)
     path = out / f"{args.command.replace('-', '_')}.{fmt}"
-    if fmt == "json":
-        _write_json(path, {"config": cfg.raw, **report})
-    else:
-        _write_csv(path, report.header, report.columns, cfg.raw, report.comments)
+    _write_report(path, fmt, report, cfg.raw)
     print(f"wrote {path}")
     return code
 

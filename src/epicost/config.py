@@ -206,7 +206,11 @@ def parse_config(data: dict, shape_gate: bool = True,
 
     links: list[TravelLink] = []
     seen_directions = set()
-    for i, block in enumerate(data.get("links", []) or []):
+    link_blocks = data.get("links")
+    if not isinstance(link_blocks, (list, type(None))):
+        r.fail("links", "expected a list of link blocks")
+        link_blocks = None
+    for i, block in enumerate(link_blocks or []):
         path = f"links[{i}]."
         if not isinstance(block, dict):
             r.fail(f"links[{i}]", "expected an object")
@@ -268,7 +272,8 @@ def parse_config(data: dict, shape_gate: bool = True,
             return default
         if isinstance(v, (int, float)):
             return float(v)
-        if isinstance(v, list) and all(isinstance(e, (int, float)) for e in v):
+        if isinstance(v, list) and all(isinstance(e, (int, float))
+                                       and not isinstance(e, bool) for e in v):
             if horizon is not None and len(v) != horizon:
                 r.fail(f"dynamics.{key}",
                        f"length {len(v)} does not match horizon {horizon}")

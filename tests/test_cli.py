@@ -226,12 +226,14 @@ class TestExitCodes:
         import epicost.trajectory as trajectory_module
 
         monkeypatch.setattr(trajectory_module, "MAX_SCHEDULES", 12_000)
-        code = run_cli("compare-schedules", "--config",
-                       str(fixture_path("one_region_quadratic")), "--out", str(tmp_path))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "config error: 12,201 schedules" in err and "cap of 12,000" in err
-        assert not (tmp_path / "compare_schedules.csv").exists()
+        for fmt in ("csv", "json"):
+            code = run_cli("compare-schedules", "--config",
+                           str(fixture_path("one_region_quadratic")), "--out", str(tmp_path),
+                           "--format", fmt)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "config error: 12,201 schedules" in err and "cap of 12,000" in err
+            assert not (tmp_path / f"compare_schedules.{fmt}").exists()
 
     @pytest.mark.parametrize("cap", [183_329, 183_330])
     def test_schedule_days_cap_is_config_error(self, tmp_path, monkeypatch, capsys, cap):

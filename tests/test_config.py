@@ -115,6 +115,14 @@ class TestValidation:
         diags = diagnostics_of(cfg)
         assert any("dynamics.reproduction" in d for d in diags)
 
+    @pytest.mark.parametrize("key, series", [
+        ("reproduction", [True, 0.5, 0.5, 0.5, 0.5]), ("screening", [False] * 5)])
+    def test_bools_in_day_series_rejected(self, key, series):
+        # a bool is not read as the number 1.0 or 0.0, in a list as on its own
+        cfg = minimal_config(dynamics={"horizon": 5, key: series})
+        assert diagnostics_of(cfg) == [
+            f"dynamics.{key}: expected a number or list, got {series!r}"]
+
     def test_schedule_bounds_checked(self):
         cfg = minimal_config()
         cfg["dynamics"]["reproduction"] = 5.0
@@ -147,6 +155,16 @@ class TestValidation:
     def test_non_object_block_is_a_diagnostic(self, block):
         assert f"{block}: expected an object, got list" in diagnostics_of(
             minimal_config(**{block: [1]}))
+
+    @pytest.mark.parametrize("links", [3, True, "ab", {"a": 1}])
+    def test_links_not_a_list_is_one_diagnostic(self, links):
+        # a number or bool raised TypeError; a string or object gave one
+        # diagnostic per character or key
+        assert diagnostics_of(minimal_config(links=links)) == [
+            "links: expected a list of link blocks"]
+
+    def test_null_links_mean_no_links(self):
+        assert parse_config(minimal_config(links=None)).links == ()
 
     @pytest.mark.parametrize("key", ["foc_tol", "nash_tol"])
     def test_tolerances_must_be_positive(self, key):

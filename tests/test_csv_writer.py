@@ -1,4 +1,5 @@
-"""The columnar CSV writer against the ``csv.writer`` row writer it replaced."""
+"""The columnar report writer against the ``csv.writer`` row writer and the
+whole-document ``json.dumps`` it replaced."""
 
 import csv
 import errno
@@ -38,6 +39,18 @@ def reference_write_csv(path, header, rows, config_raw, comments=()):
     return path
 
 
+def reference_write_json(path, header, rows, config_raw):
+    """One ``json.dumps`` of a document holding the table as one dict a row."""
+    doc = {"config": config_raw, "rows": [dict(zip(header, row)) for row in rows]}
+    path.write_text(json.dumps(cli._jsonable(doc), indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def write_csv(path, header, columns, config_raw, comments=()):
+    """The CLI's report writer on one CSV table."""
+    return cli._write_report(path, "csv", cli._Table(header, columns, comments), config_raw)
+
+
 def table(n_rows):
     """Columns of every kind the writer handles, ``n_rows`` long."""
     rng = np.random.default_rng(11)
@@ -58,20 +71,20 @@ def table(n_rows):
     }
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_CHUNK_ROWS,
-                                    2 * cli._CSV_CHUNK_ROWS + 123])
+@pytest.mark.parametrize("n_rows", [0, 1, cli._CHUNK_ROWS,
+                                    2 * cli._CHUNK_ROWS + 123])
 def test_same_bytes_as_row_writer(n_rows, tmp_path):
     cols = table(n_rows)
     header = tuple(cols)
     columns = list(cols.values())
     rows = [[col[i] for col in columns] for i in range(n_rows)]
-    got = cli._write_csv(tmp_path / "columns.csv", header, columns, CONFIG, COMMENTS)
+    got = write_csv(tmp_path / "columns.csv", header, columns, CONFIG, COMMENTS)
     want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_CHUNK_ROWS,
-                                    2 * cli._CSV_CHUNK_ROWS + 123])
+@pytest.mark.parametrize("n_rows", [0, 1, cli._CHUNK_ROWS,
+                                    2 * cli._CHUNK_ROWS + 123])
 @pytest.mark.parametrize("code_dtype", [np.uint8, np.int64])
 def test_coded_columns_write_their_values(n_rows, code_dtype, tmp_path):
     # a coded column, first or not, writes the bytes of values[codes]
@@ -86,19 +99,19 @@ def test_coded_columns_write_their_values(n_rows, code_dtype, tmp_path):
              cli._Coded(ints, int_codes), flags]
     plain = [floats[float_codes], np.arange(n_rows), ints[int_codes], flags]
     rows = [[col[i] for col in plain] for i in range(n_rows)]
-    got = cli._write_csv(tmp_path / "coded.csv", header, coded, CONFIG, COMMENTS)
+    got = write_csv(tmp_path / "coded.csv", header, coded, CONFIG, COMMENTS)
     want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 2 * cli._CSV_CHUNK_ROWS + 123])
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * cli._CHUNK_ROWS + 123])
 def test_coded_text_and_range_columns(n_rows, tmp_path):
     # coded text is quoted as a plain text column is; a range writes as ints
     rng = np.random.default_rng(13)
     labels = np.array(STRINGS, dtype=object)
     codes = rng.integers(0, labels.shape[0], n_rows).astype(np.int32)
     header = ("index", "label")
-    got = cli._write_csv(tmp_path / "coded.csv", header,
+    got = write_csv(tmp_path / "coded.csv", header,
                          [range(n_rows), cli._Coded(labels, codes)], CONFIG)
     rows = [[i, labels[c]] for i, c in enumerate(codes.tolist())]
     want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG)
@@ -132,7 +145,7 @@ def test_import_dist_table_holds_no_string_per_row():
     assert held / len(nus) < IMPORT_TABLE_BYTES_PER_ROW, f"{held / len(nus):.1f} B a row"
 
 
-# tracemalloc peak inside _write_csv for the table below was 2.0 MB before the
+# tracemalloc peak inside _write_report for the table below was 2.0 MB before the
 # R columns were coded; one whole column of int64 codes or of object
 # pointers is another 0.77 MB
 WRITER_PEAK_BOUND = 2.4e6
@@ -143,7 +156,7 @@ def test_compare_schedules_writer_memory_is_chunk_sized(tmp_path, monkeypatch):
     cfg["dynamics"].update(horizon=60, r_grid_step=0.05)
     path = tmp_path / "schedules.json"
     path.write_text(json.dumps(cfg))
-    write, peaks = cli._write_csv, []
+    write, peaks = cli._write_report, []
 
     def traced(*args, **kwargs):
         tracemalloc.start()
@@ -153,7 +166,7 @@ def test_compare_schedules_writer_memory_is_chunk_sized(tmp_path, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(cli, "_write_csv", traced)
+    monkeypatch.setattr(cli, "_write_report", traced)
     assert cli.main(["compare-schedules", "--config", str(path),
                      "--out", str(tmp_path)]) == 0
     with open(tmp_path / "compare_schedules.csv") as fh:
@@ -173,26 +186,35 @@ def assert_no_child_left():
 
 def test_workers_one_per_cpu_and_two_chunks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert [cli._csv_workers(n) for n in (0, 1, 3, 4, 5, 6, 100)] == [1, 1, 1, 2, 2, 3, 3]
+    assert [cli._workers(n) for n in (0, 1, 3, 4, 5, 6, 100)] == [1, 1, 1, 2, 2, 3, 3]
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._csv_workers(100) == 1
+    assert cli._workers(100) == 1
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n_rows", [0, SMALL_CHUNK, 2 * SMALL_CHUNK, 3 * SMALL_CHUNK,
-                                    7 * SMALL_CHUNK, 7 * SMALL_CHUNK + 2])
-def test_forked_writer_same_bytes(workers, n_rows, tmp_path, monkeypatch):
+@pytest.mark.parametrize("n_rows, workers, fmt", [
+    pytest.param(n_rows, workers, fmt,
+                 id=f"{n_rows}-{workers}" + ("-json" if fmt == "json" else ""))
+    for fmt in ("csv", "json") for n_rows in (0, SMALL_CHUNK, 2 * SMALL_CHUNK,
+                                              3 * SMALL_CHUNK, 7 * SMALL_CHUNK,
+                                              7 * SMALL_CHUNK + 2)
+    for workers in (1, 2, 3)])
+def test_forked_writer_same_bytes(workers, n_rows, fmt, tmp_path, monkeypatch):
     # text, coded, bool and float columns over 0-7 whole chunks and a partial one
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", SMALL_CHUNK)
-    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: workers)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: workers)
     cols = table(n_rows)
     labels = np.array(STRINGS, dtype=object)
     codes = np.arange(n_rows, dtype=np.int16) % len(STRINGS)
     header = (*cols, "coded")
     columns = [*cols.values(), cli._Coded(labels, codes)]
     rows = [[col[i] for col in cols.values()] + [labels[codes[i]]] for i in range(n_rows)]
-    got = cli._write_csv(tmp_path / "forked.csv", header, columns, CONFIG, COMMENTS)
-    want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
+    if fmt == "csv":
+        got = write_csv(tmp_path / "forked.csv", header, columns, CONFIG, COMMENTS)
+        want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
+    else:
+        got = cli._write_report(tmp_path / "forked.json", "json",
+                                {"rows": cli._Table(header, columns)}, CONFIG)
+        want = reference_write_json(tmp_path / "rows.json", header, rows, CONFIG)
     assert got.read_bytes() == want.read_bytes()
     assert_no_child_left()
 
@@ -217,8 +239,8 @@ def test_failing_formatter_child_is_invariant_violation(tmp_path, monkeypatch, c
         return fmt, checked
 
     monkeypatch.setattr(cli, "_column_format", failing_in_children)
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", SMALL_CHUNK)
-    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 3)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: 3)
     assert cli.main(schedules_args(tmp_path)) == 3
     err = capfd.readouterr().err
     assert err.startswith("invariant violation: CSV formatter process ")
@@ -235,8 +257,8 @@ def test_child_exit_status_is_checked(tmp_path, monkeypatch, capfd):
         format_chunks(*args)
 
     monkeypatch.setattr(_forkwrite, "_format_chunks", sends_then_fails)
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 1000)
-    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 2)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: 2)
     assert cli.main(schedules_args(tmp_path)) == 3
     err = capfd.readouterr().err
     assert err.startswith("invariant violation: CSV formatter process ")
@@ -268,8 +290,8 @@ def test_parent_write_error_mid_table_is_config_error(tmp_path, monkeypatch, cap
         return io.TextIOWrapper(writes[-1], newline=newline)
 
     monkeypatch.setattr(cli, "open", open_filling, raising=False)
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 100)
-    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 2)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: 2)
     assert cli.main(schedules_args(tmp_path)) == 1
     err = capfd.readouterr().err
     assert err == f"config error: {tmp_path / 'compare_schedules.csv'}: No space left on device\n"
@@ -293,7 +315,7 @@ def test_large_table_is_formatted_in_children_and_reaps_them(tmp_path, monkeypat
     monkeypatch.setattr(os, "fork", counted_fork)
     assert cli.main(["compare-schedules", "--config", str(path), "--out", str(tmp_path)]) == 0
     # 96,801 rows are 24 chunks: one process per usable CPU, at most 12
-    assert len(forks) == cli._csv_workers(24) - 1
+    assert len(forks) == cli._workers(24) - 1
     with open(tmp_path / "compare_schedules.csv") as fh:
         assert sum(not line.startswith("#") for line in fh) == 96_801 + 1
     assert_no_child_left()

@@ -3,8 +3,8 @@
 Criterion 11 compares two runs of the same code; this test compares the
 current code with recorded sha256 digests of every bundled-fixture report,
 of ``optimize`` and ``game`` reports under ``--grid`` and ``--tol``, and
-of two larger reports from variants of the fixtures that span many chunks
-of the CSV writer.
+of three larger reports from variants of the fixtures that span many
+chunks of the report writer, in CSV and in JSON.
 A change that moves a float in any report must update the digest here and
 say in CHANGES.md which value moved and why. Digests were recorded with
 numpy's float64 arithmetic on x86-64 Linux; a platform whose libm rounds
@@ -50,10 +50,14 @@ JOBS += [(fixture, command, ("--format", fmt))
          for fixture in _ACCEPTED]
 
 # bundled fixtures with some keys replaced, for reports that span many
-# chunks of the CSV writer: name -> (fixture, {section: {key: value}})
+# chunks of the report writer: name -> (fixture, {section: {key: value}})
 VARIANTS = {
     "one_region_quadratic[r_grid_step=0.05,horizon=60]": (
         "one_region_quadratic", {"dynamics": {"r_grid_step": 0.05, "horizon": 60}}),
+    # 16,401 schedules: five chunks, so the JSON rows are formatted in
+    # more than one process
+    "one_region_quadratic[horizon=40]": (
+        "one_region_quadratic", {"dynamics": {"horizon": 40}}),
     "import_dist_small[population=100000,travelers=10000]": (
         "import_dist_small", {"regions": {"population": 100000},
                               "links": {"travelers": 10000}}),
@@ -67,6 +71,7 @@ JOBS += [(fixture, command, ("--grid", "501", "--tol", "1e-4"))
                        "two_region_asymmetric")))
          for fixture in fixtures]
 JOBS += [("one_region_quadratic[r_grid_step=0.05,horizon=60]", "compare-schedules", ()),
+         ("one_region_quadratic[horizon=40]", "compare-schedules", ("--format", "json")),
          ("import_dist_small[population=100000,travelers=10000]", "import-dist",
           ("--mc-trials", "2000", "--seed", "7"))]
 
@@ -395,6 +400,10 @@ EXPECTED = {
     '--mc-trials 2000 --seed 7': {
         'import_dist.csv':
             'd24a70dc0a680161e0485e6991df2e14dbe92dffaf5cb12983d4b1a73b72b95e',
+    },
+    'one_region_quadratic[horizon=40] compare-schedules --format json': {
+        'compare_schedules.json':
+            '1a5eb8c45f31c85855262a41600f8f5651f259e0765230d24a1e931f4a4a95f5',
     },
     'boundary_trio optimize --grid 501 --tol 1e-4': {
         'optimize.json':

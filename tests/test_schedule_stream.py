@@ -1,11 +1,13 @@
-"""The streamed compare-schedules CSV against the whole-table path it replaced.
+"""The streamed compare-schedules report against the whole-table path it replaced.
 
 The CLI computes each chunk's rows, and their part of the summary, in the
 process that formats the chunk, and spools the formatted rows until the
-summary line that precedes them is known. These tests check the bytes
-against the report written from ``compare_monotone_vs_relax``'s full
-columns, the chunk-wise verdicts against one argmin over every row, the
-memory of the whole command, and its exit paths.
+summary that the report needs is known. These tests check the bytes, in
+CSV and JSON, against the report written from
+``compare_monotone_vs_relax``'s full columns (and the ``simulate`` and
+``import-dist`` JSON against one ``json.dumps`` of the whole document),
+the chunk-wise verdicts against one argmin over every row, the memory of
+the whole command, and its exit paths.
 """
 
 import csv
@@ -24,18 +26,16 @@ from epicost.config import parse_config
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.errors import NumericalFailure
 from epicost.fixtures import fixture_path, quadratic_set
+from epicost.importation import ImportScenario, expected_imports, pmf_support
 from epicost.trajectory import (DynamicsParams, ScheduleRows, ScheduleScan,
-                                compare_monotone_vs_relax, summarize)
+                                compare_monotone_vs_relax, simulate, summarize)
 
 HEADER = ("index", "r_first", "r_second", "switch_day", "total_cost", "final_cases",
           "max_cases", "feasible", "runaway", "contains_growth", "relax_then_tighten")
 
 
-def reference_compare_csv(path, cfg):
-    """The report as the CLI wrote it from the whole comparison: the summary
-    of ``compare_monotone_vs_relax``, then one ``csv.writer`` row per
-    schedule, every value through ``_cell``."""
-    scenario = parse_config(cfg)
+def reference_comparison(scenario):
+    """The summary and the columns of ``compare_monotone_vs_relax``."""
     region, dyn = scenario.dynamics_region(), scenario.dynamics
     cmp_ = compare_monotone_vs_relax(region.domestic_cases, dyn.target_cases, dyn.horizon,
                                      region.curves, dyn.params, r_step=dyn.r_grid_step)
@@ -53,6 +53,14 @@ def reference_compare_csv(path, cfg):
     columns = (np.arange(cmp_.n_schedules), cmp_.r_first, cmp_.r_second, cmp_.switch_day,
                cmp_.total_cost, cmp_.final_cases, cmp_.max_cases, cmp_.feasible,
                cmp_.runaway, cmp_.contains_growth, cmp_.relax_then_tighten)
+    return summary, columns
+
+
+def reference_compare_csv(path, cfg):
+    """The report as the CLI wrote it from the whole comparison: the summary
+    of ``compare_monotone_vs_relax``, then one ``csv.writer`` row per
+    schedule, every value through ``_cell``."""
+    summary, columns = reference_comparison(parse_config(cfg))
     with open(path, "w", newline="") as fh:
         fh.write("# config: " + json.dumps(cli._jsonable(cfg), sort_keys=True,
                                            separators=(",", ":")) + "\n")
@@ -62,6 +70,51 @@ def reference_compare_csv(path, cfg):
         writer.writerow(HEADER)
         for row in zip(*(col.tolist() for col in columns)):
             writer.writerow([cli._cell(v) for v in row])
+    return path
+
+
+def records(header, columns):
+    """One dict per row of a table given as numpy columns."""
+    return [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
+
+
+def reference_json(path, command, cfg):
+    """The JSON report as the CLI wrote it whole: each table a list of row
+    dicts, the document one ``json.dumps``."""
+    scenario = parse_config(cfg)
+    if command == "compare-schedules":
+        summary, columns = reference_comparison(scenario)
+        report = {"summary": summary, "schedules": records(HEADER, columns)}
+    elif command == "simulate":
+        region, schedule = scenario.dynamics_region(), scenario.dynamics.schedule()
+        link = scenario.inbound_link(region.name)
+        threat = (None if link is None else
+                  expected_imports(link.travelers, scenario.region(link.origin).prevalence))
+        traj = simulate(schedule, region.domestic_cases, region.curves, threat)
+        days = schedule.horizon
+        columns = (np.arange(days), traj.cases[:days], traj.transmission_costs,
+                   traj.border_costs, traj.outbreak_costs, traj.total_costs,
+                   traj.cumulative)
+        report = {"region": region.name,
+                  "days": records(("day", "cases", "cost_transmission", "cost_border",
+                                   "cost_outbreak", "cost_total", "cumulative"), columns),
+                  "final_cases": traj.final_cases,
+                  "cumulative_cost": traj.cumulative_cost}
+    else:
+        links = []
+        for link in scenario.links:
+            origin = scenario.region(link.origin)
+            nus, probs = pmf_support(ImportScenario.from_prevalence(
+                origin.population, origin.prevalence, link.travelers))
+            tails = np.cumsum(np.where(nus >= 1, probs, 0.0))
+            links.append({
+                "origin": link.origin, "destination": link.destination,
+                "travelers": link.travelers,
+                "expected_imports": expected_imports(link.travelers, origin.prevalence),
+                "rows": records(("nu", "pmf", "tail_sum"), (nus, probs, tails))})
+        report = {"links": links}
+    path.write_text(json.dumps(cli._jsonable({"config": cfg, **report}), indent=2,
+                               sort_keys=True) + "\n")
     return path
 
 
@@ -82,29 +135,58 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def tricky():
+    """``import_dist_small`` with a key, region ids and strings that end in
+    ``: NaN``, as a table's place does in the JSON document the CLI cuts,
+    and links of 16 rows and of one."""
+    cfg = json.loads(fixture_path("import_dist_small").read_text())
+    src, dst = 'r": NaN', "\n: NaN\n"
+    for region, name in zip(cfg["regions"], (src, dst)):
+        region.update(id=name, population=1000)
+    # room at dst's border for the 38 imports the link brings each day
+    cfg["regions"][1]["curves"]["border"]["i_free"] = 1000.0
+    cfg["links"] = [{"origin": src, "destination": dst, "travelers": 15},
+                    {"origin": dst, "destination": src, "travelers": 15}]
+    cfg["dynamics"].update(region=dst, horizon=12, r_grid_step=0.5)
+    cfg["x: NaN"] = "\n: NaN\n"
+    return cfg
+
+
 # 9 grid values over 12 days: 801 rows, 11 a pair, so 7-row chunks split
 # pairs; one day (constants only); a one-value grid; a start level from
-# which some schedules run away
+# which some schedules run away; strings like a JSON table's place
 SCENARIOS = {
     "pairs": quadratic(horizon=12, r_grid_step=0.25),
     "one_day": quadratic(horizon=1, r_grid_step=0.1, target_cases=60.0),
     "one_value": quadratic(horizon=9, r_grid_step=3.0),
     "runaway": {**quadratic(horizon=20, r_grid_step=0.5, target_cases=1e5),
                 "regions": [{**quadratic()["regions"][0], "domestic_cases": 1e6}]},
+    "tricky": tricky(),
 }
+# (command, scenario, workers, format): compare-schedules in both formats,
+# and the simulate and import-dist JSON
+STREAMED = (
+    [pytest.param("compare-schedules", name, workers, "csv", id=f"{name}-{workers}")
+     for name in sorted(SCENARIOS) for workers in (1, 2, 3)]
+    + [pytest.param(command, name, workers, "json", id=f"{command}-{name}-{workers}-json")
+       for command, names in (("compare-schedules", sorted(SCENARIOS)),
+                              ("simulate", ("runaway", "tricky")), ("import-dist", ("tricky",)))
+       for name in names for workers in (1, 2, 3)])
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_streamed_report_same_bytes(name, workers, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, name, workers, fmt", STREAMED)
+def test_streamed_report_same_bytes(command, name, workers, fmt, tmp_path, monkeypatch):
     cfg = SCENARIOS[name]
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
-    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: workers)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: workers)
     out = tmp_path / "out"
-    assert cli.main(["compare-schedules", "--config", write_config(tmp_path, cfg),
-                     "--out", str(out)]) == 0
-    want = reference_compare_csv(tmp_path / "reference.csv", cfg)
-    assert (out / "compare_schedules.csv").read_bytes() == want.read_bytes()
+    assert cli.main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), "--format", fmt]) == 0
+    reference = tmp_path / f"reference.{fmt}"
+    want = (reference_compare_csv(reference, cfg) if fmt == "csv"
+            else reference_json(reference, command, cfg))
+    got = out / f"{command.replace('-', '_')}.{fmt}"
+    assert got.read_bytes() == want.read_bytes()
     assert_no_child_left()
 
 
@@ -183,24 +265,27 @@ def test_scan_summary_over_blocks(data, curves, horizon, r_step, x0, share):
         assert np.array_equal(got.view(np.uint8), want[lo:hi].view(np.uint8))
 
 
-def command_peak(tmp_path, **dynamics):
+def command_peak(tmp_path, fmt="csv", **dynamics):
     """tracemalloc peak of this process over one compare-schedules run."""
     path = write_config(tmp_path, quadratic(**dynamics))
     tracemalloc.start()
     try:
         assert cli.main(["compare-schedules", "--config", path,
-                         "--out", str(tmp_path / "out")]) == 0
+                         "--out", str(tmp_path / "out"), "--format", fmt]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_command_memory_does_not_grow_with_schedules(tmp_path):
-    # 96,801 and 382,401 schedules over 60 days; the whole table of the
-    # larger is 13.8 MB at 36 bytes a schedule
-    small = command_peak(tmp_path, horizon=60, r_grid_step=0.05)
-    large = command_peak(tmp_path, horizon=60, r_grid_step=0.025)
-    assert large < 1.5 * small, f"{small / 1e6:.2f} MB, then {large / 1e6:.2f} MB"
+    # CSV: 96,801 and 382,401 schedules over 60 days; the whole table of
+    # the larger is 13.8 MB at 36 bytes a schedule. JSON, ten times slower
+    # to format: 11,521 and 45,441 schedules over 8 days; its rows held
+    # whole as Python objects peaked at 37 and 145 MB
+    for fmt, horizon in (("csv", 60), ("json", 8)):
+        small = command_peak(tmp_path, fmt, horizon=horizon, r_grid_step=0.05)
+        large = command_peak(tmp_path, fmt, horizon=horizon, r_grid_step=0.025)
+        assert large < 1.5 * small, f"{fmt}: {small / 1e6:.2f} MB, then {large / 1e6:.2f} MB"
     assert_no_child_left()
 
 
@@ -221,12 +306,14 @@ def unreachable_by_any_schedule():
     return cfg
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_no_feasible_schedule_writes_no_report(tmp_path, monkeypatch, capfd, workers):
-    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: workers)
+@pytest.mark.parametrize("workers, fmt", [
+    pytest.param(workers, fmt, id=f"{workers}" + ("-json" if fmt == "json" else ""))
+    for fmt in ("csv", "json") for workers in (1, 2)])
+def test_no_feasible_schedule_writes_no_report(tmp_path, monkeypatch, capfd, workers, fmt):
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: workers)
     path = write_config(tmp_path, unreachable_by_any_schedule())
     assert cli.main(["compare-schedules", "--config", path,
-                     "--out", str(tmp_path / "out")]) == 2
+                     "--out", str(tmp_path / "out"), "--format", fmt]) == 2
     assert capfd.readouterr().err == ("numerical failure: no enumerated schedule "
                                       "reaches the target\n")
     # nor any spooled row: the output directory is empty
@@ -234,9 +321,11 @@ def test_no_feasible_schedule_writes_no_report(tmp_path, monkeypatch, capfd, wor
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("step", ["rows", "format"])
+@pytest.mark.parametrize("step, fmt", [
+    pytest.param(step, fmt, id=step + ("-json" if fmt == "json" else ""))
+    for fmt in ("csv", "json") for step in ("rows", "format")])
 def test_child_failing_at_either_step_is_invariant_violation(tmp_path, monkeypatch,
-                                                             capfd, step):
+                                                             capfd, step, fmt):
     parent = os.getpid()
     if step == "rows":
         rows = ScheduleScan.rows
@@ -248,19 +337,21 @@ def test_child_failing_at_either_step_is_invariant_violation(tmp_path, monkeypat
 
         monkeypatch.setattr(ScheduleScan, "rows", failing)
     else:
-        chunk_text = cli._chunk_text
+        formatter = "_chunk_text" if fmt == "csv" else "_json_chunk"
+        format_chunk = getattr(cli, formatter)
 
-        def failing(columns):
+        def failing(*args):
             if os.getpid() != parent:
                 raise ValueError("formatting failed")
-            return chunk_text(columns)
+            return format_chunk(*args)
 
-        monkeypatch.setattr(cli, "_chunk_text", failing)
-    monkeypatch.setattr(cli, "_csv_workers", lambda n_chunks: 2)
+        monkeypatch.setattr(cli, formatter, failing)
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: 2)
     # the fixture's 12,201 schedules: 3 chunks, one in the child
     out = tmp_path / "out"
     assert cli.main(["compare-schedules", "--config",
-                     str(fixture_path("one_region_quadratic")), "--out", str(out)]) == 3
+                     str(fixture_path("one_region_quadratic")), "--out", str(out),
+                     "--format", fmt]) == 3
     err = capfd.readouterr().err
     assert err.startswith("invariant violation: CSV formatter process ")
     assert err.count("\n") == 1
