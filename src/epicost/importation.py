@@ -153,11 +153,14 @@ def pmf_support(s: ImportScenario) -> tuple[np.ndarray, np.ndarray]:
     The mode is set to 1 and extended outward by the neighbor ratio
     pmf(nu+1)/pmf(nu) = (K-nu)(k-nu) / ((nu+1)(N-K-k+nu+1)); the integer
     products stay below 2**53 for N <= 1e6, so each ratio is exact. The
-    products are then divided by their ``fsum``. Against the
-    correctly-rounded ``hypergeom_pmf``, on 3,000 random scenarios (N
-    log-uniform in 1e2..1e6, K and k uniform), the worst relative error
-    was 1.1e-14 (about 50 ulp, far in a tail, where rounding in the ratio
-    products accumulates) and the sum was 1 within 2.2e-16.
+    ratios and their running products are computed ``_PMF_BLOCK`` values
+    at a time, straight into the result (``_ratio_products``), which is
+    then divided by its ``fsum`` in place; beside the result, only
+    block-sized temporaries are held. Against the correctly-rounded
+    ``hypergeom_pmf``, on 3,000 random scenarios (N log-uniform in
+    1e2..1e6, K and k uniform), the worst relative error was 1.1e-14
+    (about 50 ulp, far in a tail, where rounding in the ratio products
+    accumulates) and the sum was 1 within 2.2e-16.
     """
     n, big_k, k = s.population, s.infected, s.travelers
     lo, hi = s.support
@@ -169,18 +172,39 @@ def pmf_support(s: ImportScenario) -> tuple[np.ndarray, np.ndarray]:
     probs = np.empty(nus.shape[0])
     anchor_idx = mode - lo
     probs[anchor_idx] = 1.0
+    rest = n - big_k - k
+    # pmf(mode + j + 1) and pmf(mode - j - 1) for j = 0, 1, ..., over pmf(mode)
+    _ratio_products(probs[anchor_idx + 1:], mode, 1,
+                    lambda nu: ((big_k - nu) * (k - nu)) / ((nu + 1.0) * (rest + nu + 1.0)))
+    _ratio_products(probs[:anchor_idx][::-1], mode, -1,
+                    lambda nu: (nu * (rest + nu)) / ((big_k - nu + 1.0) * (k - nu + 1.0)))
+    probs /= fsum(probs)
+    return nus, probs
 
-    up = np.arange(mode, hi, dtype=np.float64)
-    if up.shape[0]:
-        ratios = ((big_k - up) * (k - up)) / ((up + 1.0) * (n - big_k - k + up + 1.0))
-        probs[anchor_idx + 1:] = np.cumprod(ratios)
 
-    down = np.arange(mode, lo, -1, dtype=np.float64)
-    if down.shape[0]:
-        ratios = (down * (n - big_k - k + down)) / ((big_k - down + 1.0) * (k - down + 1.0))
-        probs[anchor_idx - 1::-1] = np.cumprod(ratios)
+# values of the pmf's neighbor ratios computed per step of _ratio_products
+_PMF_BLOCK = 4096
 
-    return nus, probs / fsum(probs)
+
+def _ratio_products(out: np.ndarray, first: int, step: int, ratio) -> None:
+    """Fill ``out[j]`` with the running product of ``ratio(nu)`` over
+    ``nu = first, first + step, ..., first + j * step``.
+
+    Each block of ``_PMF_BLOCK`` values is evaluated into its slice of
+    ``out`` and multiplied through in place, its first value times the
+    last product of the block before. ``np.cumprod`` multiplies in order,
+    so the products are those of one ``np.cumprod`` over every value, bit
+    for bit.
+    """
+    carry = 1.0
+    for lo in range(0, out.shape[0], _PMF_BLOCK):
+        block = out[lo:lo + _PMF_BLOCK]
+        start = first + lo * step
+        nu = np.arange(start, start + block.shape[0] * step, step, dtype=np.float64)
+        block[...] = ratio(nu)
+        block[0] *= carry
+        np.cumprod(block, out=block)
+        carry = block[-1]
 
 
 def import_tail_sum(s: ImportScenario, n: int) -> float:
@@ -263,3 +287,29 @@ def sample_imports(s: ImportScenario, seed: int, trials: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.hypergeometric(s.infected, s.population - s.infected,
                               s.travelers, size=trials)
+
+
+# draws made per step of sample_counts
+_DRAW_BLOCK = 4096
+
+
+def sample_counts(s: ImportScenario, seed: int, trials: int) -> np.ndarray:
+    """Monte Carlo counts of each support value, ``lo .. hi``, over ``trials`` trials.
+
+    The draws are those of ``sample_imports(s, seed, trials)``, made
+    ``_DRAW_BLOCK`` at a time from the same generator (numpy's
+    hypergeometric sampler gives the same stream in blocks as in one
+    call) and added into the counts, so memory is the support's and a
+    block's, not a trial's.
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    lo, hi = s.support
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for done in range(0, trials, _DRAW_BLOCK):
+        draws = rng.hypergeometric(s.infected, s.population - s.infected, s.travelers,
+                                   size=min(_DRAW_BLOCK, trials - done))
+        draws -= lo
+        np.add.at(counts, draws, 1)
+    return counts

@@ -118,10 +118,12 @@ def test_coded_text_and_range_columns(n_rows, tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
-# the import-dist table of the scenario below holds 28 bytes a row (three
-# numeric columns and an int32 link code); a str per row for origin and
-# destination held 144
-IMPORT_TABLE_BYTES_PER_ROW = 32
+# the import-dist table of the scenario below holds 16.2 bytes a row: the
+# pmf and the tail sums of each link; each chunk computes its nu column
+# and its link codes. A whole table of columns held 28 bytes a row (three
+# numeric columns and an int32 link code), and a str per row for origin
+# and destination 144
+IMPORT_TABLE_BYTES_PER_ROW = 17
 
 
 def test_import_dist_table_holds_no_string_per_row():
@@ -137,12 +139,44 @@ def test_import_dist_table_holds_no_string_per_row():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    origin, destination, nus = table.columns[:3]
+    rows = table.columns
+    assert isinstance(rows, cli._Rows) and rows.n == 40_002
+    # a chunk across the boundary: the last 3 rows of the first link, the
+    # first 4 of the second
+    origin, destination, nus, probs, tails = rows.chunk(19_998, 20_005)
     assert origin.values.tolist() == ["src", "dst"]
     assert destination.values.tolist() == ["dst", "src"]
     assert origin.codes is destination.codes
-    assert origin.codes.tolist() == [0] * 20_001 + [1] * 20_001 and len(nus) == 40_002
-    assert held / len(nus) < IMPORT_TABLE_BYTES_PER_ROW, f"{held / len(nus):.1f} B a row"
+    assert origin.codes.tolist() == [0] * 3 + [1] * 4
+    assert nus.tolist() == [19_998, 19_999, 20_000, 0, 1, 2, 3]
+    assert probs.shape == tails.shape == (7,)
+    assert held / rows.n < IMPORT_TABLE_BYTES_PER_ROW, f"{held / rows.n:.1f} B a row"
+
+
+def import_dist_peak(scenario, trials, path):
+    """tracemalloc peak of the import-dist handler and writer over one run."""
+    tracemalloc.start()
+    try:
+        report, _ = cli.cmd_import_dist(scenario, "csv", Namespace(mc_trials=trials))
+        cli._write_report(path, "csv", report, scenario.raw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_import_dist_memory_does_not_grow_with_trials(tmp_path):
+    # one link of 3,001 support values: about 0.42 MB at 1e4 trials and at
+    # 1e6 alike; an array of the draws held 8 bytes a trial, 8 MB at 1e6
+    cfg = json.loads(fixture_path("import_dist_small").read_text())
+    for region in cfg["regions"]:
+        region.update(population=10**6, prevalence=0.1)
+    cfg["links"] = [{"origin": "src", "destination": "dst", "travelers": 3_000}]
+    scenario = parse_config(cfg)
+    path = tmp_path / "import_dist.csv"
+    import_dist_peak(scenario, 10**4, path)   # the first run imports the sampler
+    small = import_dist_peak(scenario, 10**4, path)
+    large = import_dist_peak(scenario, 10**6, path)
+    assert large < 1.1 * small, f"{small / 1e6:.2f} MB, then {large / 1e6:.2f} MB"
 
 
 # tracemalloc peak inside _write_report for the table below was 2.0 MB before the

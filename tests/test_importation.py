@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from epicost.errors import DomainError, NumericalFailure
 from epicost.importation import (ImportScenario, SourceProfile, approx_tail_sum,
                                  expected_imports, expected_imports_multi,
                                  hypergeom_mean, hypergeom_pmf, import_tail_sum,
-                                 pmf_support, sample_imports)
+                                 pmf_support, sample_counts, sample_imports)
 
 
 def enumerate_pmf(n, big_k, k):
@@ -205,6 +206,43 @@ class TestRenormalisedPmf:
         assert_matches_scipy(s, nus, probs)
 
 
+def whole_array_pmf(s):
+    """``pmf_support`` as one whole-array formula: each side's neighbor
+    ratios in one array, one ``np.cumprod`` a side, one division by the
+    ``fsum``."""
+    n, big_k, k = s.population, s.infected, s.travelers
+    lo, hi = s.support
+    nus = np.arange(lo, hi + 1, dtype=np.int64)
+    if lo == hi:
+        return nus, np.ones(1)
+    mode = min(max((k + 1) * (big_k + 1) // (n + 2), lo), hi)
+    probs = np.empty(nus.shape[0])
+    anchor_idx = mode - lo
+    probs[anchor_idx] = 1.0
+    up = np.arange(mode, hi, dtype=np.float64)
+    if up.shape[0]:
+        ratios = ((big_k - up) * (k - up)) / ((up + 1.0) * (n - big_k - k + up + 1.0))
+        probs[anchor_idx + 1:] = np.cumprod(ratios)
+    down = np.arange(mode, lo, -1, dtype=np.float64)
+    if down.shape[0]:
+        ratios = (down * (n - big_k - k + down)) / ((big_k - down + 1.0) * (k - down + 1.0))
+        probs[anchor_idx - 1::-1] = np.cumprod(ratios)
+    return nus, probs / math.fsum(probs)
+
+
+class TestBlockedPmf:
+    # a block of one value costs about 9 us a value: 40 examples take 4 s
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(s=scenarios())
+    def test_blocks_give_the_whole_array_bits(self, s):
+        want_nus, want = whole_array_pmf(s)
+        for block in (1, 3, 4096):
+            with mock.patch.object(importation, "_PMF_BLOCK", block):
+                nus, probs = pmf_support(s)
+            assert np.array_equal(nus, want_nus)
+            assert probs.tobytes() == want.tobytes(), f"block {block}"
+
+
 class TestTailSums:
     def test_matches_enumeration(self):
         s = ImportScenario(10, 2, 3)
@@ -360,5 +398,21 @@ class TestMonteCarlo:
             assert abs(freq - p) <= 4 * se
 
     def test_trials_validated(self):
-        with pytest.raises(DomainError):
-            sample_imports(ImportScenario(10, 2, 3), seed=1, trials=0)
+        for sample in (sample_imports, sample_counts):
+            with pytest.raises(DomainError):
+                sample(ImportScenario(10, 2, 3), seed=1, trials=0)
+
+    @pytest.mark.parametrize("s", [ImportScenario(1000, 300, 200),
+                                   ImportScenario(10**6, 5 * 10**4, 10**5),
+                                   ImportScenario(50, 0, 7), ImportScenario(50, 50, 7),
+                                   ImportScenario(50, 40, 30)],
+                             ids=["small", "large", "K=0", "K=N", "lo>0"])
+    def test_counts_are_the_per_trial_draws_counted(self, s):
+        # the blocked draws are the one-call stream, block edges included
+        block = importation._DRAW_BLOCK
+        lo, hi = s.support
+        for trials in (1, block - 1, block, block + 1, 100_003):
+            counts = sample_counts(s, seed=17, trials=trials)
+            want = np.bincount(sample_imports(s, seed=17, trials=trials), minlength=hi + 1)
+            assert counts.dtype == want.dtype
+            assert np.array_equal(counts, want[lo:]), trials

@@ -3,7 +3,7 @@
 Criterion 11 compares two runs of the same code; this test compares the
 current code with recorded sha256 digests of every bundled-fixture report,
 of ``optimize`` and ``game`` reports under ``--grid`` and ``--tol``, and
-of three larger reports from variants of the fixtures that span many
+of four larger reports from variants of the fixtures that span many
 chunks of the report writer, in CSV and in JSON.
 A change that moves a float in any report must update the digest here and
 say in CHANGES.md which value moved and why. Digests were recorded with
@@ -61,6 +61,11 @@ VARIANTS = {
     "import_dist_small[population=100000,travelers=10000]": (
         "import_dist_small", {"regions": {"population": 100000},
                               "links": {"travelers": 10000}}),
+    # two links of 6,001 rows: the second starts inside the second chunk,
+    # and 10,000 trials take three blocks of draws
+    "two_region_symmetric[population=100000,travelers=6000]": (
+        "two_region_symmetric", {"regions": {"population": 100000},
+                                 "links": {"travelers": 6000}}),
 }
 # --grid and --tol laid over each file's solver block
 JOBS += [(fixture, command, ("--grid", "501", "--tol", "1e-4"))
@@ -73,7 +78,9 @@ JOBS += [(fixture, command, ("--grid", "501", "--tol", "1e-4"))
 JOBS += [("one_region_quadratic[r_grid_step=0.05,horizon=60]", "compare-schedules", ()),
          ("one_region_quadratic[horizon=40]", "compare-schedules", ("--format", "json")),
          ("import_dist_small[population=100000,travelers=10000]", "import-dist",
-          ("--mc-trials", "2000", "--seed", "7"))]
+          ("--mc-trials", "2000", "--seed", "7")),
+         ("two_region_symmetric[population=100000,travelers=6000]", "import-dist",
+          ("--mc-trials", "10000", "--seed", "7"))]
 
 
 def job_id(job) -> str:
@@ -400,6 +407,11 @@ EXPECTED = {
     '--mc-trials 2000 --seed 7': {
         'import_dist.csv':
             'd24a70dc0a680161e0485e6991df2e14dbe92dffaf5cb12983d4b1a73b72b95e',
+    },
+    'two_region_symmetric[population=100000,travelers=6000] import-dist '
+    '--mc-trials 10000 --seed 7': {
+        'import_dist.csv':
+            '3a8e4e00b7ced8c9e558cb860e8ba57bc2f8ac713a0c6381fbb99acb96219d9d',
     },
     'one_region_quadratic[horizon=40] compare-schedules --format json': {
         'compare_schedules.json':

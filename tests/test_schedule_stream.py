@@ -4,8 +4,10 @@ The CLI computes each chunk's rows, and their part of the summary, in the
 process that formats the chunk, and spools the formatted rows until the
 summary that the report needs is known. These tests check the bytes, in
 CSV and JSON, against the report written from
-``compare_monotone_vs_relax``'s full columns (and the ``simulate`` and
-``import-dist`` JSON against one ``json.dumps`` of the whole document),
+``compare_monotone_vs_relax``'s full columns (the ``import-dist`` CSV
+against one ``csv.writer`` row per support value of each link, and the
+``simulate`` and ``import-dist`` JSON against one ``json.dumps`` of the
+whole document),
 the chunk-wise verdicts against one argmin over every row, the memory of
 the whole command, and its exit paths.
 """
@@ -26,7 +28,7 @@ from epicost.config import parse_config
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.errors import NumericalFailure
 from epicost.fixtures import fixture_path, quadratic_set
-from epicost.importation import ImportScenario, expected_imports, pmf_support
+from epicost.importation import ImportScenario, expected_imports, pmf_support, sample_imports
 from epicost.trajectory import (DynamicsParams, ScheduleRows, ScheduleScan,
                                 compare_monotone_vs_relax, simulate, summarize)
 
@@ -73,12 +75,42 @@ def reference_compare_csv(path, cfg):
     return path
 
 
+def reference_import_columns(scenario, trials):
+    """Each link and its whole ``nu, pmf, tail_sum`` columns, and
+    ``mc_freq`` counted from every per-trial draw if ``trials``."""
+    for link in scenario.links:
+        origin = scenario.region(link.origin)
+        imports = ImportScenario.from_prevalence(origin.population, origin.prevalence,
+                                                 link.travelers)
+        nus, probs = pmf_support(imports)
+        columns = [nus, probs, np.cumsum(np.where(nus >= 1, probs, 0.0))]
+        if trials:
+            draws = sample_imports(imports, scenario.solver.seed, trials)
+            columns.append(np.bincount(draws, minlength=int(nus[-1]) + 1)[nus] / trials)
+        yield link, columns
+
+
+def reference_import_csv(path, cfg, trials):
+    """The import-dist report as the CLI wrote it from whole columns: one
+    ``csv.writer`` row per support value of each link."""
+    header = ["origin", "destination", "nu", "pmf", "tail_sum"] + (["mc_freq"] if trials else [])
+    with open(path, "w", newline="") as fh:
+        fh.write("# config: " + json.dumps(cli._jsonable(cfg), sort_keys=True,
+                                           separators=(",", ":")) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for link, columns in reference_import_columns(parse_config(cfg), trials):
+            for row in zip(*(col.tolist() for col in columns)):
+                writer.writerow([link.origin, link.destination, *map(cli._cell, row)])
+    return path
+
+
 def records(header, columns):
     """One dict per row of a table given as numpy columns."""
     return [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
 
 
-def reference_json(path, command, cfg):
+def reference_json(path, command, cfg, trials=0):
     """The JSON report as the CLI wrote it whole: each table a list of row
     dicts, the document one ``json.dumps``."""
     scenario = parse_config(cfg)
@@ -101,18 +133,14 @@ def reference_json(path, command, cfg):
                   "final_cases": traj.final_cases,
                   "cumulative_cost": traj.cumulative_cost}
     else:
-        links = []
-        for link in scenario.links:
-            origin = scenario.region(link.origin)
-            nus, probs = pmf_support(ImportScenario.from_prevalence(
-                origin.population, origin.prevalence, link.travelers))
-            tails = np.cumsum(np.where(nus >= 1, probs, 0.0))
-            links.append({
-                "origin": link.origin, "destination": link.destination,
-                "travelers": link.travelers,
-                "expected_imports": expected_imports(link.travelers, origin.prevalence),
-                "rows": records(("nu", "pmf", "tail_sum"), (nus, probs, tails))})
-        report = {"links": links}
+        header = ("nu", "pmf", "tail_sum", "mc_freq")
+        report = {"links": [{
+            "origin": link.origin, "destination": link.destination,
+            "travelers": link.travelers,
+            "expected_imports": expected_imports(
+                link.travelers, scenario.region(link.origin).prevalence),
+            "rows": records(header[:len(columns)], columns)}
+            for link, columns in reference_import_columns(scenario, trials)]}
     path.write_text(json.dumps(cli._jsonable({"config": cfg, **report}), indent=2,
                                sort_keys=True) + "\n")
     return path
@@ -152,6 +180,21 @@ def tricky():
     return cfg
 
 
+def three_links():
+    """``import_dist_small`` with a third region and three links of 11, 5
+    and 6 support values, the last from nu = 45: 7-row chunks cut each
+    link and two chunks span two links."""
+    cfg = json.loads(fixture_path("import_dist_small").read_text())
+    far = {**cfg["regions"][0], "id": "far", "population": 100, "prevalence": 0.5}
+    cfg["regions"].append(far)
+    for region, prevalence in zip(cfg["regions"], (0.02, 0.004)):
+        region.update(population=1000, prevalence=prevalence)
+    cfg["links"] = [{"origin": "src", "destination": "dst", "travelers": 10},
+                    {"origin": "dst", "destination": "far", "travelers": 50},
+                    {"origin": "far", "destination": "src", "travelers": 95}]
+    return cfg
+
+
 # 9 grid values over 12 days: 801 rows, 11 a pair, so 7-row chunks split
 # pairs; one day (constants only); a one-value grid; a start level from
 # which some schedules run away; strings like a JSON table's place
@@ -162,29 +205,41 @@ SCENARIOS = {
     "runaway": {**quadratic(horizon=20, r_grid_step=0.5, target_cases=1e5),
                 "regions": [{**quadratic()["regions"][0], "domestic_cases": 1e6}]},
     "tricky": tricky(),
+    "three_links": three_links(),
 }
-# (command, scenario, workers, format): compare-schedules in both formats,
-# and the simulate and import-dist JSON
+# Monte Carlo trials of import-dist, past one block of draws
+MC_TRIALS = {"three_links": 5000}
+SCHEDULE_SCENARIOS = sorted(set(SCENARIOS) - {"three_links"})
+# (command, scenario, workers, format): compare-schedules and import-dist
+# in both formats, and the simulate JSON
 STREAMED = (
     [pytest.param("compare-schedules", name, workers, "csv", id=f"{name}-{workers}")
-     for name in sorted(SCENARIOS) for workers in (1, 2, 3)]
+     for name in SCHEDULE_SCENARIOS for workers in (1, 2, 3)]
+    + [pytest.param("import-dist", name, workers, "csv", id=f"import-dist-{name}-{workers}")
+       for name in ("three_links",) for workers in (1, 2, 3)]
     + [pytest.param(command, name, workers, "json", id=f"{command}-{name}-{workers}-json")
-       for command, names in (("compare-schedules", sorted(SCENARIOS)),
-                              ("simulate", ("runaway", "tricky")), ("import-dist", ("tricky",)))
+       for command, names in (("compare-schedules", SCHEDULE_SCENARIOS),
+                              ("simulate", ("runaway", "tricky")),
+                              ("import-dist", ("tricky", "three_links")))
        for name in names for workers in (1, 2, 3)])
 
 
 @pytest.mark.parametrize("command, name, workers, fmt", STREAMED)
 def test_streamed_report_same_bytes(command, name, workers, fmt, tmp_path, monkeypatch):
-    cfg = SCENARIOS[name]
+    cfg, trials = SCENARIOS[name], MC_TRIALS.get(name, 0)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(cli, "_workers", lambda n_chunks: workers)
     out = tmp_path / "out"
     assert cli.main([command, "--config", write_config(tmp_path, cfg),
-                     "--out", str(out), "--format", fmt]) == 0
+                     "--out", str(out), "--format", fmt,
+                     *(("--mc-trials", str(trials)) if trials else ())]) == 0
     reference = tmp_path / f"reference.{fmt}"
-    want = (reference_compare_csv(reference, cfg) if fmt == "csv"
-            else reference_json(reference, command, cfg))
+    if fmt == "json":
+        want = reference_json(reference, command, cfg, trials)
+    elif command == "import-dist":
+        want = reference_import_csv(reference, cfg, trials)
+    else:
+        want = reference_compare_csv(reference, cfg)
     got = out / f"{command.replace('-', '_')}.{fmt}"
     assert got.read_bytes() == want.read_bytes()
     assert_no_child_left()
