@@ -1,30 +1,19 @@
 """Hot numeric kernels, one numpy implementation each.
 
-The optimizer grid, the trajectory simulator and the schedule scan run
-here. The cost formulas themselves live on the curves in ``costs``
-(``cost_arr``), so each kernel takes curve objects and combines them.
-``policy_cost_grid`` takes arrays of any shape. The schedule scan
+The trajectory simulator and the schedule scan run here; the optimizers
+and the shape gate are scalar code and do not use this module. The cost
+formulas themselves live on the curves in ``costs`` (``cost_arr``), so
+each kernel takes curve objects and combines them. The schedule scan
 (``TwoSegmentScan``) holds the constant-R prefixes of its schedules only:
 the rows of any range are computed when they are asked for, so no caller
-need hold the whole table.
+need hold the whole table. This is the one module that imports numpy when
+it is imported; the others import it, and this module, inside the
+functions that make arrays.
 
 Kernels assume domain-valid inputs; validation lives in the calling modules.
 """
 
 import numpy as np
-
-
-def policy_cost_grid(t, base_cases, import_scale, curves):
-    """Transmission-plus-border cost along a policy axis.
-
-    Case load is ``base_cases + alpha * import_scale * t`` and the border
-    curve is evaluated at ``import_scale * t``. With ``base_cases=0,
-    import_scale=1`` the axis is the import level itself; with
-    ``base_cases=x, import_scale=I`` it is the screening factor.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    cases = base_cases + curves.import_multiplier * import_scale * t
-    return curves.transmission.cost_arr(cases) + curves.border.cost_arr(import_scale * t)
 
 
 def simulate_cases(x0, r_seq, imports_seq, alpha):

@@ -22,16 +22,22 @@ the rows of the chunks it formats from the schedule scan, with their part
 of the summary, and the report is written once the summary is known. The
 ``import-dist`` table holds each link's pmf, tail sums and Monte Carlo
 counts, one value each per support value; a chunk's ``nu`` values, link
-codes and frequencies are made when it is formatted.
+codes and frequencies are made when it is formatted. numpy is imported
+inside the handlers and formatters that make arrays, so ``game``,
+``optimize`` and ``validate``, whose tables are tuples of Python values,
+run without it.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 runtime
 invariant violation.
 """
 
+from __future__ import annotations
+
 import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -39,8 +45,6 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .costs import validate_curve_set
@@ -56,7 +60,6 @@ _CHUNK_ROWS = 4096
 _SLICE_ROWS = 512
 # characters copied per step from the spool to the report
 _COPY_CHARS = 1 << 16
-_BOOL_CELLS = np.array(["false", "true"], dtype=object)
 # largest accepted --mc-trials: sampling keeps a count per support value, not
 # a draw per trial, so the cap bounds time, not memory: the largest
 # perfbench imports job (three links, up to 100,000 travellers) took 20 s
@@ -77,30 +80,40 @@ def _sig(v: float) -> float:
     return float(f"{float(v):.12g}")
 
 
+def _numpy_scalar(v) -> bool:
+    """Whether ``v`` is a numpy scalar (told without importing numpy); its
+    ``item()`` is the Python value it holds."""
+    return type(v).__module__ == "numpy"
+
+
 def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         return f"{float(v):.12g}"
+    if _numpy_scalar(v):
+        return _cell(v.item())
     return str(v)
 
 
 def _jsonable(obj):
     if isinstance(obj, _Table):
-        return np.nan   # the table's place in a JSON report (_frame)
+        return math.nan   # the table's place in a JSON report (_frame)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         v = float(obj)
-        return _sig(v) if np.isfinite(v) else _cell(v)  # "inf"/"nan" as strings
+        return _sig(v) if math.isfinite(v) else _cell(v)  # "inf"/"nan" as strings
+    if _numpy_scalar(obj):
+        return _jsonable(obj.item())
     return obj
 
 
@@ -136,6 +149,8 @@ def _column_format(column):
     cells; any other column is text.
     """
     if isinstance(column, _Coded):
+        import numpy as np
+
         used = np.bincount(column.codes) > 0
         codes = np.cumsum(used)[column.codes] - 1   # a code's index among the used
         fmt, take = _column_format(column.values[:used.shape[0]][used])
@@ -143,9 +158,12 @@ def _column_format(column):
         return "%s", lambda rows: cells.take(codes[rows]).tolist()
     if isinstance(column, range):
         return "%d", lambda rows: list(column[rows])
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    kind = column.dtype.kind if hasattr(column, "dtype") else "O"   # an ndarray's
     if kind == "b":
-        return "%s", lambda rows: _BOOL_CELLS.take(column[rows].view(np.uint8)).tolist()
+        import numpy as np
+
+        cells = np.array(["false", "true"], dtype=object)
+        return "%s", lambda rows: cells.take(column[rows].view(np.uint8)).tolist()
     if kind in "fiu":
         return ("%.12g" if kind == "f" else "%d"), lambda rows: column[rows].tolist()
     return "%s", lambda rows: [_quote(_cell(v)) for v in column[rows]]
@@ -204,7 +222,7 @@ def _listed(column) -> list:
     """A column's values as Python objects, a ``_Coded`` column's by code."""
     if isinstance(column, _Coded):
         column = column.values[column.codes]
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 def _json_chunk(header, columns, depth: int, lo: int) -> str:
@@ -375,6 +393,8 @@ def cmd_validate(cfg: ScenarioConfig, fmt: str, args):
 
 
 def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
+    import numpy as np
+
     if not cfg.links:
         raise ConfigError(["links: import-dist needs at least one travel link"])
     trials = args.mc_trials
@@ -431,6 +451,8 @@ def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> 
     """One link's ``nu, pmf, tail_sum`` rows, and ``mc_freq`` over
     ``trials`` Monte Carlo trials if any; it holds the pmf, its tail sums
     and the counts, each one value per support value."""
+    import numpy as np
+
     _, probs = pmf_support(scenario)
     first = scenario.support[0]
     # the tail sums leave out nu = 0
@@ -526,6 +548,8 @@ def cmd_game(cfg: ScenarioConfig, fmt: str, args):
 
 
 def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
+    import numpy as np
+
     region = cfg.dynamics_region()
     schedule = cfg.dynamics.schedule()
     link = cfg.inbound_link(region.name)

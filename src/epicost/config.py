@@ -19,8 +19,10 @@ from .game import MAX_ITERATIONS, NASH_TOL, RegionLookup, RegionState, TravelLin
 from .optimize import FOC_TOL, GRID_POINTS
 from .trajectory import DynamicsParams, PolicySchedule
 
-# largest accepted solver.grid_points (and --grid): the optimizers peak near
-# 49 bytes per grid point, so a run stays under about 0.5 GB
+# largest accepted solver.grid_points (and --grid): the optimizer grid is
+# scalar code holding 8 bytes a point, so the cap bounds time, not memory:
+# optimize --grid 10000000 on boundary_trio (seven solves) took 55 s in
+# 93 MB peak RSS on a 2-core Xeon
 MAX_GRID_POINTS = 10_000_000
 # largest accepted dynamics.horizon: simulate costs about 1 us a day and a
 # one-value-grid compare-schedules about 6 us a day, so neither passes 1 s

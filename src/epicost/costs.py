@@ -9,15 +9,18 @@ convex because the last travelers are the most essential; outbreak burden
 starts at zero and grows with cases.
 
 All curves are immutable and evaluations are pure, so concurrent use is
-safe. Each curve writes its formula for one point (``cost``) and, next to
-it, for a numpy array of any shape (``cost_arr``).
+safe. Each curve writes its formula for one point (``cost``); the
+transmission and outbreak curves, which the trajectory kernels cost a day
+of many schedules at a time, write it next to that for a numpy array of
+any shape (``cost_arr``). The optimizers and the shape gate use ``cost``
+only, so they import no numpy.
 """
+
+from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DomainError, KinkAmbiguityError
 
@@ -103,6 +106,8 @@ class TransmissionCost:
         numpy's array ``**`` may differ from the scalar ``**`` in the last
         place for a non-integer exponent; every other operation is the same.
         """
+        import numpy as np
+
         x = np.asarray(x, dtype=np.float64)
         cap = self.tti_capacity
         if cap == math.inf:   # no load is over: min(x, cap) is x
@@ -179,12 +184,6 @@ class BorderCost:
                 f"import level must lie in [0, {self.i_free}], got {imports}")
         return self.b0 * (1.0 - imports / self.i_free) ** self.curvature
 
-    def cost_arr(self, imports: np.ndarray) -> np.ndarray:
-        """``cost`` elementwise, without the domain check (see TransmissionCost)."""
-        imports = np.asarray(imports, dtype=np.float64)
-        slack = np.maximum(1.0 - imports / self.i_free, 0.0)
-        return self.b0 * slack**self.curvature
-
     def marginal(self, imports: float, side: str | None = None) -> float:
         if not 0 <= imports <= self.i_free:
             raise DomainError(
@@ -217,6 +216,8 @@ class OutbreakCost:
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
         """``cost`` elementwise, without the domain check (see TransmissionCost)."""
+        import numpy as np
+
         return _power_arr(np.array(x, dtype=np.float64), self.exponent, self.per_case)
 
     def marginal(self, x: float, side: str | None = None) -> float:
@@ -297,18 +298,28 @@ class ShapeReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _strictly_monotone(values: np.ndarray, increasing: bool) -> bool:
+def _linspace(stop: float, n: int) -> list[float]:
+    """The points of ``np.linspace(0.0, stop, n)``: ``i * step``, ``stop`` last."""
+    if n < 2:
+        return [0.0] * n
+    step = stop / (n - 1)
+    return [i * step for i in range(n - 1)] + [stop]
+
+
+def _strictly_monotone(values: list[float], increasing: bool) -> bool:
     # neighbours are compared, not differenced: inf - inf would be nan
-    before, after = values[:-1], values[1:]
-    return bool(np.all(after > before) if increasing else np.all(after < before))
+    pairs = zip(values, values[1:])
+    return all(after > before if increasing else after < before for before, after in pairs)
 
 
 def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeReport:
     """Sample every curve on a grid and report pass/fail per shape invariant.
 
-    A curve with any sampled cost that is not finite (past float range, or
-    nan) gets a failing ``<curve>.finite`` check (present only then), even
-    at the last sample alone; its shape checks judge the finite samples.
+    Each curve's scalar ``cost`` is sampled at ``grid_points`` evenly
+    spaced points (``_linspace``). A curve with any sampled cost that is
+    not finite (past float range, or nan) gets a failing
+    ``<curve>.finite`` check (present only then), even at the last sample
+    alone; its shape checks judge the finite samples.
     """
     ct, cb, co = curves.transmission, curves.border, curves.outbreak
     checks = []
@@ -318,16 +329,14 @@ def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeRe
 
     def sample(name, curve, stop):
         # costs on [0, stop]; any inf or nan among them fails "<name>.finite"
-        with np.errstate(over="ignore", invalid="ignore"):
-            at = np.linspace(0.0, stop, grid_points)
-            values = curve.cost_arr(at)
-        finite = np.isfinite(values)
-        if not finite.all():
-            first = np.flatnonzero(~finite)[0]
-            what = "is nan" if np.isnan(values[first]) else "overflows float range"
+        at = _linspace(stop, grid_points)
+        values = [curve.cost(x) for x in at]
+        first = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+        if first is not None:
+            what = "is nan" if math.isnan(values[first]) else "overflows float range"
             add(f"{name}.finite", False,
                 f"sampled cost {what} from {at[first]:g} on [0, {stop:g}]", name)
-        return values[finite]
+        return [v for v in values if math.isfinite(v)]
 
     horizon = max(1.0, curves.import_multiplier * cb.i_free)
     if 0 < ct.tti_capacity < math.inf:
@@ -358,14 +367,16 @@ def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeRe
         f"sampled on [0, {cb.i_free:g}]", "border")
     add("border.open_zero", abs(cb_vals[-1]) <= 1e-12,
         f"cost at free-travel level is {cb_vals[-1]:g}", "border.i_free")
-    second = np.diff(cb_vals, 2)
-    add("border.convex", bool(np.all(second >= -1e-9 * max(1.0, cb.b0))),
+    # second differences, as np.diff(cb_vals, 2) takes them
+    rises = [b - a for a, b in zip(cb_vals, cb_vals[1:])]
+    floor = -1e-9 * max(1.0, cb.b0)
+    add("border.convex", all(b - a >= floor for a, b in zip(rises, rises[1:])),
         "second differences nonnegative on a uniform grid", "border.curvature")
 
     co_vals = sample("outbreak", co, horizon)
     add("outbreak.zero_at_zero", co_vals[0] == 0.0,
         f"burden at zero cases is {co_vals[0]:g}", "outbreak.per_case")
-    add("outbreak.nondecreasing", bool(np.all(co_vals[1:] >= co_vals[:-1])),
+    add("outbreak.nondecreasing", all(b >= a for a, b in zip(co_vals, co_vals[1:])),
         f"sampled on [0, {horizon:g}]", "outbreak")
 
     return ShapeReport(tuple(checks))

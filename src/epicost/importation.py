@@ -17,13 +17,13 @@ in float64 for N <= 1e6, and divides by the sum. Its values stay within
 sum to 1 within an ulp.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, fsum, isfinite
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DomainError, NumericalFailure
 
@@ -89,6 +89,8 @@ _COMB_MAX = 2_000
 @lru_cache(maxsize=1)
 def _primes_upto(n: int) -> np.ndarray:
     """The primes up to ``n`` (a sieve of Eratosthenes), as int64."""
+    import numpy as np
+
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -121,6 +123,8 @@ def _exact_pmf_float(s: ImportScenario, nu: int) -> float:
     if n > _SIEVE_MAX or min(k, n - k) <= _COMB_MAX:
         num = comb(big_k, nu) * comb(n - big_k, k - nu)
         return num / comb(n, k)
+    import numpy as np
+
     primes = _primes_upto(n)
     factorials = ((1, big_k), (1, n - big_k), (1, k), (1, n - k), (-1, nu),
                   (-1, big_k - nu), (-1, k - nu), (-1, n - big_k - k + nu), (-1, n))
@@ -162,6 +166,8 @@ def pmf_support(s: ImportScenario) -> tuple[np.ndarray, np.ndarray]:
     (about 50 ulp, far in a tail, where rounding in the ratio products
     accumulates) and the sum was 1 within 2.2e-16.
     """
+    import numpy as np
+
     n, big_k, k = s.population, s.infected, s.travelers
     lo, hi = s.support
     nus = np.arange(lo, hi + 1, dtype=np.int64)
@@ -196,6 +202,8 @@ def _ratio_products(out: np.ndarray, first: int, step: int, ratio) -> None:
     so the products are those of one ``np.cumprod`` over every value, bit
     for bit.
     """
+    import numpy as np
+
     carry = 1.0
     for lo in range(0, out.shape[0], _PMF_BLOCK):
         block = out[lo:lo + _PMF_BLOCK]
@@ -284,6 +292,8 @@ def sample_imports(s: ImportScenario, seed: int, trials: int) -> np.ndarray:
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return rng.hypergeometric(s.infected, s.population - s.infected,
                               s.travelers, size=trials)
@@ -304,6 +314,8 @@ def sample_counts(s: ImportScenario, seed: int, trials: int) -> np.ndarray:
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    import numpy as np
+
     lo, hi = s.support
     counts = np.zeros(hi - lo + 1, dtype=np.int64)
     rng = np.random.default_rng(seed)

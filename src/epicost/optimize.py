@@ -1,20 +1,19 @@
 """Single-region cost minimization over import level or screening factor.
 
 The solver is a deterministic coarse grid bracket followed by golden-section
-refinement; derivative-based root finding is avoided because the
-transmission curve may carry a kink (and a level jump) at its breakdown
-point. Results are classified as interior or pinned to a boundary via
-one-sided marginals, mirroring the first-order-condition cases: fully open
-when accepting all imports is cheaper at the margin, fully closed when the
-first import already costs more than it saves.
+refinement, both in scalar code on the curves' ``cost`` (no numpy);
+derivative-based root finding is avoided because the transmission curve
+may carry a kink (and a level jump) at its breakdown point. Results are
+classified as interior or pinned to a boundary via one-sided marginals,
+mirroring the first-order-condition cases: fully open when accepting all
+imports is cheaper at the margin, fully closed when the first import
+already costs more than it saves.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .costs import CostBreakdown, CostCurveSet
 from .errors import DomainError, NumericalFailure
 
@@ -94,7 +93,9 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
 
     At axis point t the case load is ``base_cases + alpha * scale * t`` and
     the border curve is evaluated at ``scale * t``; the objective is
-    ``curves.breakdown(load, scale * t).objective``. A grid bracket is
+    ``ct.cost(load) + cb.cost(scale * t)``, which is
+    ``curves.breakdown(load, scale * t).objective``. The grid and the
+    golden section both evaluate it in scalar code. A grid bracket is
     refined by golden section, then classified as interior or pinned to a
     boundary by the one-sided marginals (+inf right of a level jump). The
     grid winner is re-costed by the objective before it is compared with
@@ -114,7 +115,7 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
     rate = curves.import_multiplier * scale
 
     def cost(t):
-        return curves.breakdown(base_cases + rate * t, scale * t).objective
+        return ct.cost(base_cases + rate * t) + cb.cost(scale * t)
 
     def marginal(t, side):
         load = base_cases + rate * t
@@ -122,24 +123,34 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
             load = cap  # float rounding left the load an ulp off the breakdown point
         return rate * ct.marginal(load, side) + scale * cb.marginal(scale * t)
 
+    # the grid points are np.linspace(lo, hi, grid_points)'s: i * step, and
+    # hi last; their costs are held in one array of doubles, 8 bytes a point
     lo = 0.0
-    xs = np.linspace(lo, hi, grid_points)
-    fs = _kernels.policy_cost_grid(xs, base_cases, scale, curves)
-    if not np.all(np.isfinite(fs)):
+    step = (hi - lo) / max(grid_points - 1, 1)
+
+    def point(i):
+        return hi if i == grid_points - 1 > 0 else i * step
+
+    fs = array("d", [0.0]) * grid_points
+    for i in range(grid_points - 1):
+        fs[i] = cost(i * step)
+    fs[-1] = cost(point(grid_points - 1))
+    if not all(map(math.isfinite, fs)):
         raise NumericalFailure(
             f"non-finite cost while minimizing over {variable} on [{lo}, {hi}]")
-    idx = int(np.nonzero(fs <= fs.min() * (1.0 + TIE_TOL))[0][0])
+    least = min(fs) * (1.0 + TIE_TOL)
+    idx = next(i for i, f in enumerate(fs) if f <= least)
 
     width = WIDTH_FRAC * (hi - lo)
     x_star, f_star = golden_section(
-        cost, xs[max(idx - 1, 0)], xs[min(idx + 1, grid_points - 1)], width)
-    x_grid = float(xs[idx])
+        cost, point(max(idx - 1, 0)), point(min(idx + 1, grid_points - 1)), width)
+    x_grid = point(idx)
     f_grid = cost(x_grid)
     if f_grid <= f_star:
         # ties prefer the grid point, which already resolved to the smallest argument
         x_star, f_star = x_grid, f_grid
 
-    snap = max(width, 2.0 * (xs[1] - xs[0]) if grid_points > 1 else width)
+    snap = max(width, 2.0 * point(1) if grid_points > 1 else width)
     if math.isfinite(cap) and rate > 0:
         q = (cap - base_cases) / rate
         if lo < q < hi and abs(x_star - q) <= snap:

@@ -18,13 +18,12 @@ verdicts (``summarize``), so the comparison can run a range at a time.
 reduction.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from . import _kernels
 from .costs import CostCurveSet
 from .errors import DomainError, NumericalFailure
 
@@ -160,6 +159,10 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
     level; ``None`` means no travel channel (no imports, no border term).
     Raises NumericalFailure if cases run past 1e12 (runaway epidemic).
     """
+    import numpy as np
+
+    from . import _kernels
+
     if x0 < 0:
         raise DomainError(f"starting cases must be >= 0, got {x0}")
     T = schedule.horizon
@@ -177,7 +180,7 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
             raise DomainError(
                 f"screened imports exceed the border-cost domain "
                 f"[0, {curves.border.i_free}]")
-        border = curves.border.cost_arr(imports)
+        border = np.array([curves.border.cost(v) for v in imports.tolist()])
 
     # an overflow to inf is a runaway, reported just below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,10 +270,14 @@ def r_grid(params: DynamicsParams, r_step: float) -> np.ndarray:
     """The R values the comparator enumerates: ``r_min`` upward by ``r_step``
     to ``r0``, rounded to 12 decimals (a value too large to round, above
     about 1.8e296, is kept as it is)."""
+    import numpy as np
+
     return _round12(params.r_min + np.arange(_grid_size(params, r_step)) * r_step)
 
 
 def _round12(v: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # np.round scales by 1e12, which overflows to inf past about 1.8e296
     with np.errstate(over="ignore"):
         rounded = np.round(v, 12)
@@ -279,6 +286,8 @@ def _round12(v: np.ndarray) -> np.ndarray:
 
 def _grid_size(params: DynamicsParams, r_step: float) -> int:
     """Length of ``r_grid`` without building it."""
+    import numpy as np
+
     n_r = int(round((params.r0 - params.r_min) / r_step)) + 1
     # only the last of the n_r steps can pass r0, by up to half a step;
     # it is computed with the same array arithmetic as r_grid's values
@@ -320,6 +329,8 @@ class ScheduleRows(NamedTuple):
         from row ``offset`` (the first masked row where all are inf), or
         ``(inf, -1)`` for an empty mask; computed through 1-byte
         temporaries only."""
+        import numpy as np
+
         totals, feasible, growth = self.total_cost, self.feasible, self.contains_growth
         out = []
         for mask in (feasible, feasible & ~growth, feasible & growth,
@@ -393,6 +404,10 @@ class ScheduleScan:
                 f"{days:,} schedule-days to cost exceed the cap of "
                 f"{MAX_SCHEDULE_DAYS:,}; raise r_grid_step or shorten the horizon")
 
+        import numpy as np
+
+        from . import _kernels
+
         self.x0, self.x_target, self.horizon = x0, x_target, horizon
         self.degenerate = horizon == 1
         self.r_grid = r_grid(params, r_step)
@@ -403,6 +418,8 @@ class ScheduleScan:
 
     def rows(self, lo: int, hi: int) -> ScheduleRows:
         """The columns of rows ``lo .. hi - 1``: about 36 bytes a row."""
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             totals, max_cases, finals = self._kernel.costs(lo, hi)
         # an overflowed total reads inf also where 0 * inf made it nan (a

@@ -109,8 +109,9 @@ def test_criterion_05_optimizer_oracle_equivalence():
             curves = random_valid_set(rng)
             result = minimize_over_imports(curves)
             grid = np.linspace(0.0, curves.border.i_free, 100_000)
+            cb = curves.border
             oracle = (curves.transmission.cost_arr(curves.import_multiplier * grid)
-                      + curves.border.cost_arr(grid)).min()
+                      + cb.b0 * (1.0 - grid / cb.i_free) ** cb.curvature).min()
             assert result.cost <= oracle + 1e-6
             if result.classification == INTERIOR:
                 assert abs(result.foc_residual) <= 1e-6

@@ -16,9 +16,10 @@ from unittest.mock import MagicMock
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
-# wrapped by the benchmark but deleted from the library; its three
-# kernels.batch_* metrics read 0 until the benchmark points them elsewhere
-KNOWN_MISSING = {"_kernels.batch_autarky_costs"}
+# wrapped by the benchmark but deleted from the library; their metrics
+# (three kernels.batch_*, two kernels.policy_cost_grid_*) read 0 until the
+# benchmark points them elsewhere
+KNOWN_MISSING = {"_kernels.batch_autarky_costs", "_kernels.policy_cost_grid"}
 
 
 def load_layers():

@@ -95,7 +95,7 @@ class TestBorderCost:
         for beta in (1.0, 1.5, 2.0, 3.0):
             curve = BorderCost(2.0, 4.0, beta)
             grid = np.linspace(0.0, 4.0, 200)
-            vals = curve.cost_arr(grid)
+            vals = [curve.cost(i) for i in grid.tolist()]
             assert np.all(np.diff(vals, 2) >= -1e-12)
 
 
@@ -238,7 +238,7 @@ class TestMonotonicityProperties:
                                float(rng.uniform(1.0, 8.0)),
                                float(rng.uniform(1.0, 3.0)))
             grid = np.linspace(0.0, curve.i_free, 300)
-            assert np.all(np.diff(curve.cost_arr(grid)) < 0)
+            assert np.all(np.diff([curve.cost(i) for i in grid.tolist()]) < 0)
 
     def test_outbreak_nondecreasing(self):
         curve = OutbreakCost(0.7, 1.9)
@@ -274,8 +274,7 @@ class TestValidateShape:
             ("outbreak.finite", "sampled cost overflows float range from 4 on [0, 4]")]
 
     def test_nan_sample_is_named_nan(self, monkeypatch):
-        monkeypatch.setattr(OutbreakCost, "cost_arr",
-                            lambda self, x: np.where(x > 2.0, np.nan, x))
+        monkeypatch.setattr(OutbreakCost, "cost", lambda self, x: math.nan if x > 2.0 else x)
         curves = CostCurveSet(TransmissionCost(1.0, 0.5), BorderCost(2.0, 4.0),
                               OutbreakCost(0.5), 1.0)
         failures = validate_curve_set(curves).failures()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from epicost import _kernels as K
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
-from epicost.optimize import aggregate_cost
 from epicost.trajectory import (RUNAWAY_CASES, DynamicsParams, PolicySchedule,
                                 simulate)
 
@@ -62,13 +61,10 @@ def assert_matches_scalar(got, want):
     np.testing.assert_array_max_ulp(got, np.array(want, dtype=np.float64), maxulp=4)
 
 
-def screening_objective(ct, cb, alpha, threat, domestic, f):
-    """The scalar objective ``minimize_over_screening`` refines."""
-    return ct.cost(domestic + alpha * threat * f) + cb.cost(threat * f)
-
-
 class TestCurveKernels:
-    """Each curve's ``cost_arr`` equals its scalar ``cost``, element by element."""
+    """Each curve's ``cost_arr`` equals its scalar ``cost``, element by
+    element; the border curve, which has no ``cost_arr``, is costed in
+    ``simulate`` by its scalar ``cost``."""
 
     @_oracle
     @given(ct=transmission_costs())
@@ -100,56 +96,20 @@ class TestCurveKernels:
     @_oracle
     @given(cb=border_costs())
     def test_border(self, cb):
-        imports = np.linspace(0.0, cb.i_free, 101)
-        got = cb.cost_arr(imports)
-        assert_matches_scalar(got, [cb.cost(v) for v in imports.tolist()])
+        # the border curve has no array form: simulate costs each day's
+        # screened imports with the scalar cost, bit for bit
+        screening = np.linspace(0.0, 1.0, 101)
+        params = DynamicsParams(2.5, 0.5, 1.0)
+        schedule = PolicySchedule((1.0,) * 101, tuple(screening.tolist()), params)
+        curves = CostCurveSet(TransmissionCost(1.0), cb, OutbreakCost())
+        got = simulate(schedule, 0.0, curves, cb.i_free).border_costs
+        assert got.tolist() == [cb.cost(cb.i_free * f) for f in screening.tolist()]
 
     @_oracle
     @given(co=st.builds(OutbreakCost, per_case=_level, exponent=_exponent))
     def test_outbreak(self, co):
         x = np.linspace(0.0, 50.0, 101)
         assert_matches_scalar(co.cost_arr(x), [co.cost(v) for v in x.tolist()])
-
-
-class TestPolicyCostGrid:
-    """The optimizer's grid kernel against the objectives its solvers refine."""
-
-    @_oracle
-    @given(ct=transmission_costs(), cb=border_costs(), alpha=st.floats(1.0, 3.0),
-           threat_frac=st.floats(0.0, 1.0), domestic=st.floats(0.0, 30.0))
-    def test_screening_axis(self, ct, cb, alpha, threat_frac, domestic):
-        threat = threat_frac * cb.i_free
-        fs = np.linspace(0.0, 1.0, 101)
-        if math.isfinite(ct.tti_capacity) and alpha * threat > 0:
-            q = (ct.tti_capacity - domestic) / (alpha * threat)
-            if 0.0 < q < 1.0:
-                fs = with_kink(fs, q)
-        curves = CostCurveSet(ct, cb, OutbreakCost(), import_multiplier=alpha)
-        got = K.policy_cost_grid(fs, domestic, threat, curves)
-        assert_matches_scalar(got, [screening_objective(ct, cb, alpha, threat, domestic, f)
-                                    for f in fs.tolist()])
-
-    @_oracle
-    @given(ct=transmission_costs(), cb=border_costs(), alpha=st.floats(1.0, 3.0))
-    def test_import_axis(self, ct, cb, alpha):
-        curves = CostCurveSet(ct, cb, OutbreakCost(), import_multiplier=alpha)
-        ts = np.linspace(0.0, cb.i_free, 101)
-        got = K.policy_cost_grid(ts, 0.0, 1.0, curves)
-        assert_matches_scalar(got, [aggregate_cost(curves, t) for t in ts.tolist()])
-
-    @pytest.mark.parametrize("jump", [0.0, 2.5])
-    def test_on_the_kink(self, jump):
-        # load 1 + 2 * 4 * 0.25 lands exactly on the capacity 3
-        ct = TransmissionCost(c0=1.0, tti_slope=0.5, tti_capacity=3.0,
-                              breakdown_jump=jump, wide_slope=2.0, wide_exponent=1.5)
-        cb = BorderCost(b0=2.0, i_free=4.0, curvature=2.0)
-        fs = with_kink(np.linspace(0.0, 1.0, 9), 0.25)
-        curves = CostCurveSet(ct, cb, OutbreakCost(), import_multiplier=2.0)
-        got = K.policy_cost_grid(fs, 1.0, 4.0, curves)
-        want = [screening_objective(ct, cb, 2.0, 4.0, 1.0, f) for f in fs.tolist()]
-        assert_matches_scalar(got, want)
-        # at F = 0.25 the load sits on the capacity: the per-case branch, no jump
-        assert_matches_scalar(got[2], 1.0 + 0.5 * 3.0 + cb.cost(1.0))
 
 
 def python_recurrence(x0, r_seq, imports_seq, alpha):

@@ -1,0 +1,99 @@
+"""The solver commands run without numpy.
+
+``game``, ``optimize`` and ``validate`` use no table: their optimizer grid
+and shape gate are scalar code, and numpy is imported only inside the
+functions that make arrays. So these commands never load it, which saves
+most of their start-up, and their results hold Python floats, not numpy
+scalars.
+"""
+
+import dataclasses
+import json
+import numbers
+import subprocess
+import sys
+
+import pytest
+
+from epicost.config import load_config
+from epicost.fixtures import SCENARIOS, fixture_path
+from epicost.game import GameState, best_response, solve_game
+from epicost.optimize import minimize_over_imports
+
+SOLVER_COMMANDS = ("game", "optimize", "validate")
+
+# one process: import epicost, run every solver command on every bundled
+# fixture that accepts it, in both formats, then report what was loaded
+_GUARD = """
+import json, sys, tempfile
+from epicost import cli
+from epicost.fixtures import fixture_path
+
+runs = []
+with tempfile.TemporaryDirectory() as out:
+    for name, commands in json.loads(sys.argv[1]).items():
+        for command in commands:
+            for fmt in ("json", "csv"):
+                code = cli.main([command, "--config", str(fixture_path(name)),
+                                 "--out", out, "--format", fmt])
+                runs.append([name, command, fmt, code])
+print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def accepted_commands() -> dict:
+    """The solver commands each bundled fixture accepts: ``game`` needs
+    exactly two regions."""
+    out = {}
+    for name in SCENARIOS:
+        regions = json.loads(fixture_path(name).read_text())["regions"]
+        out[name] = [c for c in SOLVER_COMMANDS if c != "game" or len(regions) == 2]
+    return out
+
+
+def test_solver_commands_never_import_numpy():
+    commands = accepted_commands()
+    done = subprocess.run([sys.executable, "-c", _GUARD, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert [run[3] for run in result["runs"]] == [0] * len(result["runs"])
+    assert len(result["runs"]) == 2 * sum(map(len, commands.values()))
+    assert result["numpy"] is False
+
+
+def numeric_fields(obj, path: str):
+    """``(path, value)`` of every number in a result, bools left out, and
+    the solved ``state`` (the inputs) too."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            if field.name != "state":
+                yield from numeric_fields(getattr(obj, field.name), f"{path}.{field.name}")
+    elif isinstance(obj, tuple):
+        for i, value in enumerate(obj):
+            yield from numeric_fields(value, f"{path}[{i}]")
+    elif isinstance(obj, numbers.Number) and not isinstance(obj, bool):
+        yield path, obj
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_result_fields_are_python_floats(name):
+    cfg = load_config(fixture_path(name))
+    solver = {"grid_points": cfg.solver.grid_points, "foc_tol": cfg.solver.foc_tol}
+    results = {}
+    for region in cfg.regions:
+        results[f"{region.name}.imports"] = minimize_over_imports(region.curves, **solver)
+        link = cfg.inbound_link(region.name)
+        if link is not None:
+            results[f"{region.name}.screening"] = best_response(
+                region, cfg.region(link.origin), link, **solver)
+    if len(cfg.regions) == 2:
+        results["game"] = solve_game(GameState(tuple(cfg.regions), cfg.links),
+                                     max_iters=cfg.solver.max_iterations,
+                                     tol=cfg.solver.nash_tol, **solver)
+    fields = [pair for path, result in results.items()
+              for pair in numeric_fields(result, path)]
+    assert fields
+    wrong = [(path, type(v).__name__) for path, v in fields
+             if type(v) is not (int if path.endswith(".iterations") else float)]
+    assert wrong == []

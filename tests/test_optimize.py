@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,8 @@ class TestMinimizeOverImports:
             curves = random_valid_set(rng)
             res = minimize_over_imports(curves)
             grid = np.linspace(0.0, curves.border.i_free, 100_000)
-            oracle = (curves.transmission.cost_arr(curves.import_multiplier * grid)
-                      + curves.border.cost_arr(grid)).min()
+            oracle = min(curves.transmission.cost(curves.import_multiplier * i)
+                         + curves.border.cost(i) for i in grid.tolist())
             assert res.cost <= oracle + 1e-6
             if res.classification == INTERIOR:
                 assert abs(res.foc_residual) <= 1e-6
@@ -177,3 +179,16 @@ class TestGoldenSection:
     def test_tiny_bracket_returns_midpoint(self):
         x, _ = golden_section(lambda v: v, 1.0, 1.0 + 1e-12, 1e-10)
         assert x == pytest.approx(1.0, abs=1e-11)
+
+
+def test_grid_holds_8_bytes_a_point(quad_set):
+    # the grid's costs are one array of doubles; a point's x is recomputed
+    n = 200_001
+    minimize_over_imports(quad_set, grid_points=11)
+    tracemalloc.start()
+    try:
+        minimize_over_imports(quad_set, grid_points=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 10

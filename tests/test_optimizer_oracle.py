@@ -2,24 +2,37 @@
 
 ``reference_minimize_over_imports`` and ``reference_minimize_over_screening``
 keep the earlier code: each builds its own scalar objective, marginal and
-kink list and hands them to a generic interval minimiser. The new solvers
-must return the same ``OptimizationResult`` bit for bit, or raise the same
-error.
+kink list and hands them to a generic interval minimiser, which costs its
+grid with numpy (``reference_cost_grid``, the array kernel the optimizer
+used before its grid became scalar code). The new solvers must return the
+same ``OptimizationResult`` bit for bit, with every numeric field a Python
+``float`` (the reference's fields are mapped through ``float()``: its grid
+points are numpy scalars), or raise the same error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epicost import _kernels
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.errors import DomainError, NumericalFailure
 from epicost.optimize import (BOUNDARY_CLOSED, BOUNDARY_OPEN, INTERIOR, TIE_TOL,
                               WIDTH_FRAC, OptimizationResult, aggregate_cost,
                               golden_section, minimize_over_imports,
                               minimize_over_screening)
+
+
+def reference_cost_grid(t, base_cases, import_scale, curves):
+    """Transmission-plus-border cost on the numpy grid ``t``, with the case
+    load ``base_cases + alpha * import_scale * t`` and the border curve at
+    ``import_scale * t``."""
+    cases = base_cases + curves.import_multiplier * import_scale * t
+    cb = curves.border
+    slack = np.maximum(1.0 - import_scale * t / cb.i_free, 0.0)
+    return curves.transmission.cost_arr(cases) + cb.b0 * slack**cb.curvature
 
 
 def reference_minimize_on_interval(variable, fn_scalar, fn_grid, marginal, lo, hi,
@@ -91,7 +104,7 @@ def reference_minimize_over_imports(curves, grid_points, foc_tol):
              for q, ct_left in reference_transmission_kink(curves, 0.0, alpha, hi)]
     return reference_minimize_on_interval(
         "imports", lambda i: aggregate_cost(curves, i),
-        lambda ts: _kernels.policy_cost_grid(ts, 0.0, 1.0, curves),
+        lambda ts: reference_cost_grid(ts, 0.0, 1.0, curves),
         marginal, 0.0, hi, grid_points, foc_tol, kinks=kinks)
 
 
@@ -122,7 +135,7 @@ def reference_minimize_over_screening(curves, import_threat, domestic_cases,
                                                            alpha * import_threat, 1.0)]
     return reference_minimize_on_interval(
         "screening", fn,
-        lambda fs: _kernels.policy_cost_grid(fs, domestic_cases, import_threat, curves),
+        lambda fs: reference_cost_grid(fs, domestic_cases, import_threat, curves),
         marginal, 0.0, 1.0, grid_points, foc_tol, kinks=kinks)
 
 
@@ -133,6 +146,15 @@ def outcome(fn, *args):
         return repr(fn(*args))
     except (DomainError, NumericalFailure) as exc:
         return type(exc), str(exc)
+
+
+def as_floats(solver):
+    """A reference solver whose result has its numeric fields as ``float``."""
+    def solve(*args):
+        res = solver(*args)
+        return dataclasses.replace(res, argument=float(res.argument), cost=float(res.cost),
+                                   foc_residual=float(res.foc_residual))
+    return solve
 
 
 _level = st.floats(0.0, 5.0)
@@ -174,7 +196,7 @@ _oracle = settings(max_examples=200, deadline=None, derandomize=True)
 def test_imports_match_reference(curves, grid_points, foc_tol):
     args = (curves, grid_points, foc_tol)
     assert outcome(minimize_over_imports, *args) == \
-        outcome(reference_minimize_over_imports, *args)
+        outcome(as_floats(reference_minimize_over_imports), *args)
 
 
 @_oracle
@@ -195,7 +217,7 @@ def test_screening_matches_reference(curves, threat_frac, domestic, grid_points,
     threat = threat_frac * curves.border.i_free
     args = (curves, threat, domestic, grid_points, foc_tol)
     assert outcome(minimize_over_screening, *args) == \
-        outcome(reference_minimize_over_screening, *args)
+        outcome(as_floats(reference_minimize_over_screening), *args)
 
 
 def test_kink_examples_land_on_the_kink():
@@ -212,5 +234,5 @@ def test_errors_are_compared():
     # a threat above i_free raises DomainError on both sides, with one message
     got = outcome(minimize_over_screening, kinked(0.0), 5.0, 0.0, 100, 1e-6)
     assert got[0] is DomainError
-    assert got == outcome(reference_minimize_over_screening, kinked(0.0), 5.0, 0.0,
-                          100, 1e-6)
+    assert got == outcome(as_floats(reference_minimize_over_screening), kinked(0.0), 5.0,
+                          0.0, 100, 1e-6)
