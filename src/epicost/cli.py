@@ -42,7 +42,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -50,7 +49,7 @@ from .config import ScenarioConfig, load_config
 from .costs import validate_curve_set
 from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailure
 from .game import GameState, best_response, solve_game
-from .importation import ImportScenario, expected_imports, pmf_support, sample_counts
+from .importation import ImportScenario, _support_pmf, expected_imports, sample_counts
 from .optimize import minimize_over_imports
 from .trajectory import ScheduleScan, simulate, summarize
 
@@ -453,7 +452,7 @@ def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> 
     and the counts, each one value per support value."""
     import numpy as np
 
-    _, probs = pmf_support(scenario)
+    probs = _support_pmf(scenario)
     first = scenario.support[0]
     # the tail sums leave out nu = 0
     tails = probs.copy()
@@ -474,10 +473,9 @@ def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> 
 def cmd_optimize(cfg: ScenarioConfig, fmt: str, args):
     per_region = {}
     for region in cfg.regions:
-        entry = {"imports": asdict(
-            minimize_over_imports(region.curves,
-                                  grid_points=cfg.solver.grid_points,
-                                  foc_tol=cfg.solver.foc_tol))}
+        entry = {"imports": minimize_over_imports(
+            region.curves, grid_points=cfg.solver.grid_points,
+            foc_tol=cfg.solver.foc_tol)._asdict()}
         link = cfg.inbound_link(region.name)
         if link is not None:
             decision = best_response(region, cfg.region(link.origin), link,

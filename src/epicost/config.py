@@ -9,9 +9,9 @@ collects every violation with its field path before failing.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ._record import Record
 from .costs import (BorderCost, CostCurveSet, OutbreakCost, TransmissionCost,
                     validate_curve_set)
 from .errors import ConfigError, DomainError
@@ -19,18 +19,19 @@ from .game import MAX_ITERATIONS, NASH_TOL, RegionLookup, RegionState, TravelLin
 from .optimize import FOC_TOL, GRID_POINTS
 from .trajectory import DynamicsParams, PolicySchedule
 
-# largest accepted solver.grid_points (and --grid): the optimizer grid is
-# scalar code holding 8 bytes a point, so the cap bounds time, not memory:
-# optimize --grid 10000000 on boundary_trio (seven solves) took 55 s in
-# 93 MB peak RSS on a 2-core Xeon
+# largest accepted solver.grid_points (and --grid): the optimizer's grid
+# search holds a block per halving, not the grid, so the cap bounds time,
+# not memory. optimize --grid 10000000 on boundary_trio (seven solves) took
+# 0.2 s in 16 MB peak RSS on a 2-core Xeon (55 s when every point was
+# costed), but a cost flat within the tie tolerance prunes nothing: one
+# such solve at the cap took 20 s, against 10.5 s for costing every point
 MAX_GRID_POINTS = 10_000_000
 # largest accepted dynamics.horizon: simulate costs about 1 us a day and a
 # one-value-grid compare-schedules about 6 us a day, so neither passes 1 s
 MAX_HORIZON = 100_000
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(Record):
     grid_points: int = GRID_POINTS
     foc_tol: float = FOC_TOL
     max_iterations: int = MAX_ITERATIONS
@@ -38,8 +39,7 @@ class SolverSettings:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class DynamicsSettings:
+class DynamicsSettings(Record):
     params: DynamicsParams
     horizon: int = 30
     region: str | None = None
@@ -56,13 +56,14 @@ class DynamicsSettings:
         return PolicySchedule(rep, scr, self.params)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig(RegionLookup):
+class ScenarioConfig(RegionLookup, Record):
     regions: tuple[RegionState, ...]
     links: tuple[TravelLink, ...]
     solver: SolverSettings
     dynamics: DynamicsSettings
-    raw: dict = field(compare=True, repr=False)
+    raw: dict
+
+    _unshown = ("raw",)
 
     def dynamics_region(self) -> RegionState:
         if self.dynamics.region is not None:
@@ -120,8 +121,8 @@ class _Reader:
 
 
 def _defaults(cls) -> dict:
-    """Field defaults of a settings dataclass, where they are stated once."""
-    return {f.name: f.default for f in fields(cls)}
+    """Field defaults of a settings record, where they are stated once."""
+    return {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
 
 
 def _parse_curves(r: _Reader, block: dict, path: str) -> CostCurveSet | None:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import DomainError, KinkAmbiguityError
 
 _EPS_REL = 1e-6
@@ -60,8 +60,7 @@ def _finite(v: float, name: str, allow_inf: bool = False):
         raise DomainError(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
-class TransmissionCost:
+class TransmissionCost(Record):
     """Daily cost of holding domestic transmission at x new cases per day.
 
     Linear at slope ``tti_slope`` up to ``tti_capacity`` (per-case control),
@@ -158,8 +157,7 @@ class TransmissionCost:
         return wide(x - cap)
 
 
-@dataclass(frozen=True)
-class BorderCost:
+class BorderCost(Record):
     """Daily cost of holding imports at level I, zero at the free-travel level.
 
     ``b0 * (1 - I / i_free) ** curvature`` on [0, i_free]; curvature >= 1
@@ -196,8 +194,7 @@ class BorderCost:
         return BorderCost(self.b0, i_free, self.curvature)
 
 
-@dataclass(frozen=True)
-class OutbreakCost:
+class OutbreakCost(Record):
     """Realized daily outbreak burden ``per_case * x ** exponent``; zero at zero cases."""
 
     per_case: float = 0.0
@@ -226,8 +223,7 @@ class OutbreakCost:
         return _power(x, self.exponent - 1.0, self.per_case * self.exponent)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(Record):
     """Cost components at a policy point.
 
     ``objective`` is what a region minimizes (transmission + border);
@@ -253,8 +249,7 @@ class CostBreakdown:
         return self.transmission + self.border - self.outbreak
 
 
-@dataclass(frozen=True)
-class CostCurveSet:
+class CostCurveSet(Record):
     """One region's three cost curves plus the import case multiplier.
 
     ``import_multiplier`` converts imported cases into total resulting cases
@@ -263,7 +258,7 @@ class CostCurveSet:
 
     transmission: TransmissionCost
     border: BorderCost
-    outbreak: OutbreakCost = field(default_factory=OutbreakCost)
+    outbreak: OutbreakCost = OutbreakCost()
     import_multiplier: float = 1.0
 
     def __post_init__(self):
@@ -278,16 +273,14 @@ class CostCurveSet:
                              self.outbreak.cost(load))
 
 
-@dataclass(frozen=True)
-class ShapeCheck:
+class ShapeCheck(Record):
     name: str
     passed: bool
     detail: str
     field_path: str | None = None
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(Record):
     checks: tuple[ShapeCheck, ...]
 
     @property

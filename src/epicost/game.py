@@ -16,8 +16,8 @@ expected-import level before solving.
 """
 
 import math
-from dataclasses import dataclass, replace
 
+from ._record import Record
 from .costs import CostBreakdown, CostCurveSet
 from .errors import DomainError, InvariantViolation
 from .importation import expected_imports
@@ -31,8 +31,7 @@ MAX_ITERATIONS = 100
 NASH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RegionState:
+class RegionState(Record):
     """One region: population, current prevalence, domestic daily cases, curves."""
 
     name: str
@@ -50,8 +49,7 @@ class RegionState:
             raise DomainError(f"domestic cases must be >= 0, got {self.domestic_cases}")
 
 
-@dataclass(frozen=True)
-class TravelLink:
+class TravelLink(Record):
     """Directed travel channel with a screening multiplier on expected imports."""
 
     origin: str
@@ -88,8 +86,7 @@ class RegionLookup:
         return inbound[0] if inbound else None
 
 
-@dataclass(frozen=True)
-class GameState(RegionLookup):
+class GameState(RegionLookup, Record):
     regions: tuple[RegionState, RegionState]
     links: tuple[TravelLink, ...]
 
@@ -112,8 +109,7 @@ class GameState(RegionLookup):
         return b if a.name == name else a
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(Record):
     """A region's chosen policy point and the costs it realizes."""
 
     region: str
@@ -130,8 +126,7 @@ class PolicyDecision:
         return self.costs.objective
 
 
-@dataclass(frozen=True)
-class GameOutcome:
+class GameOutcome(Record):
     """Decisions for both regions under one solution concept."""
 
     decisions: tuple[PolicyDecision, PolicyDecision]
@@ -144,23 +139,20 @@ class GameOutcome:
         raise DomainError(f"unknown region {name!r}")
 
 
-@dataclass(frozen=True)
-class NashResult:
+class NashResult(Record):
     state: GameState
     outcome: GameOutcome
     converged: bool
     iterations: int
 
 
-@dataclass(frozen=True)
-class CoopResult:
+class CoopResult(Record):
     state: GameState
     outcome: GameOutcome
     steady_prevalences: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class GameSolution:
+class GameSolution(Record):
     state: GameState
     nash: NashResult
     cooperative: CoopResult
@@ -189,7 +181,7 @@ def _decision(region: RegionState, cases: float, threat: float, screening: float
     rescaled to a free level of 1 and evaluated at the screening factor
     itself, which also holds when the threat is zero.
     """
-    curves = replace(region.curves, border=region.curves.border.rescaled(1.0))
+    curves = region.curves._replace(border=region.curves.border.rescaled(1.0))
     load = cases + curves.import_multiplier * threat * screening
     return PolicyDecision(
         region=region.name, domestic_cases=cases, screening=screening,
@@ -213,8 +205,8 @@ def best_response(responder: RegionState, opponent: RegionState,
         # nothing to screen: open borders, no restriction cost
         return _decision(responder, 0.0, 0.0, 1.0, BOUNDARY_OPEN)
 
-    link_curves = replace(responder.curves,
-                          border=responder.curves.border.rescaled(threat))
+    link_curves = responder.curves._replace(
+        border=responder.curves.border.rescaled(threat))
 
     result = minimize_over_screening(link_curves, threat, 0.0,
                                      grid_points=grid_points, foc_tol=foc_tol)

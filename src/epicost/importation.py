@@ -20,16 +20,15 @@ sum to 1 within an ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, fsum, isfinite
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DomainError, NumericalFailure
 
 
-@dataclass(frozen=True)
-class ImportScenario:
+class ImportScenario(Record):
     """Population N with K infectious members, from which k people travel."""
 
     population: int
@@ -62,8 +61,7 @@ class ImportScenario:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class SourceProfile:
+class SourceProfile(Record):
     """Travel sources: per-source infection probability and traveler count."""
 
     sources: tuple[tuple[float, int], ...]
@@ -154,6 +152,18 @@ def hypergeom_pmf(s: ImportScenario, nu: int) -> float:
 def pmf_support(s: ImportScenario) -> tuple[np.ndarray, np.ndarray]:
     """Full pmf over the support, as (counts, probabilities) arrays.
 
+    The counts are ``lo .. hi`` as int64; the probabilities are
+    ``_support_pmf``'s.
+    """
+    import numpy as np
+
+    lo, hi = s.support
+    return np.arange(lo, hi + 1, dtype=np.int64), _support_pmf(s)
+
+
+def _support_pmf(s: ImportScenario) -> np.ndarray:
+    """The pmf at each support value ``lo .. hi``, 8 bytes a value.
+
     The mode is set to 1 and extended outward by the neighbor ratio
     pmf(nu+1)/pmf(nu) = (K-nu)(k-nu) / ((nu+1)(N-K-k+nu+1)); the integer
     products stay below 2**53 for N <= 1e6, so each ratio is exact. The
@@ -170,12 +180,11 @@ def pmf_support(s: ImportScenario) -> tuple[np.ndarray, np.ndarray]:
 
     n, big_k, k = s.population, s.infected, s.travelers
     lo, hi = s.support
-    nus = np.arange(lo, hi + 1, dtype=np.int64)
     if lo == hi:
-        return nus, np.ones(1)
+        return np.ones(1)
 
     mode = min(max((k + 1) * (big_k + 1) // (n + 2), lo), hi)
-    probs = np.empty(nus.shape[0])
+    probs = np.empty(hi - lo + 1)
     anchor_idx = mode - lo
     probs[anchor_idx] = 1.0
     rest = n - big_k - k
@@ -185,7 +194,7 @@ def pmf_support(s: ImportScenario) -> tuple[np.ndarray, np.ndarray]:
     _ratio_products(probs[:anchor_idx][::-1], mode, -1,
                     lambda nu: (nu * (rest + nu)) / ((big_k - nu + 1.0) * (k - nu + 1.0)))
     probs /= fsum(probs)
-    return nus, probs
+    return probs
 
 
 # values of the pmf's neighbor ratios computed per step of _ratio_products

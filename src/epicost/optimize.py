@@ -1,21 +1,22 @@
 """Single-region cost minimization over import level or screening factor.
 
-The solver is a deterministic coarse grid bracket followed by golden-section
-refinement, both in scalar code on the curves' ``cost`` (no numpy);
-derivative-based root finding is avoided because the transmission curve
-may carry a kink (and a level jump) at its breakdown point. Results are
-classified as interior or pinned to a boundary via one-sided marginals,
-mirroring the first-order-condition cases: fully open when accepting all
-imports is cheaper at the margin, fully closed when the first import
-already costs more than it saves.
+The solver is a deterministic grid bracket followed by golden-section
+refinement, both in scalar code on the curves' ``cost`` (no numpy). The
+grid's winner is found by a branch and bound that costs a fraction of its
+points and returns the point a full scan would. Derivative-based root
+finding is avoided because the transmission curve may carry a kink (and a
+level jump) at its breakdown point. Results are classified as interior or
+pinned to a boundary via one-sided marginals, mirroring the
+first-order-condition cases: fully open when accepting all imports is
+cheaper at the margin, fully closed when the first import already costs
+more than it saves.
 """
 
 import math
-from array import array
-from dataclasses import dataclass
 
+from ._record import Record
 from .costs import CostBreakdown, CostCurveSet
-from .errors import DomainError, NumericalFailure
+from .errors import DomainError, InvariantViolation, NumericalFailure
 
 GRID_POINTS = 10_000
 FOC_TOL = 1e-6
@@ -29,8 +30,7 @@ BOUNDARY_CLOSED = "boundary-closed"
 BOUNDARY_OPEN = "boundary-open"
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Record):
     """Minimizer over one policy axis with its first-order classification."""
 
     variable: str            # "imports" or "screening"
@@ -44,8 +44,7 @@ class OptimizationResult:
         return self.classification == INTERIOR
 
 
-@dataclass(frozen=True)
-class ClosureConditionReport:
+class ClosureConditionReport(Record):
     """Evaluation of the full-closure (F=0) optimality condition.
 
     ``refund`` is the part of the readiness baseline returned when borders
@@ -86,6 +85,84 @@ def golden_section(fn, lo: float, hi: float, width: float) -> tuple[float, float
     return (c, fc) if fc < fd else (d, fd)
 
 
+# the grid search costs blocks of at most _LEAF points point by point, and
+# prunes a block whose lower bound times _PRUNE exceeds its threshold
+_LEAF = 8
+_PRUNE = 1.0 - 2.0 ** -49
+
+
+def _grid_index(load_cost, border_cost, n: int) -> int | None:
+    """The full grid scan's winner, from a fraction of the grid's costs.
+
+    Grid point i costs ``f(i) = load_cost(i) + border_cost(i)``, where
+    ``load_cost`` never decreases and ``border_cost`` never increases in i.
+    The full scan's winner is the first i with ``f(i) <= min(f) * (1 +
+    TIE_TOL)``; this returns the same index, or None where the full scan
+    would meet a cost that is not finite.
+
+    The search is a branch and bound (Land & Doig 1960) over blocks of
+    indices [a, b], halved until a block holds at most ``_LEAF`` points.
+    ``load_cost(a) + border_cost(b)`` bounds every cost in the block from
+    below, with no convexity needed, so a block whose bound exceeds a
+    threshold holds no point at or under it. Float rounding keeps both
+    parts monotone except where they raise to a non-integer power: libm's
+    ``pow`` is accurate to under 1 ulp (glibc) but not proven monotone. A
+    bound is therefore scaled by ``_PRUNE``, 8 ulps under 1, before it is
+    compared, which covers an error of a few ulps in each part. Two depth
+    first passes each hold one block per level of the halving:
+
+    - the first finds ``min(f)``, visiting the child with the lower bound
+      first and pruning against the least cost seen so far;
+    - the second walks the blocks left to right, pruning against the tie
+      band, and stops at the first point within it.
+
+    Where the cost is flat within ``TIE_TOL`` nothing is pruned: the first
+    pass costs every point, and each of its at most 2n / ``_LEAF`` halvings
+    (a leaf holds at least ``_LEAF`` / 2 points) costs one point's two
+    parts more, so about (1 + 2 / _LEAF) n of each part in all.
+
+    The grid's costs are all finite when ``load_cost(0)`` (nan where an
+    infinite rate meets the point 0) and ``load_cost(n - 1) +
+    border_cost(0)``, which is at least every cost, are; otherwise every
+    point is costed until one is not finite.
+    """
+    t_first, t_last = load_cost(0), load_cost(n - 1)
+    b_first, b_last = border_cost(0), border_cost(n - 1)
+    if (not (math.isfinite(t_first) and math.isfinite(t_last + b_first))
+            and not all(math.isfinite(load_cost(i) + border_cost(i)) for i in range(n))):
+        return None
+
+    least = min(t_first + b_first, t_last + b_last)
+    blocks = [(0, n - 1, t_first, b_last)]   # (a, b, load_cost(a), border_cost(b))
+    while blocks:
+        a, b, t_a, b_b = blocks.pop()
+        if (t_a + b_b) * _PRUNE >= least:
+            continue
+        if b - a < _LEAF:
+            least = min(least, *[load_cost(i) + border_cost(i) for i in range(a, b + 1)])
+            continue
+        m = (a + b) // 2
+        b_m, t_m = border_cost(m), load_cost(m + 1)
+        left, right = (a, m, t_a, b_m), (m + 1, b, t_m, b_b)
+        blocks += (right, left) if t_a + b_m <= t_m + b_b else (left, right)
+
+    band = least * (1.0 + TIE_TOL)
+    blocks = [(0, n - 1, t_first, b_last)]
+    while blocks:
+        a, b, t_a, b_b = blocks.pop()
+        if (t_a + b_b) * _PRUNE > band:
+            continue
+        if b - a < _LEAF:
+            hit = next((i for i in range(a, b + 1)
+                        if load_cost(i) + border_cost(i) <= band), None)
+            if hit is not None:
+                return hit
+            continue
+        m = (a + b) // 2
+        blocks += ((m + 1, b, load_cost(m + 1), b_b), (a, m, t_a, border_cost(m)))
+    raise InvariantViolation("the least grid cost lies outside its own tie band")
+
+
 def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
                       scale: float, hi: float, grid_points: int,
                       foc_tol: float) -> OptimizationResult:
@@ -94,8 +171,9 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
     At axis point t the case load is ``base_cases + alpha * scale * t`` and
     the border curve is evaluated at ``scale * t``; the objective is
     ``ct.cost(load) + cb.cost(scale * t)``, which is
-    ``curves.breakdown(load, scale * t).objective``. The grid and the
-    golden section both evaluate it in scalar code. A grid bracket is
+    ``curves.breakdown(load, scale * t).objective``. The grid (through
+    ``_grid_index``) and the golden section both evaluate it in scalar
+    code. A grid bracket is
     refined by golden section, then classified as interior or pinned to a
     boundary by the one-sided marginals (+inf right of a level jump). The
     grid winner is re-costed by the objective before it is compared with
@@ -124,22 +202,20 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
         return rate * ct.marginal(load, side) + scale * cb.marginal(scale * t)
 
     # the grid points are np.linspace(lo, hi, grid_points)'s: i * step, and
-    # hi last; their costs are held in one array of doubles, 8 bytes a point
+    # hi last; _grid_index finds the full scan's winner among them
     lo = 0.0
     step = (hi - lo) / max(grid_points - 1, 1)
+    last = grid_points - 1 if grid_points > 1 else -1
 
     def point(i):
-        return hi if i == grid_points - 1 > 0 else i * step
+        return hi if i == last else i * step
 
-    fs = array("d", [0.0]) * grid_points
-    for i in range(grid_points - 1):
-        fs[i] = cost(i * step)
-    fs[-1] = cost(point(grid_points - 1))
-    if not all(map(math.isfinite, fs)):
+    # the grid's two parts, with point(i) written out: they run per point
+    idx = _grid_index(lambda i: ct.cost(base_cases + rate * (hi if i == last else i * step)),
+                      lambda i: cb.cost(scale * (hi if i == last else i * step)), grid_points)
+    if idx is None:
         raise NumericalFailure(
             f"non-finite cost while minimizing over {variable} on [{lo}, {hi}]")
-    least = min(fs) * (1.0 + TIE_TOL)
-    idx = next(i for i, f in enumerate(fs) if f <= least)
 
     width = WIDTH_FRAC * (hi - lo)
     x_star, f_star = golden_section(

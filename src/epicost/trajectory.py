@@ -21,9 +21,9 @@ reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from ._record import Record
 from .costs import CostCurveSet
 from .errors import DomainError, NumericalFailure
 
@@ -42,8 +42,7 @@ MAX_SCHEDULES = 1_000_000
 MAX_SCHEDULE_DAYS = 100_000_000
 
 
-@dataclass(frozen=True)
-class DynamicsParams:
+class DynamicsParams(Record):
     """Reproduction bounds and the stringency-cost coupling exponent.
 
     Defaults are modeling placeholders, not calibrated values.
@@ -73,8 +72,7 @@ class DynamicsParams:
         return ((self.r0 - r) / (self.r0 - self.r_min)) ** self.stringency_exponent
 
 
-@dataclass(frozen=True)
-class PolicySchedule:
+class PolicySchedule(Record):
     """Per-day reproduction targets and screening factors over a horizon."""
 
     reproduction: tuple[float, ...]
@@ -104,8 +102,7 @@ class PolicySchedule:
         return len(self.reproduction)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Daily cases with the per-day cost components they incur.
 
     ``cases`` has horizon+1 entries (start level included); each cost array
@@ -215,8 +212,7 @@ def steady_state_holding_cost(curves: CostCurveSet, cases: float,
     return costs.transmission * params.stringency(r_hold) + costs.border + costs.outbreak
 
 
-@dataclass(frozen=True)
-class ScheduleComparison:
+class ScheduleComparison(Record):
     """Exhaustive cost comparison over one- and two-segment R schedules.
 
     Rows where ``switch_day == horizon`` are constant schedules. A row's R

@@ -11,7 +11,6 @@ objective at its argument, which the last tests check.
 """
 
 import math
-from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -93,7 +92,7 @@ def outcome(fn, *args):
 def priced_curve_sets(draw):
     """The optimizer oracle's curve sets with an outbreak curve of their own."""
     curves = draw(curve_sets())
-    return replace(curves, outbreak=OutbreakCost(draw(_level), draw(_exponent)))
+    return curves._replace(outbreak=OutbreakCost(draw(_level), draw(_exponent)))
 
 
 _frac = st.floats(-0.1, 1.1)    # a little outside the curves' domains too
@@ -115,7 +114,7 @@ def test_axis_cost(curves, base, scale_frac, t):
 @given(curves=priced_curve_sets(), scale_frac=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
 def test_kink_value_at_the_breakdown_load(curves, scale_frac, q):
     if not math.isfinite(curves.transmission.tti_capacity):
-        curves = replace(curves, transmission=replace(curves.transmission, tti_capacity=1.0))
+        curves = curves._replace(transmission=curves.transmission._replace(tti_capacity=1.0))
     cap = curves.transmission.tti_capacity
     scale = scale_frac * curves.border.i_free
     assert outcome(lambda: curves.breakdown(cap, scale * q).objective) == \

@@ -9,7 +9,6 @@ infectious days, so the threat into a region grows with its partner's cases.
 """
 
 import math
-from dataclasses import replace
 from itertools import product
 
 from hypothesis import given, reject, settings
@@ -53,8 +52,7 @@ def reference_sweep(state, grid_points, infectious_days):
 
     def costs(region, threats_in):
         # [own cases][partner cases][F]
-        link_curves = replace(region.curves,
-                              border=region.curves.border.rescaled(1.0))
+        link_curves = region.curves._replace(border=region.curves.border.rescaled(1.0))
         return [[[cell_cost(link_curves, x, threat, f) for f in fs]
                  for threat in threats_in] for x in xs]
 
@@ -81,13 +79,12 @@ _scale = st.floats(0.1, 10.0)
 def region_states(draw, name):
     curves = draw(st.sampled_from(sorted(bundled_curve_sets().items())))[1]
     ct, cb, co = curves.transmission, curves.border, curves.outbreak
-    curves = replace(
-        curves,
-        transmission=replace(ct, c0=ct.c0 * draw(_scale),
-                             tti_slope=ct.tti_slope * draw(_scale),
-                             wide_slope=ct.wide_slope * draw(_scale)),
-        border=replace(cb, b0=cb.b0 * draw(_scale)),
-        outbreak=replace(co, per_case=co.per_case * draw(_scale)))
+    curves = curves._replace(
+        transmission=ct._replace(c0=ct.c0 * draw(_scale),
+                                 tti_slope=ct.tti_slope * draw(_scale),
+                                 wide_slope=ct.wide_slope * draw(_scale)),
+        border=cb._replace(b0=cb.b0 * draw(_scale)),
+        outbreak=co._replace(per_case=co.per_case * draw(_scale)))
     return RegionState(name, draw(st.integers(10**3, 10**7)), 0.0,
                        draw(st.floats(0.0, 100.0)), curves)
 
@@ -130,9 +127,9 @@ def test_gate_rejected_curves_keep_the_zero_case_total():
     # b0 = 0, a flat T and no outbreak cost fail the shape gate and make every
     # cell cost 2 c0; the closed form returns zero cases, open borders
     linear = bundled_curve_sets()["linear"]
-    flat = replace(linear, transmission=replace(linear.transmission, tti_slope=0.0),
-                   border=replace(linear.border, b0=0.0),
-                   outbreak=replace(linear.outbreak, per_case=0.0))
+    flat = linear._replace(transmission=linear.transmission._replace(tti_slope=0.0),
+                           border=linear.border._replace(b0=0.0),
+                           outbreak=linear.outbreak._replace(per_case=0.0))
     regions = tuple(RegionState(name, 10**6, 0.0, 5.0, flat) for name in "AB")
     state = GameState(regions, (TravelLink("A", "B", 300), TravelLink("B", "A", 300)))
     coop = cooperative_optimum(state)

@@ -15,6 +15,7 @@ import pytest
 from epicost import _forkwrite, cli
 from epicost.config import parse_config
 from epicost.fixtures import fixture_path
+from epicost.importation import ImportScenario
 
 CONFIG = {"regions": [{"id": "a,b", "weight": 0.1 + 0.2}], "note": 'say "hi"'}
 COMMENTS = ["# summary: first", "# second"]
@@ -151,6 +152,25 @@ def test_import_dist_table_holds_no_string_per_row():
     assert nus.tolist() == [19_998, 19_999, 20_000, 0, 1, 2, 3]
     assert probs.shape == tails.shape == (7,)
     assert held / rows.n < IMPORT_TABLE_BYTES_PER_ROW, f"{held / rows.n:.1f} B a row"
+
+
+# tracemalloc peak of one link's import-dist rows: the pmf, its tail sums and
+# the Monte Carlo counts, 24.3 bytes a support value; the pmf_support call it
+# made before also allocated the int64 support values, for a peak of 32.3
+IMPORT_ROWS_PEAK_BYTES = 26
+
+
+def test_import_rows_hold_three_values_a_support_value():
+    scenario = ImportScenario(10**6, 500_000, 200_000)
+    cli._import_rows(scenario, 1, 10)   # the first run imports the sampler
+    tracemalloc.start()
+    try:
+        rows = cli._import_rows(scenario, 1, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.n == 200_001
+    assert peak / rows.n < IMPORT_ROWS_PEAK_BYTES, f"{peak / rows.n:.1f} B a value"
 
 
 def import_dist_peak(scenario, trials, path):

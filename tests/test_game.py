@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ class TestBestResponse:
 
     @pytest.mark.parametrize("curvature", [1.0, 1.5, 2.0])
     def test_zero_threat_is_boundary_open_for_any_curvature(self, quad_set, curvature):
-        curves = replace(quad_set, border=replace(quad_set.border, curvature=curvature))
+        curves = quad_set._replace(border=quad_set.border._replace(curvature=curvature))
         responder = region("B", 0.0, curves)
         opponent = region("A", 0.0, curves)
         decision = best_response(responder, opponent, TravelLink("A", "B", 50))
@@ -198,7 +197,7 @@ def nash_states(draw):
         if draw(st.booleans()):
             # configure the screening the region would choose anyway
             responder, opponent = (regions[1], regions[0]) if origin == "A" else regions
-            link = replace(link, screening=best_response(
+            link = link._replace(screening=best_response(
                 responder, opponent, link, grid_points=_GRID).screening)
         links.append(link)
     return GameState(regions, tuple(links))

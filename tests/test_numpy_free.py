@@ -1,13 +1,13 @@
-"""The solver commands run without numpy.
+"""The solver commands run without numpy, ``dataclasses`` or ``inspect``.
 
 ``game``, ``optimize`` and ``validate`` use no table: their optimizer grid
 and shape gate are scalar code, and numpy is imported only inside the
 functions that make arrays. So these commands never load it, which saves
 most of their start-up, and their results hold Python floats, not numpy
-scalars.
+scalars. The package's records are plain classes (``epicost._record``),
+so neither ``dataclasses`` nor the ``inspect`` it imports is loaded.
 """
 
-import dataclasses
 import json
 import numbers
 import subprocess
@@ -17,6 +17,7 @@ import pytest
 
 from epicost.config import load_config
 from epicost.fixtures import SCENARIOS, fixture_path
+from epicost._record import Record
 from epicost.game import GameState, best_response, solve_game
 from epicost.optimize import minimize_over_imports
 
@@ -37,7 +38,9 @@ with tempfile.TemporaryDirectory() as out:
                 code = cli.main([command, "--config", str(fixture_path(name)),
                                  "--out", out, "--format", fmt])
                 runs.append([name, command, fmt, code])
-print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules}))
 """
 
 
@@ -60,15 +63,17 @@ def test_solver_commands_never_import_numpy():
     assert [run[3] for run in result["runs"]] == [0] * len(result["runs"])
     assert len(result["runs"]) == 2 * sum(map(len, commands.values()))
     assert result["numpy"] is False
+    assert result["dataclasses"] is False
+    assert result["inspect"] is False
 
 
 def numeric_fields(obj, path: str):
     """``(path, value)`` of every number in a result, bools left out, and
     the solved ``state`` (the inputs) too."""
-    if dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            if field.name != "state":
-                yield from numeric_fields(getattr(obj, field.name), f"{path}.{field.name}")
+    if isinstance(obj, Record):
+        for name in obj._fields:
+            if name != "state":
+                yield from numeric_fields(getattr(obj, name), f"{path}.{name}")
     elif isinstance(obj, tuple):
         for i, value in enumerate(obj):
             yield from numeric_fields(value, f"{path}[{i}]")
@@ -76,8 +81,8 @@ def numeric_fields(obj, path: str):
         yield path, obj
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_result_fields_are_python_floats(name):
+def solved(name: str) -> dict:
+    """Every optimizer and game result on a bundled fixture, by path."""
     cfg = load_config(fixture_path(name))
     solver = {"grid_points": cfg.solver.grid_points, "foc_tol": cfg.solver.foc_tol}
     results = {}
@@ -91,9 +96,33 @@ def test_result_fields_are_python_floats(name):
         results["game"] = solve_game(GameState(tuple(cfg.regions), cfg.links),
                                      max_iters=cfg.solver.max_iterations,
                                      tol=cfg.solver.nash_tol, **solver)
+    return results
+
+
+def wrong_types(results: dict) -> list:
+    """``(path, type name)`` of every number in ``results`` that is not a
+    Python ``float`` (an ``int`` for ``iterations``)."""
     fields = [pair for path, result in results.items()
               for pair in numeric_fields(result, path)]
     assert fields
-    wrong = [(path, type(v).__name__) for path, v in fields
-             if type(v) is not (int if path.endswith(".iterations") else float)]
-    assert wrong == []
+    return [(path, type(v).__name__) for path, v in fields
+            if type(v) is not (int if path.endswith(".iterations") else float)]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_result_fields_are_python_floats(name):
+    assert wrong_types(solved(name)) == []
+
+
+def test_a_numpy_scalar_deep_in_a_result_is_flagged():
+    # the walk reaches a cost inside a decision inside a tuple inside the
+    # game's records, and tells a numpy float (a float subclass) from a float
+    import numpy as np
+
+    results = solved("two_region_symmetric")
+    game = results["game"]
+    first, second = game.nash.outcome.decisions
+    first = first._replace(costs=first.costs._replace(border=np.float64(first.costs.border)))
+    outcome = game.nash.outcome._replace(decisions=(first, second))
+    results["game"] = game._replace(nash=game.nash._replace(outcome=outcome))
+    assert wrong_types(results) == [("game.nash.outcome.decisions[0].costs.border", "float64")]

@@ -182,13 +182,18 @@ class TestGoldenSection:
 
 
 def test_grid_holds_8_bytes_a_point(quad_set):
-    # the grid's costs are one array of doubles; a point's x is recomputed
+    # the grid search holds a block per level of its halving, not a cost a
+    # point; on a cost flat within TIE_TOL it prunes nothing, and costs every
+    # point, in the same memory
+    flat = CostCurveSet(TransmissionCost(c0=1.0, tti_slope=0.5),
+                        BorderCost(b0=2.0, i_free=4.0, curvature=1.0))
     n = 200_001
-    minimize_over_imports(quad_set, grid_points=11)
-    tracemalloc.start()
-    try:
-        minimize_over_imports(quad_set, grid_points=n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / n < 10
+    for curves in (quad_set, flat):
+        minimize_over_imports(curves, grid_points=11)
+        tracemalloc.start()
+        try:
+            minimize_over_imports(curves, grid_points=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 10

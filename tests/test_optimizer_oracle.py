@@ -10,7 +10,6 @@ same ``OptimizationResult`` bit for bit, with every numeric field a Python
 points are numpy scalars), or raise the same error.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -152,8 +151,8 @@ def as_floats(solver):
     """A reference solver whose result has its numeric fields as ``float``."""
     def solve(*args):
         res = solver(*args)
-        return dataclasses.replace(res, argument=float(res.argument), cost=float(res.cost),
-                                   foc_residual=float(res.foc_residual))
+        return res._replace(argument=float(res.argument), cost=float(res.cost),
+                            foc_residual=float(res.foc_residual))
     return solve
 
 

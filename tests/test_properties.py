@@ -1,6 +1,5 @@
 """Metamorphic properties of the solvers: region swap and cost scaling."""
 
-from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,14 +18,13 @@ def scaled_curves(draw):
     """A bundled curve set with each cost level scaled independently."""
     curves = draw(_curves)
     ct, cb, co = curves.transmission, curves.border, curves.outbreak
-    return replace(
-        curves,
-        transmission=replace(ct, c0=ct.c0 * draw(_scale),
-                             tti_slope=ct.tti_slope * draw(_scale),
-                             breakdown_jump=ct.breakdown_jump * draw(_scale),
-                             wide_slope=ct.wide_slope * draw(_scale)),
-        border=replace(cb, b0=cb.b0 * draw(_scale)),
-        outbreak=replace(co, per_case=co.per_case * draw(_scale)))
+    return curves._replace(
+        transmission=ct._replace(c0=ct.c0 * draw(_scale),
+                                 tti_slope=ct.tti_slope * draw(_scale),
+                                 breakdown_jump=ct.breakdown_jump * draw(_scale),
+                                 wide_slope=ct.wide_slope * draw(_scale)),
+        border=cb._replace(b0=cb.b0 * draw(_scale)),
+        outbreak=co._replace(per_case=co.per_case * draw(_scale)))
 
 
 @st.composite
@@ -54,13 +52,12 @@ def test_swapping_the_regions_swaps_the_decisions(state):
 
 def scale_costs(curves: CostCurveSet, lam: float) -> CostCurveSet:
     ct, cb, co = curves.transmission, curves.border, curves.outbreak
-    return replace(
-        curves,
-        transmission=replace(ct, c0=lam * ct.c0, tti_slope=lam * ct.tti_slope,
-                             breakdown_jump=lam * ct.breakdown_jump,
-                             wide_slope=lam * ct.wide_slope),
-        border=replace(cb, b0=lam * cb.b0),
-        outbreak=replace(co, per_case=lam * co.per_case))
+    return curves._replace(
+        transmission=ct._replace(c0=lam * ct.c0, tti_slope=lam * ct.tti_slope,
+                                 breakdown_jump=lam * ct.breakdown_jump,
+                                 wide_slope=lam * ct.wide_slope),
+        border=cb._replace(b0=lam * cb.b0),
+        outbreak=co._replace(per_case=lam * co.per_case))
 
 
 def assert_scaled(base, scaled, lam):

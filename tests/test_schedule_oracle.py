@@ -1,6 +1,5 @@
 """The schedule comparator against the enumeration and dense kernel it replaced."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -120,7 +119,7 @@ def assert_same(got, want):
     if want is NumericalFailure or got is NumericalFailure:
         assert got is want
         return
-    names = [field.name for field in dataclasses.fields(ScheduleComparison)]
+    names = list(ScheduleComparison._fields)
     for name in names + ["r_first", "r_second"]:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
@@ -209,8 +208,8 @@ def test_memory_guard_bytes_per_schedule():
     finally:
         tracemalloc.stop()
     assert got.n_schedules == 382_401
-    held = sum(getattr(got, f.name).nbytes for f in dataclasses.fields(got)
-               if isinstance(getattr(got, f.name), np.ndarray))
+    held = sum(getattr(got, name).nbytes for name in type(got)._fields
+               if isinstance(getattr(got, name), np.ndarray))
     assert held == 36 * got.n_schedules + got.r_grid.nbytes
     per_schedule = peak / got.n_schedules
     assert per_schedule < PEAK_BYTES_PER_SCHEDULE, f"{per_schedule:.1f} B a schedule"
