@@ -1,7 +1,7 @@
 """Hot numeric kernels, one numpy implementation each.
 
-The trajectory simulator and the schedule scan run here; the optimizers
-and the shape gate are scalar code and do not use this module. The cost
+The schedule scan runs here; the trajectory simulator, the optimizers and
+the shape gate are scalar code and do not use this module. The cost
 formulas themselves live on the curves in ``costs`` (``cost_arr``), so
 each kernel takes curve objects and combines them. The schedule scan
 (``TwoSegmentScan``) holds the constant-R prefixes of its schedules only:
@@ -14,15 +14,6 @@ Kernels assume domain-valid inputs; validation lives in the calling modules.
 """
 
 import numpy as np
-
-
-def simulate_cases(x0, r_seq, imports_seq, alpha):
-    T = r_seq.shape[0]
-    cases = np.empty(T + 1)
-    cases[0] = x0
-    for t in range(T):
-        cases[t + 1] = r_seq[t] * cases[t] + alpha * imports_seq[t]
-    return cases
 
 
 def _put(out, table, skip):

@@ -139,21 +139,28 @@ def _n_rows(column) -> int:
     return len(column.codes if isinstance(column, _Coded) else column)
 
 
-def _column_format(column):
-    """A column's ``%`` format and a function from a row slice to its cells.
+def _json_float(v: float) -> str:
+    """``v`` as ``json.dumps`` writes ``_jsonable(v)``."""
+    return repr(_sig(v)) if math.isfinite(v) else '"%s"' % _cell(v)
 
-    Numbers are filled in by the row template (floats ``%.12g``, ints and
-    ``range`` columns ``%d``); a ``_Coded`` column formats each value its
-    rows use once, and takes the cells by code; bools index their two
-    cells; any other column is text.
+
+def _column_format(column, fmt: str):
+    """A column's ``%`` format in a ``fmt`` row and a function from a row
+    slice to its cells.
+
+    Numbers are filled in by the row template (ints and ``range`` columns
+    ``%d``, floats ``%.12g`` in CSV); a ``_Coded`` column formats each
+    value its rows use once, and takes the cells by code; bools index
+    their two cells; JSON floats and any other column are text, as
+    ``_quote`` or ``json.dumps`` writes them.
     """
     if isinstance(column, _Coded):
         import numpy as np
 
         used = np.bincount(column.codes) > 0
         codes = np.cumsum(used)[column.codes] - 1   # a code's index among the used
-        fmt, take = _column_format(column.values[:used.shape[0]][used])
-        cells = np.array([fmt % v for v in take(slice(None))], dtype=object)
+        form, take = _column_format(column.values[:used.shape[0]][used], fmt)
+        cells = np.array([form % v for v in take(slice(None))], dtype=object)
         return "%s", lambda rows: cells.take(codes[rows]).tolist()
     if isinstance(column, range):
         return "%d", lambda rows: list(column[rows])
@@ -163,9 +170,13 @@ def _column_format(column):
 
         cells = np.array(["false", "true"], dtype=object)
         return "%s", lambda rows: cells.take(column[rows].view(np.uint8)).tolist()
+    if kind == "f" and fmt == "json":
+        return "%s", lambda rows: [_json_float(v) for v in column[rows].tolist()]
     if kind in "fiu":
         return ("%.12g" if kind == "f" else "%d"), lambda rows: column[rows].tolist()
-    return "%s", lambda rows: [_quote(_cell(v)) for v in column[rows]]
+    if fmt == "csv":
+        return "%s", lambda rows: [_quote(_cell(v)) for v in column[rows]]
+    return "%s", lambda rows: [json.dumps(_jsonable(v)) for v in column[rows]]
 
 
 def _workers(n_chunks: int) -> int:
@@ -204,34 +215,31 @@ def _sliced(columns) -> _Rows:
     return _Rows(_n_rows(first), chunk)
 
 
-def _chunk_text(columns) -> str:
-    """The CSV lines of a chunk given as equal-length columns, whose
-    cells are made ``_SLICE_ROWS`` rows at a time."""
-    formats, takes = zip(*map(_column_format, columns))
-    template = ",".join(formats) + "\n"
+def _chunk_text(fmt: str, header, columns, depth: int) -> str:
+    """The rows of a chunk given as equal-length columns, whose cells are
+    made ``_SLICE_ROWS`` rows at a time from one row template.
+
+    A CSV row is its cells joined by commas. A JSON row is the row object
+    keyed by ``header`` as ``json.dumps(indent=2, sort_keys=True)`` writes
+    an item of a list ``depth`` levels deep, after a comma.
+    """
+    cells = [_column_format(column, fmt) for column in columns]
+    if fmt == "csv":
+        formats, takes = zip(*cells)
+        template = ",".join(formats) + "\n"
+    else:
+        keyed = sorted(dict(zip(header, cells)).items())   # a key once, as in a dict row
+        indent = "\n" + "  " * (depth + 1)
+        template = ",%s{%s%s}" % (indent, ",".join(
+            indent + "  " + json.dumps(key).replace("%", "%%") + ": " + form
+            for key, (form, _) in keyed), indent)
+        takes = [take for _, (_, take) in keyed]
 
     def lines(rows: slice) -> str:
         return "".join([template % row for row in zip(*(take(rows) for take in takes))])
 
     return "".join(lines(slice(lo, lo + _SLICE_ROWS))
                    for lo in range(0, _n_rows(columns[0]), _SLICE_ROWS))
-
-
-def _listed(column) -> list:
-    """A column's values as Python objects, a ``_Coded`` column's by code."""
-    if isinstance(column, _Coded):
-        column = column.values[column.codes]
-    return column.tolist() if hasattr(column, "tolist") else list(column)
-
-
-def _json_chunk(header, columns, depth: int, lo: int) -> str:
-    """The rows of a chunk as ``json.dumps(indent=2, sort_keys=True)``
-    writes the items of a list of row objects ``depth`` levels deep: one
-    ``json.dumps`` of the chunk's rows, its brackets dropped and its lines
-    indented, after a comma unless the chunk starts the table (``lo``)."""
-    records = [dict(zip(header, row)) for row in zip(*map(_listed, columns))]
-    text = json.dumps(_jsonable(records), indent=2, sort_keys=True)[1:-2]
-    return ("," if lo else "") + text.replace("\n", "\n" + "  " * depth)
 
 
 def _json_tables(obj, depth: int = 0):
@@ -290,15 +298,15 @@ def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
     ``json.dumps(indent=2, sort_keys=True)`` writes ``{"config":
     config_raw, **report}``, where each ``_Table`` it holds as a value is a
     list of row objects keyed by the header. The bytes are those of that
-    one dump, and in CSV those of a ``csv.writer`` over ``_cell`` values
-    (``_column_format`` says how each column is formatted).
+    one dump, and in CSV those of a ``csv.writer`` over ``_cell`` values;
+    the two formats differ only in their row template (``_chunk_text``).
 
     The tables are taken as equal-length columns or as ``_Rows``, and
     their chunks of ``_CHUNK_ROWS`` rows are one ordered map
     (``_ordered_map``) over ``W = _workers(n_chunks)`` processes: process
     0 is this one, the others are forked at its start and each does every
-    W-th chunk. Each chunk's rows are computed and formatted (``_chunk_text``
-    or ``_json_chunk``) in the process the chunk falls to, so a computed
+    W-th chunk. Each chunk's rows are computed and formatted
+    (``_chunk_text``) in the process the chunk falls to, so a computed
     table is never whole anywhere, nor a large table ever held as Python
     objects all at once. This process spools the formatted chunks, in
     order, to an unnamed file beside the report; when every chunk's
@@ -319,9 +327,8 @@ def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
         table, rows, depth = tables[i]
         chunk = rows.chunk(lo, min(lo + _CHUNK_ROWS, rows.n))
         columns, part = chunk if rows.summary else (chunk, None)
-        if fmt == "csv":
-            return i, _chunk_text(columns), part
-        return i, _json_chunk(table.header, columns, depth, lo), part
+        text = _chunk_text(fmt, table.header, columns, depth)
+        return i, (text[1:] if fmt == "json" and not lo else text), part   # no comma first
 
     sizes, parts, summary = [0] * len(tables), [[] for _ in tables], {}
     results = _ordered_map(work, len(chunks), _workers(len(chunks)))

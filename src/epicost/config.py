@@ -26,8 +26,8 @@ from .trajectory import DynamicsParams, PolicySchedule
 # costed), but a cost flat within the tie tolerance prunes nothing: one
 # such solve at the cap took 20 s, against 10.5 s for costing every point
 MAX_GRID_POINTS = 10_000_000
-# largest accepted dynamics.horizon: simulate costs about 1 us a day and a
-# one-value-grid compare-schedules about 6 us a day, so neither passes 1 s
+# largest accepted dynamics.horizon: simulate takes about 3.5 us a day with
+# its report and a one-value-grid compare-schedules 6 us, so neither passes 1 s
 MAX_HORIZON = 100_000
 
 

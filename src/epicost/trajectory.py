@@ -158,8 +158,6 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
     """
     import numpy as np
 
-    from . import _kernels
-
     if x0 < 0:
         raise DomainError(f"starting cases must be >= 0, got {x0}")
     T = schedule.horizon
@@ -180,8 +178,10 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
         border = np.array([curves.border.cost(v) for v in imports.tolist()])
 
     # an overflow to inf is a runaway, reported just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        cases = _kernels.simulate_cases(x0, r, imports, curves.import_multiplier)
+    cases = [float(x0)]
+    for r_t, imports_t in zip(r.tolist(), imports.tolist()):
+        cases.append(step(cases[-1], r_t, imports_t, curves.import_multiplier))
+    cases = np.array(cases)
     if not np.all(np.isfinite(cases)) or np.any(cases > RUNAWAY_CASES):
         raise NumericalFailure(
             f"runaway epidemic: cases exceeded {RUNAWAY_CASES:g} within {T} days")

@@ -11,6 +11,8 @@ from argparse import Namespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicost import _forkwrite, cli
 from epicost.config import parse_config
@@ -69,6 +71,8 @@ def table(n_rows):
         "label": np.resize(np.array(STRINGS, dtype=object), n_rows),
         "text": [STRINGS[(3 * i) % len(STRINGS)] for i in range(n_rows)],
         'mixed "cell"': mixed,
+        # a % and a non-ASCII character: JSON quotes and escapes the key
+        "share %s é": rng.random(n_rows),
     }
 
 
@@ -82,6 +86,12 @@ def test_same_bytes_as_row_writer(n_rows, tmp_path):
     got = write_csv(tmp_path / "columns.csv", header, columns, CONFIG, COMMENTS)
     want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
     assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats() | st.sampled_from(SPECIAL_FLOATS))
+def test_json_float_cell_is_what_json_dumps_writes(v):
+    assert cli._json_float(v) == json.dumps(cli._jsonable(v))
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, cli._CHUNK_ROWS,
@@ -283,14 +293,14 @@ def test_failing_formatter_child_is_invariant_violation(tmp_path, monkeypatch, c
     parent = os.getpid()
     column_format = cli._column_format
 
-    def failing_in_children(column):
-        fmt, take = column_format(column)
+    def failing_in_children(column, fmt):
+        form, take = column_format(column, fmt)
 
         def checked(rows):
             if os.getpid() != parent:
                 raise ValueError("formatter failed")
             return take(rows)
-        return fmt, checked
+        return form, checked
 
     monkeypatch.setattr(cli, "_column_format", failing_in_children)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL_CHUNK)

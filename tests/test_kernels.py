@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from epicost import _kernels as K
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
+from epicost.errors import NumericalFailure
 from epicost.trajectory import (RUNAWAY_CASES, DynamicsParams, PolicySchedule,
                                 simulate)
 
@@ -120,13 +121,22 @@ def python_recurrence(x0, r_seq, imports_seq, alpha):
 
 
 @_oracle
-@given(x0=st.floats(0.0, 100.0), alpha=st.floats(0.0, 3.0),
-       days=st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 5.0)), max_size=60))
-def test_simulate_cases_matches_python_recurrence(x0, alpha, days):
-    r_seq = np.array([r for r, _ in days], dtype=np.float64)
-    imports_seq = np.array([i for _, i in days], dtype=np.float64)
-    got = K.simulate_cases(x0, r_seq, imports_seq, alpha)
-    assert got.tolist() == python_recurrence(x0, r_seq.tolist(), imports_seq.tolist(), alpha)
+@given(x0=st.floats(0.0, 100.0), alpha=st.floats(1.0, 3.0), threat=st.floats(0.0, 5.0),
+       days=st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 1.0)), max_size=60))
+def test_simulate_cases_matches_python_recurrence(x0, alpha, threat, days):
+    # the day's imports are the threat times its screening; a run past
+    # RUNAWAY_CASES fails
+    params = DynamicsParams(2.5, 0.0, 1.0)
+    schedule = PolicySchedule(tuple(r for r, _ in days), tuple(f for _, f in days), params)
+    curves = CostCurveSet(TransmissionCost(1.0), BorderCost(1.0, 5.0), OutbreakCost(),
+                          import_multiplier=alpha)
+    want = python_recurrence(x0, schedule.reproduction,
+                             [threat * f for f in schedule.screening], alpha)
+    if max(want) > RUNAWAY_CASES:
+        with pytest.raises(NumericalFailure, match="runaway epidemic"):
+            simulate(schedule, x0, curves, threat)
+    else:
+        assert simulate(schedule, x0, curves, threat).cases.tolist() == want
 
 
 def grid_rows(rs, horizon):
@@ -141,7 +151,7 @@ def grid_rows(rs, horizon):
 
 def scan_and_check(rs, horizon, x0, ct_params, co_params, exponent=1.0):
     """Run the scan over the grid ``rs``; check every row, bit for bit, against
-    ``simulate_cases`` and the curve formulas summed day by day."""
+    ``python_recurrence`` and the curve formulas summed day by day."""
     params = DynamicsParams(2.5, 0.5, exponent)
     ct, co = TransmissionCost(*ct_params), OutbreakCost(*co_params)
     curves = CostCurveSet(ct, BorderCost(1.0, 1.0), co)
@@ -155,7 +165,7 @@ def scan_and_check(rs, horizon, x0, ct_params, co_params, exponent=1.0):
     want = [], [], []
     for i, j, s in rows:
         r = np.where(np.arange(horizon) < s, grid[i], grid[j])
-        cases = K.simulate_cases(x0, r, np.zeros(horizon), 1.0)
+        cases = np.array(python_recurrence(x0, r.tolist(), [0.0] * horizon, 1.0))
         live = cases[:horizon]
         daily = ct.cost_arr(live) * params.weight(r) + co.cost_arr(live)
         want[0].append(np.cumsum(daily)[-1])   # cumsum adds in sequence

@@ -332,25 +332,33 @@ def command_peak(tmp_path, fmt="csv", **dynamics):
         tracemalloc.stop()
 
 
+# tracemalloc peak of a JSON compare-schedules run: about 3.2 MB at 96,801
+# and 382,401 schedules alike, one chunk's cells and text; a chunk's rows
+# as Python objects, one dict a row, and their json.dumps peaked at 13.3 MB
+JSON_COMMAND_PEAK_BOUND = 6e6
+
+
 def test_command_memory_does_not_grow_with_schedules(tmp_path):
-    # CSV: 96,801 and 382,401 schedules over 60 days; the whole table of
-    # the larger is 13.8 MB at 36 bytes a schedule. JSON, ten times slower
-    # to format: 11,521 and 45,441 schedules over 8 days; its rows held
-    # whole as Python objects peaked at 37 and 145 MB
-    for fmt, horizon in (("csv", 60), ("json", 8)):
-        small = command_peak(tmp_path, fmt, horizon=horizon, r_grid_step=0.05)
-        large = command_peak(tmp_path, fmt, horizon=horizon, r_grid_step=0.025)
+    # 96,801 and 382,401 schedules over 60 days; the whole table of the
+    # larger is 13.8 MB at 36 bytes a schedule
+    for fmt in ("csv", "json"):
+        small = command_peak(tmp_path, fmt, horizon=60, r_grid_step=0.05)
+        large = command_peak(tmp_path, fmt, horizon=60, r_grid_step=0.025)
         assert large < 1.5 * small, f"{fmt}: {small / 1e6:.2f} MB, then {large / 1e6:.2f} MB"
+        if fmt == "json":
+            assert large < JSON_COMMAND_PEAK_BOUND, f"json: {large / 1e6:.2f} MB"
     assert_no_child_left()
 
 
 def test_grid_longer_than_a_chunk_is_not_held_as_cells(tmp_path):
     # 200,001 one-day schedules, one a grid value: the scan holds about
-    # 33 bytes a schedule; the grid's cells, formatted once, would add
-    # about 87 more
+    # 33 bytes a schedule, and a run about 43 in either format; the grid's
+    # cells, formatted once, would add about 87 more, and so did a JSON
+    # chunk's rows held as one dict a row
     n = 200_001
-    peak = command_peak(tmp_path, horizon=1, r_grid_step=1e-5, target_cases=60.0)
-    assert peak < 60 * n, f"{peak / n:.1f} bytes a schedule"
+    for fmt in ("csv", "json"):
+        peak = command_peak(tmp_path, fmt, horizon=1, r_grid_step=1e-5, target_cases=60.0)
+        assert peak < 60 * n, f"{fmt}: {peak / n:.1f} bytes a schedule"
 
 
 def unreachable_by_any_schedule():
@@ -392,15 +400,14 @@ def test_child_failing_at_either_step_is_invariant_violation(tmp_path, monkeypat
 
         monkeypatch.setattr(ScheduleScan, "rows", failing)
     else:
-        formatter = "_chunk_text" if fmt == "csv" else "_json_chunk"
-        format_chunk = getattr(cli, formatter)
+        format_chunk = cli._chunk_text
 
         def failing(*args):
             if os.getpid() != parent:
                 raise ValueError("formatting failed")
             return format_chunk(*args)
 
-        monkeypatch.setattr(cli, formatter, failing)
+        monkeypatch.setattr(cli, "_chunk_text", failing)
     monkeypatch.setattr(cli, "_workers", lambda n_chunks: 2)
     # the fixture's 12,201 schedules: 3 chunks, one in the child
     out = tmp_path / "out"
