@@ -20,9 +20,10 @@ unnamed file until this process writes the text around them. The
 ``compare-schedules`` table is never held whole: each process computes
 the rows of the chunks it formats from the schedule scan, with their part
 of the summary, and the report is written once the summary is known. The
-``import-dist`` table holds each link's pmf, tail sums and Monte Carlo
-counts, one value each per support value; a chunk's ``nu`` values, link
-codes and frequencies are made when it is formatted. numpy is imported
+``import-dist`` table holds each link's pmf, tail sums (by
+``importation._tail_sums``, as ``import_tail_sum`` returns them) and Monte
+Carlo counts, one value each per support value; a chunk's ``nu`` values,
+link codes and frequencies are made when it is formatted. numpy is imported
 inside the handlers and formatters that make arrays, so ``game``,
 ``optimize`` and ``validate``, whose tables are tuples of Python values,
 run without it.
@@ -49,7 +50,8 @@ from .config import ScenarioConfig, load_config
 from .costs import validate_curve_set
 from .errors import ConfigError, DomainError, InvariantViolation, NumericalFailure
 from .game import GameState, best_response, solve_game
-from .importation import ImportScenario, _support_pmf, expected_imports, sample_counts
+from .importation import (ImportScenario, _support_pmf, _tail_sums, expected_imports,
+                          sample_counts)
 from .optimize import minimize_over_imports
 from .trajectory import ScheduleScan, simulate, summarize
 
@@ -454,18 +456,12 @@ def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
 
 
 def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> _Rows:
-    """One link's ``nu, pmf, tail_sum`` rows, and ``mc_freq`` over
-    ``trials`` Monte Carlo trials if any; it holds the pmf, its tail sums
-    and the counts, each one value per support value."""
-    import numpy as np
-
+    """One link's ``nu, pmf, tail_sum`` rows (``import_tail_sum``'s tail
+    sums), and ``mc_freq`` over ``trials`` Monte Carlo trials if any; it
+    holds the pmf, its tail sums and the counts, one value each a support value."""
     probs = _support_pmf(scenario)
     first = scenario.support[0]
-    # the tail sums leave out nu = 0
-    tails = probs.copy()
-    if first == 0:
-        tails[0] = 0.0
-    np.cumsum(tails, out=tails)
+    tails = _tail_sums(probs, first)
     counts = sample_counts(scenario, seed, trials) if trials > 0 else None
 
     def chunk(lo: int, hi: int):

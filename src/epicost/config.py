@@ -203,6 +203,8 @@ def parse_config(data: dict, shape_gate: bool = True,
         regions.append(RegionState(name, population, prevalence, domestic, curves))
 
     names = [reg.name for reg in regions]
+    # the region names are known once every region block was read whole
+    names_known = 0 < len(names) == len(region_blocks)
     populations = {reg.name: reg.population for reg in regions}
     if len(set(names)) != len(names):
         r.fail("regions", "region ids must be unique")
@@ -226,7 +228,7 @@ def parse_config(data: dict, shape_gate: bool = True,
         if None in (origin, destination, travelers, screening):
             continue
         for endpoint, label in ((origin, "origin"), (destination, "destination")):
-            if names and endpoint not in names:
+            if names_known and endpoint not in names:
                 r.fail(f"{path}{label}", f"unknown region {endpoint!r}")
         # travellers are drawn from the origin's population
         if travelers > populations.get(origin, travelers):
@@ -254,6 +256,7 @@ def parse_config(data: dict, shape_gate: bool = True,
         seed=r.read(sb, "seed", "solver.", "integer", default=sd["seed"], minimum=0),
     )
 
+    before = len(r.diagnostics)
     db = r.read(data, "dynamics", "", "object", default={})
     pd, dd = _defaults(DynamicsParams), _defaults(DynamicsSettings)
     r0 = r.read(db, "r0", "dynamics.", "number", default=pd["r0"])
@@ -288,22 +291,21 @@ def parse_config(data: dict, shape_gate: bool = True,
     reproduction = day_series("reproduction", dd["reproduction"])
     screening = day_series("screening", dd["screening"])
 
-    params = None
+    dynamics = None
     try:
         params = DynamicsParams(r0, r_min, g_exp)
     except DomainError as exc:
         r.fail("dynamics", str(exc))
-
-    dynamics = None
-    if params is not None and not r.diagnostics:
+    # the schedule is checked once every value it is built from is valid
+    if len(r.diagnostics) == before:
         dynamics = DynamicsSettings(params, horizon, region_name,
                                     reproduction, screening, target, r_step)
-        if region_name is not None and region_name not in names:
-            r.fail("dynamics.region", f"unknown region {region_name!r}")
         try:
             dynamics.schedule()
         except DomainError as exc:
             r.fail("dynamics", str(exc))
+    if names_known and region_name is not None and region_name not in names:
+        r.fail("dynamics.region", f"unknown region {region_name!r}")
 
     if r.diagnostics:
         raise ConfigError(sorted(r.diagnostics))

@@ -25,6 +25,8 @@ from ._record import Record
 from .errors import DomainError, KinkAmbiguityError
 
 _EPS_REL = 1e-6
+# points at which validate_curve_set samples each curve's cost
+SHAPE_GRID_POINTS = 1000
 
 
 def _require(cond: bool, msg: str):
@@ -305,10 +307,10 @@ def _strictly_monotone(values: list[float], increasing: bool) -> bool:
     return all(after > before if increasing else after < before for before, after in pairs)
 
 
-def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeReport:
+def validate_curve_set(curves: CostCurveSet) -> ShapeReport:
     """Sample every curve on a grid and report pass/fail per shape invariant.
 
-    Each curve's scalar ``cost`` is sampled at ``grid_points`` evenly
+    Each curve's scalar ``cost`` is sampled at ``SHAPE_GRID_POINTS`` evenly
     spaced points (``_linspace``). A curve with any sampled cost that is
     not finite (past float range, or nan) gets a failing
     ``<curve>.finite`` check (present only then), even at the last sample
@@ -322,7 +324,7 @@ def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeRe
 
     def sample(name, curve, stop):
         # costs on [0, stop]; any inf or nan among them fails "<name>.finite"
-        at = _linspace(stop, grid_points)
+        at = _linspace(stop, SHAPE_GRID_POINTS)
         values = [curve.cost(x) for x in at]
         first = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
         if first is not None:
@@ -340,7 +342,7 @@ def validate_curve_set(curves: CostCurveSet, grid_points: int = 1000) -> ShapeRe
     add("transmission.baseline_positive", ct.c0 > 0,
         f"cost at zero cases is {ct.c0}", "transmission.c0")
     add("transmission.strictly_increasing", _strictly_monotone(ct_vals, True),
-        f"sampled on [0, {horizon:g}] with {grid_points} points", "transmission")
+        f"sampled on [0, {horizon:g}] with {SHAPE_GRID_POINTS} points", "transmission")
 
     cap = ct.tti_capacity
     if 0 < cap < math.inf:

@@ -14,7 +14,8 @@ one denominator from prime exponents (Legendre's formula). The full-support pmf
 extends it outward by the neighbor ratio, whose integer factors are exact
 in float64 for N <= 1e6, and divides by the sum. Its values stay within
 2e-14 relative of the correctly-rounded ones in the randomised tests, and
-sum to 1 within an ulp.
+sum to 1 within an ulp. Exact tail sums, ``import_tail_sum``'s and the
+``import-dist`` report's alike, are running sums of it (``_tail_sums``).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class SourceProfile(Record):
                 raise DomainError(f"source {i}: traveler count must be >= 0, got {k}")
 
 
-# _exact_pmf_float builds the binomials with math.comb past either limit.
+# hypergeom_pmf builds the binomials with math.comb past either limit.
 # Largest population whose primes it sieves: at N = 1e6 one sieve and ratio
 # took 0.2 s where math.comb took 18.6 s; past it the sieve would hold N
 # bytes. Largest min(k, N - k) it leaves to math.comb, whose work grows with
@@ -104,19 +105,24 @@ def _product(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
-def _exact_pmf_float(s: ImportScenario, nu: int) -> float:
-    """Correctly-rounded float of C(K,nu) C(N-K,k-nu) / C(N,k).
+def hypergeom_pmf(s: ImportScenario, nu: int) -> float:
+    """Probability that exactly ``nu`` of the k travelers are infectious,
+    the correctly-rounded float of C(K,nu) C(N-K,k-nu) / C(N,k).
 
-    The ratio of factorials ``K! (N-K)! k! (N-k)!`` over ``nu! (K-nu)!
-    (k-nu)! (N-K-k+nu)! N!`` is reduced to one exponent per prime ``p <=
-    N`` by Legendre's formula (``m!`` holds ``p`` to the power ``sum_i
-    m // p**i``); the primes with positive exponents make one integer and
-    those with negative exponents another, divided once. Python's int/int
-    true division rounds correctly, so the float equals that of the
-    binomials' ratio, whatever the reduction. Where ``min(k, N - k)`` is
-    small, which bounds the smaller side of every binomial, or ``N`` is
+    The ratio of factorials ``K! (N-K)! k! (N-k)!`` over ``nu! (K-nu)! (k-nu)!
+    (N-K-k+nu)! N!`` is reduced to one exponent per prime ``p <= N`` by Legendre's
+    formula (``m!`` holds ``p`` to the power ``sum_i m // p**i``); the primes with
+    positive exponents make one integer and those with negative exponents another,
+    divided once. Python's int/int true division rounds correctly, so the float
+    equals that of the binomials' ratio, whatever the reduction. Where ``min(k, N
+    - k)`` is small, which bounds the smaller side of every binomial, or ``N`` is
     large, ``math.comb`` builds them instead.
     """
+    if nu < 0:
+        raise DomainError(f"count must be >= 0, got {nu}")
+    lo, hi = s.support
+    if nu < lo or nu > hi:
+        return 0.0
     n, big_k, k = s.population, s.infected, s.travelers
     if n > _SIEVE_MAX or min(k, n - k) <= _COMB_MAX:
         num = comb(big_k, nu) * comb(n - big_k, k - nu)
@@ -139,22 +145,9 @@ def _exact_pmf_float(s: ImportScenario, nu: int) -> float:
     return num / den
 
 
-def hypergeom_pmf(s: ImportScenario, nu: int) -> float:
-    """Probability that exactly ``nu`` of the k travelers are infectious."""
-    if nu < 0:
-        raise DomainError(f"count must be >= 0, got {nu}")
-    lo, hi = s.support
-    if nu < lo or nu > hi:
-        return 0.0
-    return _exact_pmf_float(s, nu)
-
-
 def pmf_support(s: ImportScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Full pmf over the support, as (counts, probabilities) arrays.
-
-    The counts are ``lo .. hi`` as int64; the probabilities are
-    ``_support_pmf``'s.
-    """
+    """Full pmf over the support: the counts ``lo .. hi`` as int64, and
+    ``_support_pmf``'s probabilities."""
     import numpy as np
 
     lo, hi = s.support
@@ -180,9 +173,6 @@ def _support_pmf(s: ImportScenario) -> np.ndarray:
 
     n, big_k, k = s.population, s.infected, s.travelers
     lo, hi = s.support
-    if lo == hi:
-        return np.ones(1)
-
     mode = min(max((k + 1) * (big_k + 1) // (n + 2), lo), hi)
     probs = np.empty(hi - lo + 1)
     anchor_idx = mode - lo
@@ -224,28 +214,35 @@ def _ratio_products(out: np.ndarray, first: int, step: int, ratio) -> None:
         carry = block[-1]
 
 
+def _tail_sums(probs: np.ndarray, first: int) -> np.ndarray:
+    """Lower-tail sums, nu = 0 left out, of the support pmf ``probs`` from
+    ``first`` on: one in-order ``np.cumsum``, so a prefix has the whole's bits."""
+    import numpy as np
+
+    tails = probs.copy()
+    if first == 0:
+        tails[0] = 0.0
+    np.cumsum(tails, out=tails)
+    return tails
+
+
 def import_tail_sum(s: ImportScenario, n: int) -> float:
-    """Sum of pmf over nu = 1..n (the displayed lower-tail sum, nu=0 excluded)."""
+    """Sum of pmf over nu = 1..n (the displayed lower-tail sum, nu=0 excluded):
+    ``_tail_sums`` at ``min(n, hi)``, the report's ``tail_sum`` bits."""
     if n < 0:
         raise DomainError(f"count must be >= 0, got {n}")
     lo, hi = s.support
-    start, stop = max(1, lo), min(n, hi)
-    if stop < start:
+    if n < max(1, lo):
         return 0.0
-    big_k, k, pop = s.infected, s.travelers, s.population
-    p = _exact_pmf_float(s, start)
-    total = p
-    for nu in range(start, stop):
-        p *= ((big_k - nu) * (k - nu)) / ((nu + 1) * (pop - big_k - k + nu + 1))
-        total += p
-    return total
+    return float(_tail_sums(_support_pmf(s), lo)[min(n, hi) - lo])
 
 
 def approx_tail_sum(k: int, prevalence: float, n: int) -> float:
     """Limit-form tail sum: C(k,nu) L**nu over nu = 1..n.
 
     Not a normalized distribution (the binomial (1-L)**(k-nu) factor is
-    deliberately absent); accurate only when k * L is small.
+    deliberately absent); accurate only when k * L is small. Raises
+    ``NumericalFailure`` when the sum overflows a float.
     """
     if not 0.0 <= prevalence <= 1.0:
         raise DomainError(f"prevalence must lie in [0, 1], got {prevalence}")
@@ -256,6 +253,9 @@ def approx_tail_sum(k: int, prevalence: float, n: int) -> float:
     for nu in range(1, n + 1):
         term *= (k - nu + 1) / nu * prevalence
         total += term
+    if not isfinite(total):
+        raise NumericalFailure(
+            f"limit-form tail sum overflow for {k} travelers at prevalence {prevalence}")
     return total
 
 

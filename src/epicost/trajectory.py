@@ -32,9 +32,9 @@ RUNAWAY_CASES = 1e12
 # most schedules a comparison enumerates. The CLI's reports stream in
 # bounded memory, so the cap bounds their time and size: at 979,041
 # schedules (161 grid values, 39 days) on a 2-core Xeon the CSV report took
-# 1.9 s for 87 MB and the JSON one 25.5 s for 324 MB, at 33 and 45 MB peak
-# RSS; compare_monotone_vs_relax holds its whole table, about 40 bytes a
-# schedule
+# 2.4 s for 87 MB and the JSON one 5.9 s for 324 MB (medians of 3), at 31
+# and 33 MB peak RSS; compare_monotone_vs_relax holds its whole table,
+# about 40 bytes a schedule
 MAX_SCHEDULES = 1_000_000
 # most schedule-days the scan costs (schedule_days): a two-value grid, the
 # dearest per day, took 0.67 s for 81.0M schedule-days over 9,000 days on an

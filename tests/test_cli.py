@@ -5,9 +5,11 @@ import warnings
 
 import pytest
 
-from epicost.cli import COMMANDS, main
+from epicost.cli import COMMANDS, _cell, main
+from epicost.config import load_config
 from epicost.errors import InvariantViolation
 from epicost.fixtures import fixture_path
+from epicost.importation import ImportScenario, import_tail_sum
 
 
 def run_cli(*args):
@@ -79,6 +81,23 @@ class TestCommands:
         by_nu = {int(r["nu"]): r for r in rows}
         assert float(by_nu[1]["pmf"]) == pytest.approx(0.466667, abs=1e-6)
         assert float(by_nu[2]["tail_sum"]) == pytest.approx(0.533333, abs=1e-6)
+
+    def test_import_dist_tail_sums_are_import_tail_sum(self, tmp_path):
+        # the report's tail_sum cells are the library's tail sums, byte for byte
+        path = fixture_path("import_dist_small")
+        assert run_cli("import-dist", "--config", str(path), "--out", str(tmp_path)) == 0
+        cfg = load_config(path)
+        scenarios = {}
+        for link in cfg.links:
+            origin = cfg.region(link.origin)
+            scenarios[link.origin, link.destination] = ImportScenario.from_prevalence(
+                origin.population, origin.prevalence, link.travelers)
+        rows = read_csv(tmp_path / "import_dist.csv")
+        assert len(rows) == sum(hi - lo + 1 for lo, hi in
+                                (s.support for s in scenarios.values()))
+        for row in rows:
+            scenario = scenarios[row["origin"], row["destination"]]
+            assert row["tail_sum"] == _cell(import_tail_sum(scenario, int(row["nu"])))
 
     def test_import_dist_with_monte_carlo(self, tmp_path):
         code = run_cli("import-dist", "--config", str(fixture_path("import_dist_small")),

@@ -134,6 +134,20 @@ class TestValidation:
         diags = diagnostics_of(cfg)
         assert any("dynamics.region" in d for d in diags)
 
+    @pytest.mark.parametrize("dynamics, diagnostic", [
+        ({"region": "nowhere"}, "dynamics.region: unknown region 'nowhere'"),
+        ({"reproduction": 9.0}, "dynamics: reproduction[0]=9.0 outside [0.5, 2.5]")])
+    def test_dynamics_checked_beside_other_violations(self, dynamics, diagnostic):
+        cfg = minimal_config(solver={"grid_points": 1}, dynamics={"horizon": 5, **dynamics})
+        assert diagnostics_of(cfg) == [diagnostic, "solver.grid_points: must be >= 3, got 1"]
+
+    def test_region_of_a_failed_block_is_not_unknown(self):
+        # the names are not all known when a region block fails
+        cfg = minimal_config(dynamics={"horizon": 5, "region": "B"},
+                             links=[{"origin": "A", "destination": "B", "travelers": 3}])
+        cfg["regions"].append({**cfg["regions"][0], "id": "B", "prevalence": 2.0})
+        assert diagnostics_of(cfg) == ["regions[1].prevalence: must be <= 1.0, got 2"]
+
     def test_shape_gate_can_be_disabled(self):
         cfg = minimal_config()
         cfg["regions"][0]["curves"]["border"]["b0"] = 0.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
-from epicost import importation
+from epicost import cli, importation
 from epicost.errors import DomainError, NumericalFailure
 from epicost.importation import (ImportScenario, SourceProfile, approx_tail_sum,
                                  expected_imports, expected_imports_multi,
@@ -267,6 +267,16 @@ class TestTailSums:
     def test_approx_single_term(self):
         assert approx_tail_sum(1, 0.05, 1) == pytest.approx(0.05)
 
+    def test_approx_overflow_is_numerical_failure(self):
+        # expected_imports raises for the same k and L
+        with pytest.raises(NumericalFailure, match="limit-form tail sum overflow"):
+            approx_tail_sum(100_000, 0.01, 100_000)
+        with pytest.raises(NumericalFailure):
+            expected_imports(100_000, 0.01)
+        # a large finite sum is returned
+        assert approx_tail_sum(5_000, 0.1, 5_000) == pytest.approx(
+            1.1 ** 5_000 - 1.0, rel=1e-10)
+
     def test_approx_domain_errors(self):
         with pytest.raises(DomainError):
             approx_tail_sum(2, 1.5, 1)
@@ -304,6 +314,53 @@ class TestTailSums:
         exact = sum(Fraction(comb(10, nu) * comb(990, 5 - nu), comb(1000, 5))
                     for nu in range(1, 3))
         assert import_tail_sum(s, 2) == pytest.approx(float(exact), abs=1e-15)
+
+
+class TestOneTailSum:
+    """import_tail_sum is the report's tail_sum, the running sum of the
+    support pmf, at every scale."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(s=scenarios())
+    def test_is_the_report_tail_and_scipy(self, s):
+        # scipy evaluates the pmf in log space: at N = 1e6, K = k = 1 its
+        # pmf(0) errs by 1.1e-10 relative, an error that the difference
+        # keeps where pmf(0) is near 1 and the tail small; below nu = 1 the
+        # sum is empty, and scipy's cdf(0) - pmf(0) is that error alone
+        lo, hi = s.support
+        rows = cli._import_rows(s, None, 0)
+        tails = rows.chunk(0, rows.n)[2]
+        _, probs = pmf_support(s)
+        dist = hypergeom(s.population, s.infected, s.travelers)
+        for nu in {lo, hi, (lo + hi) // 2, lo + int(np.argmax(probs))}:
+            tail = import_tail_sum(s, nu)
+            assert np.float64(tail).tobytes() == tails[nu - lo].tobytes(), nu
+            if nu == 0:
+                assert tail == 0.0
+            else:
+                want, scipy_err = dist.cdf(nu) - dist.pmf(0), 1e-9 * dist.pmf(0)
+                assert tail == pytest.approx(want, rel=1e-9, abs=scipy_err + 1e-15), nu
+
+    def test_half_the_support_does_not_underflow(self):
+        # pmf(1), about 5e-595 here, underflows: a sum anchored at the
+        # support's edge was 0.0
+        s = ImportScenario(2000, 1000, 1000)
+        want = math.fsum(hypergeom_pmf(s, nu) for nu in range(1, 501))
+        assert want == pytest.approx(0.517834551951791, abs=1e-15)
+        assert import_tail_sum(s, 500) == pytest.approx(want, abs=1e-13)
+
+    def test_no_binomial_at_scale(self, monkeypatch):
+        def big_integers(*args):
+            raise AssertionError("import_tail_sum reached the big-integer path")
+
+        monkeypatch.setattr(importation, "comb", big_integers)
+        monkeypatch.setattr(importation, "_primes_upto", big_integers)
+        s = ImportScenario(10**6, 10**4, 5 * 10**5)
+        assert import_tail_sum(s, 5_000) == pytest.approx(0.5040094205322007, rel=1e-12)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DomainError):
+            import_tail_sum(ImportScenario(10, 2, 3), -1)
 
 
 def loop_expected_imports(k, prevalence):
