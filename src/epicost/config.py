@@ -263,8 +263,11 @@ def parse_config(data: dict, shape_gate: bool = True,
     r_min = r.read(db, "r_min", "dynamics.", "number", default=pd["r_min"], minimum=0.0)
     g_exp = r.read(db, "stringency_exponent", "dynamics.", "number",
                    default=pd["stringency_exponent"], positive=True)
+    seen = len(r.diagnostics)
     horizon = r.read(db, "horizon", "dynamics.", "integer", default=dd["horizon"],
                      minimum=1, maximum=MAX_HORIZON)
+    # a day series is held to the horizon only where the horizon read as valid
+    horizon_valid = len(r.diagnostics) == seen
     region_name = r.read(db, "region", "dynamics.", "string", default=dd["region"])
     target = r.read(db, "target_cases", "dynamics.", "number",
                     default=dd["target_cases"], minimum=0.0)
@@ -280,7 +283,7 @@ def parse_config(data: dict, shape_gate: bool = True,
             return float(v)
         if isinstance(v, list) and all(isinstance(e, (int, float))
                                        and not isinstance(e, bool) for e in v):
-            if horizon is not None and len(v) != horizon:
+            if horizon_valid and len(v) != horizon:
                 r.fail(f"dynamics.{key}",
                        f"length {len(v)} does not match horizon {horizon}")
                 return default

@@ -253,9 +253,9 @@ def approx_tail_sum(k: int, prevalence: float, n: int) -> float:
     for nu in range(1, n + 1):
         term *= (k - nu + 1) / nu * prevalence
         total += term
-    if not isfinite(total):
-        raise NumericalFailure(
-            f"limit-form tail sum overflow for {k} travelers at prevalence {prevalence}")
+        if not isfinite(total):   # inf from here on: stop at the overflow
+            raise NumericalFailure(
+                f"limit-form tail sum overflow for {k} travelers at prevalence {prevalence}")
     return total
 
 

@@ -417,11 +417,10 @@ class ScheduleScan:
         import numpy as np
 
         with np.errstate(over="ignore", invalid="ignore"):
-            totals, max_cases, finals = self._kernel.costs(lo, hi)
+            first, second, switch, totals, max_cases, finals = self._kernel.rows(lo, hi)
         # an overflowed total reads inf also where 0 * inf made it nan (a
         # zero weight or term)
         totals[np.isnan(totals)] = np.inf
-        first, second, switch = self._kernel.codes(lo, hi)
 
         runaway = max_cases > RUNAWAY_CASES
         feasible = (finals <= self.x_target) & ~runaway
@@ -480,7 +479,7 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
 
     Rows come in a fixed order: the constant schedules in grid order, then
     for each ordered pair ``(r1, r2)`` of distinct grid values in row-major
-    order, switch days ``1 .. horizon - 1`` (``_kernels.TwoSegmentRows``).
+    order, switch days ``1 .. horizon - 1`` (``_kernels.TwoSegmentScan``).
     This is ``ScheduleScan.rows`` over every row and ``summarize`` of its
     one reduction, so it holds the whole table: 24 bytes a schedule of
     costs and cases, 8 of grid codes and switch days and 4 of flags, about

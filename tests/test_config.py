@@ -115,6 +115,16 @@ class TestValidation:
         diags = diagnostics_of(cfg)
         assert any("dynamics.reproduction" in d for d in diags)
 
+    def test_day_series_not_held_to_an_invalid_horizon(self):
+        # an invalid horizon is reported alone, not as a series' mismatch
+        # with the default 30 days
+        cfg = minimal_config(dynamics={"horizon": 0, "reproduction": [0.5] * 5})
+        assert diagnostics_of(cfg) == ["dynamics.horizon: must be >= 1, got 0"]
+        # a missing horizon is 30 days
+        cfg = minimal_config(dynamics={"reproduction": [0.5] * 5})
+        assert diagnostics_of(cfg) == [
+            "dynamics.reproduction: length 5 does not match horizon 30"]
+
     @pytest.mark.parametrize("key, series", [
         ("reproduction", [True, 0.5, 0.5, 0.5, 0.5]), ("screening", [False] * 5)])
     def test_bools_in_day_series_rejected(self, key, series):

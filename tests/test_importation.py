@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -276,6 +277,13 @@ class TestTailSums:
         # a large finite sum is returned
         assert approx_tail_sum(5_000, 0.1, 5_000) == pytest.approx(
             1.1 ** 5_000 - 1.0, rel=1e-10)
+
+    def test_approx_overflow_stops_at_the_first_inf(self):
+        # the sum is inf within about 50 of its 10**7 terms
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="limit-form tail sum overflow"):
+            approx_tail_sum(10**7, 0.5, 10**7)
+        assert time.perf_counter() - start < 0.1
 
     def test_approx_domain_errors(self):
         with pytest.raises(DomainError):

@@ -157,9 +157,8 @@ def scan_and_check(rs, horizon, x0, ct_params, co_params, exponent=1.0):
     curves = CostCurveSet(ct, BorderCost(1.0, 1.0), co)
     grid = np.array(rs, dtype=np.float64)
     scan = K.TwoSegmentScan(grid, horizon, x0, params, curves)
-    got = scan.costs(0, scan.n)
+    first, second, switch, *got = scan.rows(0, scan.n)
     rows = grid_rows(grid.tolist(), horizon)
-    first, second, switch = scan.codes(0, scan.n)
     assert (first.dtype, second.dtype, switch.dtype) == (np.int16, np.int16, np.int32)
     assert list(zip(first.tolist(), second.tolist(), switch.tolist())) == rows
     want = [], [], []
@@ -193,7 +192,7 @@ class TestTwoSegmentCosts:
         curves = CostCurveSet(TransmissionCost(1.0, 0.3, 50.0, 5.0, 0.8, 1.5),
                               BorderCost(1.0, 1.0), OutbreakCost(1.0, 1.0))
         scan = K.TwoSegmentScan(rs, 20, 80.0, params, curves)
-        totals, max_cases, finals = scan.costs(0, scan.n)
+        _, _, _, totals, max_cases, finals = scan.rows(0, scan.n)
         for i, (first, second, s) in enumerate(grid_rows(rs.tolist(), 20)):
             r1, r2 = float(rs[first]), float(rs[second])
             schedule = PolicySchedule((r1,) * s + (r2,) * (20 - s), (1.0,) * 20, params)
@@ -261,9 +260,11 @@ class TestScanBlocks:
 def test_rows_code_large_grids_in_int32():
     # 2**15 grid values over one day: constants only, no pairs mask built
     rs = np.linspace(0.5, 2.5, 2**15)
-    first, second, switch = K.TwoSegmentRows(rs, 1).codes(0, 2**15)
+    params = DynamicsParams(2.5, 0.5, 1.0)
+    curves = CostCurveSet(TransmissionCost(1.0), BorderCost(1.0, 1.0), OutbreakCost(1.0))
+    first, second, switch, *_ = K.TwoSegmentScan(rs, 1, 0.0, params, curves).rows(0, 2**15)
     assert (first.dtype, second.dtype, switch.dtype) == (np.int32, np.int32, np.int32)
     assert first.tolist() == second.tolist() == list(range(2**15))
     assert np.all(switch == 1)
-    first, _, _ = K.TwoSegmentRows(rs[:-1], 1).codes(0, 2**15 - 1)
+    first, *_ = K.TwoSegmentScan(rs[:-1], 1, 0.0, params, curves).rows(0, 2**15 - 1)
     assert first.dtype == np.int16 and first[-1] == 2**15 - 2

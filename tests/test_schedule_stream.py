@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicost import cli, trajectory
+from epicost import _kernels, cli, trajectory
 from epicost.config import parse_config
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.errors import NumericalFailure
@@ -318,6 +318,33 @@ def test_scan_summary_over_blocks(data, curves, horizon, r_step, x0, share):
     for got, want in zip(scan.rows(lo, hi), rows):
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint8), want[lo:hi].view(np.uint8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), curves=st.sampled_from(sorted(_CURVES)),
+       horizon=st.integers(2, 16), r_step=st.sampled_from([0.3, 0.5, 0.7]),
+       x0=st.sampled_from([0.0, 50.0, 1e6]))
+def test_scan_rows_over_small_blocks(data, curves, horizon, r_step, x0):
+    # blocks of one pair (fewer cells than, or as many as, its switch days)
+    # or of two, so ranges start, end and cut them mid-block
+    params = DynamicsParams()
+    scan = ScheduleScan(x0, x0 * params.r_min**horizon, horizon, _CURVES[curves],
+                        params, r_step)
+    rows = scan.rows(0, scan.n)
+    days = horizon - 1
+    cells = _kernels._BLOCK_CELLS
+    _kernels._BLOCK_CELLS = data.draw(st.sampled_from([1, 3, days, 2 * days + 1]))
+    try:
+        ranges = [(0, scan.n)]
+        for _ in range(3):
+            lo = data.draw(st.integers(0, scan.n - 1))
+            ranges.append((lo, data.draw(st.integers(lo + 1, scan.n))))
+        for lo, hi in ranges:
+            for got, want in zip(scan.rows(lo, hi), rows):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint8), want[lo:hi].view(np.uint8))
+    finally:
+        _kernels._BLOCK_CELLS = cells
 
 
 def command_peak(tmp_path, fmt="csv", **dynamics):

@@ -244,12 +244,12 @@ class TestScheduleGridAndCap:
             assert cmp_.n_schedules == cap
 
     @pytest.mark.parametrize("n_r,horizon", [(1, 1), (1, 9), (2, 1), (3, 2), (21, 30)])
-    def test_schedule_days_count_the_scan(self, n_r, horizon):
+    def test_schedule_days_count_the_scan(self, quad_set, n_r, horizon):
         # each constant row runs every day; a row switching on day s adds its
         # horizon - s suffix days to a prefix that is costed once
         rs = np.arange(n_r, dtype=np.float64)
-        rows = _kernels.TwoSegmentRows(rs, horizon)
-        _, _, switch = rows.codes(0, rows.n)
+        scan = _kernels.TwoSegmentScan(rs, horizon, 0.0, PARAMS, quad_set)
+        _, _, switch, *_ = scan.rows(0, scan.n)
         assert schedule_days(n_r, horizon) == n_r * horizon + int(
             np.sum(horizon - switch[n_r:]))
 
