@@ -10,16 +10,13 @@ from .costs import (BorderCost, CostBreakdown, CostCurveSet, OutbreakCost,
 from .errors import (ConfigError, DomainError, InvariantViolation,
                      KinkAmbiguityError, NumericalFailure)
 from .game import (GameSolution, GameState, PolicyDecision, RegionState,
-                   TravelLink, best_response, cooperative_optimum,
-                   imports_between, nash_iterate, price_of_noncooperation,
-                   solve_game)
-from .importation import (ImportScenario, SourceProfile, approx_tail_sum,
-                          expected_imports, expected_imports_multi,
+                   TravelLink, best_response, cooperative_optimum, nash_iterate,
+                   price_of_noncooperation, solve_game)
+from .importation import (ImportScenario, approx_tail_sum, expected_imports,
                           hypergeom_mean, hypergeom_pmf, import_tail_sum,
                           pmf_support, sample_counts, sample_imports)
-from .optimize import (OptimizationResult, aggregate_cost,
-                       closure_condition_with_refund, minimize_over_imports,
-                       minimize_over_screening, total_policy_cost)
+from .optimize import (OptimizationResult, aggregate_cost, closure_condition,
+                       minimize_over_imports, minimize_over_screening)
 from .trajectory import (DynamicsParams, PolicySchedule, ScheduleComparison,
                          Trajectory, compare_monotone_vs_relax, daily_cost,
                          simulate, steady_state_holding_cost, step)
@@ -32,14 +29,13 @@ __all__ = [
     "ConfigError", "DomainError", "InvariantViolation", "KinkAmbiguityError",
     "NumericalFailure",
     "GameSolution", "GameState", "PolicyDecision", "RegionState", "TravelLink",
-    "best_response", "cooperative_optimum", "imports_between", "nash_iterate",
+    "best_response", "cooperative_optimum", "nash_iterate",
     "price_of_noncooperation", "solve_game",
-    "ImportScenario", "SourceProfile", "approx_tail_sum", "expected_imports",
-    "expected_imports_multi", "hypergeom_mean", "hypergeom_pmf",
-    "import_tail_sum", "pmf_support", "sample_counts", "sample_imports",
-    "OptimizationResult", "aggregate_cost",
-    "closure_condition_with_refund", "minimize_over_imports",
-    "minimize_over_screening", "total_policy_cost",
+    "ImportScenario", "approx_tail_sum", "expected_imports", "hypergeom_mean",
+    "hypergeom_pmf", "import_tail_sum", "pmf_support", "sample_counts",
+    "sample_imports",
+    "OptimizationResult", "aggregate_cost", "closure_condition",
+    "minimize_over_imports", "minimize_over_screening",
     "DynamicsParams", "PolicySchedule", "ScheduleComparison", "Trajectory",
     "compare_monotone_vs_relax", "daily_cost", "simulate",
     "steady_state_holding_cost", "step",

@@ -12,7 +12,8 @@ joint optimum, and ``cooperative_optimum`` returns it in closed form.
 Border cost along a link is measured against that link's own free-travel
 import level (screening factor F=1 costs nothing, full closure costs b0),
 so the configured border curve is rescaled to the link's unscreened
-expected-import level before solving.
+expected-import level before solving. A decision's ``imports`` are that
+level (its ``import_threat``) times its screening.
 """
 
 import math
@@ -166,11 +167,6 @@ class GameSolution(Record):
     @property
     def iterations(self) -> int:
         return self.nash.iterations
-
-
-def imports_between(origin: RegionState, link: TravelLink) -> float:
-    """Expected imported cases per day along a link after screening."""
-    return expected_imports(link.travelers, origin.prevalence) * link.screening
 
 
 def _decision(region: RegionState, cases: float, threat: float, screening: float,

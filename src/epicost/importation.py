@@ -7,9 +7,13 @@ hypergeometric. A limit form for small samples from large populations
 L = K / N; note this form drops the (1 - L)**(k - nu) factor, so its tail
 sums are not a normalized distribution and overcount at high prevalence.
 
-Single pmf values (``hypergeom_pmf``) are correctly-rounded floats of a
-ratio of binomial coefficients, built as one big-integer numerator and
-one denominator from prime exponents (Legendre's formula). The full-support pmf
+The ``import-dist`` command reports the full-support pmf, its tail sums
+and the Monte Carlo counts; ``expected_imports`` sets the import threat of
+``game``, ``optimize`` and ``simulate``. The limit form's tail sum is the
+acceptance criteria's. Single pmf values (``hypergeom_pmf``), the tests'
+exact oracle, are correctly-rounded floats of a ratio of binomial
+coefficients, built as one big-integer numerator and one denominator from
+prime exponents (Legendre's formula). The full-support pmf
 (``pmf_support``) evaluates no binomial coefficient: it sets the mode to 1,
 extends it outward by the neighbor ratio, whose integer factors are exact
 in float64 for N <= 1e6, and divides by the sum. Its values stay within
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from math import comb, fsum, isfinite
-from typing import Iterable, Sequence
 
 from ._record import Record
 from .errors import DomainError, NumericalFailure
@@ -60,19 +63,6 @@ class ImportScenario(Record):
         lo = max(0, self.travelers - (self.population - self.infected))
         hi = min(self.travelers, self.infected)
         return lo, hi
-
-
-class SourceProfile(Record):
-    """Travel sources: per-source infection probability and traveler count."""
-
-    sources: tuple[tuple[float, int], ...]
-
-    def __post_init__(self):
-        for i, (p, k) in enumerate(self.sources):
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"source {i}: probability must lie in [0, 1], got {p}")
-            if k < 0:
-                raise DomainError(f"source {i}: traveler count must be >= 0, got {k}")
 
 
 # hypergeom_pmf builds the binomials with math.comb past either limit.
@@ -117,6 +107,8 @@ def hypergeom_pmf(s: ImportScenario, nu: int) -> float:
     equals that of the binomials' ratio, whatever the reduction. Where ``min(k, N
     - k)`` is small, which bounds the smaller side of every binomial, or ``N`` is
     large, ``math.comb`` builds them instead.
+
+    Job: the exact oracle for ``pmf_support`` in ``tests/test_importation.py``.
     """
     if nu < 0:
         raise DomainError(f"count must be >= 0, got {nu}")
@@ -283,13 +275,6 @@ def expected_imports(k: int, prevalence: float) -> float:
 def hypergeom_mean(s: ImportScenario) -> float:
     """Exact expected imported cases: k K / N."""
     return s.travelers * s.infected / s.population
-
-
-def expected_imports_multi(profile: SourceProfile | Iterable[Sequence]) -> float:
-    """Expected imports summed over independent sources: sum of p_R * k_R."""
-    if not isinstance(profile, SourceProfile):
-        profile = SourceProfile(tuple((float(p), int(k)) for p, k in profile))
-    return float(sum(p * k for p, k in profile.sources))
 
 
 def sample_imports(s: ImportScenario, seed: int, trials: int) -> np.ndarray:

@@ -9,13 +9,13 @@ level jump) at its breakdown point. Results are classified as interior or
 pinned to a boundary via one-sided marginals, mirroring the
 first-order-condition cases: fully open when accepting all imports is
 cheaper at the margin, fully closed when the first import already costs
-more than it saves.
+more than it saves; ``closure_condition`` is that last case alone.
 """
 
 import math
 
 from ._record import Record
-from .costs import CostBreakdown, CostCurveSet
+from .costs import CostCurveSet
 from .errors import DomainError, InvariantViolation, NumericalFailure
 
 GRID_POINTS = 10_000
@@ -39,25 +39,13 @@ class OptimizationResult(Record):
     classification: str
     foc_residual: float
 
-    @property
-    def is_interior(self) -> bool:
-        return self.classification == INTERIOR
-
 
 class ClosureConditionReport(Record):
-    """Evaluation of the full-closure (F=0) optimality condition.
-
-    ``refund`` is the part of the readiness baseline returned when borders
-    are fully closed (preparedness can be wound down at zero cases); the
-    refunded variant adds it to the marginal transmission side of the
-    inequality. ``refund=0`` reduces to the standard condition.
-    """
+    """Evaluation of the full-closure (F=0) optimality condition."""
 
     transmission_marginal: float
     border_saving: float
-    refund: float
-    holds_standard: bool
-    holds_with_refund: bool
+    holds: bool
 
 
 def golden_section(fn, lo: float, hi: float, width: float) -> tuple[float, float]:
@@ -260,6 +248,9 @@ def aggregate_cost(curves: CostCurveSet, imports: float) -> float:
     Equals transmission cost of the multiplied import load plus border cost:
     the inner minimization over domestic cases sits at zero because
     transmission cost increases with cases.
+
+    Job: the oracle for ``minimize_over_imports``'s reported cost in
+    ``tests/test_breakdown.py``.
     """
     return curves.breakdown(curves.import_multiplier * imports, imports).objective
 
@@ -295,34 +286,17 @@ def minimize_over_screening(curves: CostCurveSet, import_threat: float,
                              1.0, grid_points, foc_tol)
 
 
-def closure_condition_with_refund(curves: CostCurveSet, import_threat: float,
-                                  refund: float = 0.0) -> ClosureConditionReport:
-    """Check whether full closure (F=0) is optimal, with a readiness refund.
+def closure_condition(curves: CostCurveSet, import_threat: float) -> ClosureConditionReport:
+    """Whether full closure (F=0) is optimal: the marginal transmission cost
+    of the first imports exceeds the marginal border saving at F=0, for the
+    curves ``minimize_over_screening`` takes (in the game, the border
+    rescaled to the threat).
 
-    Standard condition: marginal transmission cost of the first imports
-    exceeds the marginal border saving at F=0. The refunded variant credits
-    ``refund`` (at most the readiness baseline c0, recovered by closing
-    completely) to the transmission side.
+    Job: the uncoordinated-imports claim in ``tests/test_paper_claims.py``.
     """
     if import_threat < 0:
         raise DomainError(f"import threat must be >= 0, got {import_threat}")
-    c0 = curves.transmission.c0
-    if not 0 <= refund <= c0:
-        raise DomainError(f"refund must lie in [0, {c0}], got {refund}")
-    alpha = curves.import_multiplier
-    dct = alpha * import_threat * curves.transmission.marginal(0.0, "right")
-    dcb = import_threat * curves.border.marginal(0.0)
-    saving = -dcb
-    return ClosureConditionReport(
-        transmission_marginal=dct,
-        border_saving=saving,
-        refund=refund,
-        holds_standard=dct > saving,
-        holds_with_refund=refund + dct > saving,
-    )
-
-
-def total_policy_cost(curves: CostCurveSet, domestic_cases: float,
-                      imports: float) -> CostBreakdown:
-    """Cost components with case load ``domestic_cases + alpha * imports``."""
-    return curves.breakdown(domestic_cases + curves.import_multiplier * imports, imports)
+    dct = curves.import_multiplier * import_threat * curves.transmission.marginal(0.0, "right")
+    saving = -import_threat * curves.border.marginal(0.0)
+    return ClosureConditionReport(transmission_marginal=dct, border_saving=saving,
+                                  holds=dct > saving)

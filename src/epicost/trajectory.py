@@ -34,7 +34,7 @@ RUNAWAY_CASES = 1e12
 # schedules (161 grid values, 39 days) on a 2-core Xeon the CSV report took
 # 2.4 s for 87 MB and the JSON one 5.9 s for 324 MB (medians of 3), at 31
 # and 33 MB peak RSS; compare_monotone_vs_relax holds its whole table,
-# about 40 bytes a schedule
+# about 36 bytes a schedule
 MAX_SCHEDULES = 1_000_000
 # most schedule-days the scan costs (schedule_days): a two-value grid, the
 # dearest per day, took 0.67 s for 81.0M schedule-days over 9,000 days on an
@@ -138,6 +138,8 @@ def daily_cost(curves: CostCurveSet, cases: float, r: float, screening: float,
 
     The border term evaluates the region's border curve at the screened
     import level; use :func:`simulate` without a channel for autarky.
+
+    Job: the oracle for ``simulate``'s days in ``tests/test_trajectory.py``.
     """
     if not 0.0 <= screening <= 1.0:
         raise DomainError(f"screening must lie in [0, 1], got {screening}")

@@ -1,9 +1,9 @@
 """``CostCurveSet.breakdown`` against the scalar cost spellings it replaced.
 
-Each ``reference_*`` function keeps one of the seven places that wrote the
+Each ``reference_*`` function keeps one of the six places that wrote the
 policy cost out by hand: the optimizer's axis objective and its kink value,
-``aggregate_cost``, ``total_policy_cost``, the game's link breakdown,
-``daily_cost`` and ``steady_state_holding_cost``. The functions built on
+``aggregate_cost``, the game's link breakdown, ``daily_cost`` and
+``steady_state_holding_cost``. The functions built on
 ``breakdown`` must give the same floats bit for bit (or raise the same
 error). The kink value is compared at the breakdown load itself, the only
 load at which it was the objective; the optimizer now costs the kink by the
@@ -20,7 +20,7 @@ from epicost.costs import (BorderCost, CostBreakdown, CostCurveSet, OutbreakCost
 from epicost.errors import DomainError
 from epicost.game import RegionState, _decision
 from epicost.optimize import (aggregate_cost, minimize_over_imports,
-                              minimize_over_screening, total_policy_cost)
+                              minimize_over_screening)
 from epicost.trajectory import DynamicsParams, daily_cost, steady_state_holding_cost
 from test_optimizer_oracle import _exponent, _grid, _level, _tol, curve_sets
 
@@ -38,12 +38,6 @@ def reference_kink_value(curves, scale, q):
 def reference_aggregate_cost(curves, imports):
     alpha = curves.import_multiplier
     return curves.transmission.cost(alpha * imports) + curves.border.cost(imports)
-
-
-def reference_total_policy_cost(curves, domestic_cases, imports):
-    load = domestic_cases + curves.import_multiplier * imports
-    return (curves.transmission.cost(load), curves.border.cost(imports),
-            curves.outbreak.cost(load))
 
 
 def reference_link_breakdown(curves, domestic, threat, screening):
@@ -127,14 +121,6 @@ def test_aggregate_cost(curves, frac):
     imports = frac * curves.border.i_free
     assert outcome(aggregate_cost, curves, imports) == \
         outcome(reference_aggregate_cost, curves, imports)
-
-
-@_breakdowns
-@given(curves=priced_curve_sets(), domestic=_cases, frac=_frac)
-def test_total_policy_cost(curves, domestic, frac):
-    imports = frac * curves.border.i_free
-    assert outcome(total_policy_cost, curves, domestic, imports) == \
-        outcome(reference_total_policy_cost, curves, domestic, imports)
 
 
 @_breakdowns

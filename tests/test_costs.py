@@ -109,6 +109,27 @@ class TestOutbreakCost:
         assert OutbreakCost(1.0, 2.0).cost(3.0) == pytest.approx(9.0)
 
 
+class TestBreakdown:
+    CURVES = CostCurveSet(TransmissionCost(1.0, 1.0), BorderCost(2.0, 4.0, 1.0),
+                          OutbreakCost(3.0, 1.0), 1.0)
+
+    def test_zero_case_floor(self, quad_set):
+        assert quad_set.breakdown(0.0, 0.0).total == pytest.approx(3.0)  # c0 + b0
+
+    def test_componentwise_domestic_only(self):
+        bd = self.CURVES.breakdown(1.0, 0.0)
+        assert (bd.transmission, bd.border, bd.outbreak) == (2.0, 2.0, 3.0)
+        assert bd.total == pytest.approx(7.0)
+        assert bd.net_total == pytest.approx(1.0)
+
+    def test_componentwise_fully_open(self):
+        bd = self.CURVES.breakdown(4.0, 4.0)
+        assert bd.transmission == pytest.approx(5.0)
+        assert bd.border == 0.0
+        assert bd.outbreak == pytest.approx(12.0)
+        assert bd.total == pytest.approx(17.0)
+
+
 class TestOverflow:
     """A scalar ``cost`` overflows to inf, as ``cost_arr`` does, without warning."""
 

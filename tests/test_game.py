@@ -10,10 +10,11 @@ from epicost.errors import DomainError
 from epicost.fixtures import bundled_curve_sets
 from epicost.game import (GameOutcome, GameState, NashResult, RegionState,
                           TravelLink, _decision, best_response,
-                          cooperative_optimum, imports_between, nash_iterate,
+                          cooperative_optimum, nash_iterate,
                           price_of_noncooperation, solve_game)
 from epicost.importation import expected_imports
-from epicost.optimize import BOUNDARY_OPEN, FOC_TOL
+from epicost.optimize import (BOUNDARY_CLOSED, BOUNDARY_OPEN, FOC_TOL,
+                              INTERIOR)
 
 
 def region(name, prevalence, curves, domestic=0.0, population=10**6):
@@ -28,18 +29,26 @@ def two_region_state(curves, la, lb, travelers=10, domestic=20.0):
 
 
 class TestImportsBetween:
+    """Realized imports on a link are the unscreened threat times its screening."""
+
     def test_zero_prevalence(self, quad_set):
+        responder = region("B", 0.0, quad_set)
         origin = region("A", 0.0, quad_set)
-        assert imports_between(origin, TravelLink("A", "B", 50)) == 0.0
+        decision = best_response(responder, origin, TravelLink("A", "B", 50))
+        assert decision.imports == 0.0
 
     def test_closed_border(self, quad_set):
-        origin = region("A", 0.4, quad_set)
-        assert imports_between(origin, TravelLink("A", "B", 50, screening=0.0)) == 0.0
+        responder = region("B", 0.0, quad_set)
+        threat = expected_imports(50, 0.4)
+        decision = _decision(responder, 0.0, threat, 0.0, BOUNDARY_CLOSED)
+        assert threat > 0.0
+        assert decision.imports == 0.0
 
     def test_partial_screening(self, quad_set):
-        origin = region("A", 0.1, quad_set)
-        link = TravelLink("A", "B", 2, screening=0.5)
-        assert imports_between(origin, link) == pytest.approx(0.11)
+        responder = region("B", 0.0, quad_set)
+        threat = expected_imports(2, 0.1)
+        decision = _decision(responder, 0.0, threat, 0.5, INTERIOR)
+        assert decision.imports == pytest.approx(0.11)
 
 
 class TestBestResponse:
@@ -48,6 +57,7 @@ class TestBestResponse:
         opponent = region("A", 0.0, quad_set)
         decision = best_response(responder, opponent, TravelLink("A", "B", 50))
         assert decision.screening == 1.0
+        assert decision.imports == 0.0
         assert decision.costs.border == 0.0
         assert decision.costs.total == pytest.approx(1.0)  # c0 only
 
@@ -69,6 +79,7 @@ class TestBestResponse:
         decision = best_response(responder, opponent, TravelLink("A", "B", 2))
         assert decision.import_threat == pytest.approx(4.0)
         assert decision.screening == pytest.approx(0.0625, abs=1e-6)
+        assert decision.imports == decision.import_threat * decision.screening
         assert decision.domestic_cases == 0.0
 
     def test_free_borders_close_when_any_import_hurts(self):
@@ -77,7 +88,7 @@ class TestBestResponse:
         responder = region("B", 0.0, curves)
         opponent = region("A", 1.0, curves, population=1000)
         decision = best_response(responder, opponent, TravelLink("A", "B", 2))
-        assert decision.screening == 0.0
+        assert decision.screening == decision.imports == 0.0
 
     def test_grid_oracle(self, quad_set):
         responder = region("B", 0.0, quad_set)
@@ -85,6 +96,8 @@ class TestBestResponse:
         link = TravelLink("A", "B", 10)
         decision = best_response(responder, opponent, link)
         threat = expected_imports(10, 0.1)
+        assert decision.import_threat == threat
+        assert decision.imports == threat * decision.screening
         alpha = quad_set.import_multiplier
         fs = np.arange(0.0, 1.0 + 1e-9, 1e-3)
         costs = (quad_set.transmission.cost_arr(alpha * threat * fs)

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import hypergeom
+from scipy.stats import binom, hypergeom
 
 from epicost import cli, importation
 from epicost.errors import DomainError, NumericalFailure
-from epicost.importation import (ImportScenario, SourceProfile, approx_tail_sum,
-                                 expected_imports, expected_imports_multi,
+from epicost.importation import (ImportScenario, approx_tail_sum, expected_imports,
                                  hypergeom_mean, hypergeom_pmf, import_tail_sum,
                                  pmf_support, sample_counts, sample_imports)
 
@@ -317,6 +316,17 @@ class TestTailSums:
         approx = approx_tail_sum(k, L, n)
         assert abs(frozen[10**6] - approx) > abs(frozen[10**3] - approx)
 
+    def test_exact_tail_meets_the_binomial_tail_at_one_over_n(self):
+        # criterion 3's true limit: the hypergeometric tail tends to the
+        # binomial one as N grows with L = K / N fixed, and the gap times N
+        # settles near 0.0989 (0.09905 at N = 1e3, 0.09894 from 1e5 on)
+        k, L, n = 5, 0.01, 2
+        binom_tail = binom.cdf(n, k, L) - binom.pmf(0, k, L)
+        for n_pop in (10**3, 10**4, 10**5, 10**6, 10**7):
+            s = ImportScenario.from_prevalence(n_pop, L, k)
+            scaled_gap = (import_tail_sum(s, n) - binom_tail) * n_pop
+            assert 0.0989 <= scaled_gap <= 0.0991, (n_pop, scaled_gap)
+
     def test_exact_rational_cross_check(self):
         s = ImportScenario(1000, 10, 5)
         exact = sum(Fraction(comb(10, nu) * comb(990, 5 - nu), comb(1000, 5))
@@ -416,17 +426,6 @@ class TestExpectedImports:
         assert hypergeom_mean(ImportScenario(10_000, 100, 100)) == pytest.approx(1.0)
         assert hypergeom_mean(ImportScenario(10, 0, 3)) == 0.0
         assert hypergeom_mean(ImportScenario(10, 2, 3)) == pytest.approx(0.6)
-
-    def test_multi_source(self):
-        assert expected_imports_multi([(0.01, 100), (0.001, 1000)]) == pytest.approx(2.0)
-        assert expected_imports_multi([]) == 0.0
-        assert expected_imports_multi([(0.5, 2)]) == pytest.approx(1.0)
-
-    def test_multi_source_validation(self):
-        with pytest.raises(DomainError):
-            SourceProfile(((1.5, 10),))
-        with pytest.raises(DomainError):
-            SourceProfile(((0.5, -1),))
 
 
 class TestMonteCarlo:

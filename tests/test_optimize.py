@@ -7,9 +7,8 @@ from epicost.costs import (BorderCost, CostCurveSet, OutbreakCost,
                            TransmissionCost)
 from epicost.errors import DomainError
 from epicost.optimize import (BOUNDARY_CLOSED, BOUNDARY_OPEN, INTERIOR,
-                              aggregate_cost, closure_condition_with_refund,
-                              golden_section, minimize_over_imports,
-                              minimize_over_screening, total_policy_cost)
+                              aggregate_cost, closure_condition, golden_section,
+                              minimize_over_imports, minimize_over_screening)
 
 
 def random_valid_set(rng):
@@ -121,52 +120,21 @@ class TestMinimizeOverScreening:
 
 
 class TestClosureCondition:
-    def test_zero_refund_is_standard_condition(self, steep_set):
-        report = closure_condition_with_refund(steep_set, 4.0, refund=0.0)
-        assert report.holds_standard == report.holds_with_refund
-
     def test_quadratic_full_refund_does_not_force_closure(self, quad_set):
-        # marginal transmission at F=0 is 0; refund c0=1 gives 1 + 0 > 2: false
-        report = closure_condition_with_refund(quad_set, 4.0, refund=1.0)
+        # marginal transmission at F=0 is 0 against a border saving of 2, a
+        # margin wider than the whole readiness baseline c0 = 1
+        report = closure_condition(quad_set, 4.0)
         assert report.transmission_marginal == pytest.approx(0.0)
         assert report.border_saving == pytest.approx(2.0)
-        assert not report.holds_with_refund
+        assert report.border_saving - report.transmission_marginal > quad_set.transmission.c0
+        assert not report.holds
 
     def test_steep_slope_forces_closure(self):
         curves = CostCurveSet(TransmissionCost(1.0, 5.0),
                               BorderCost(2.0, 4.0, 1.0), OutbreakCost(), 1.0)
-        report = closure_condition_with_refund(curves, 4.0, refund=0.0)
+        report = closure_condition(curves, 4.0)
         assert report.transmission_marginal == pytest.approx(20.0)
-        assert report.holds_standard  # 20 > 2
-
-    def test_refund_bounds(self, quad_set):
-        with pytest.raises(DomainError):
-            closure_condition_with_refund(quad_set, 4.0, refund=1.5)
-
-
-class TestTotalPolicyCost:
-    def test_zero_case_floor(self, quad_set):
-        bd = total_policy_cost(quad_set, 0.0, 0.0)
-        assert bd.total == pytest.approx(3.0)  # c0 + b0
-
-    def test_componentwise_domestic_only(self):
-        curves = CostCurveSet(TransmissionCost(1.0, 1.0),
-                              BorderCost(2.0, 4.0, 1.0),
-                              OutbreakCost(3.0, 1.0), 1.0)
-        bd = total_policy_cost(curves, 1.0, 0.0)
-        assert (bd.transmission, bd.border, bd.outbreak) == (2.0, 2.0, 3.0)
-        assert bd.total == pytest.approx(7.0)
-        assert bd.net_total == pytest.approx(1.0)
-
-    def test_componentwise_fully_open(self):
-        curves = CostCurveSet(TransmissionCost(1.0, 1.0),
-                              BorderCost(2.0, 4.0, 1.0),
-                              OutbreakCost(3.0, 1.0), 1.0)
-        bd = total_policy_cost(curves, 0.0, 4.0)
-        assert bd.transmission == pytest.approx(5.0)
-        assert bd.border == 0.0
-        assert bd.outbreak == pytest.approx(12.0)
-        assert bd.total == pytest.approx(17.0)
+        assert report.holds  # 20 > 2
 
 
 class TestGoldenSection:

@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
+from epicost.config import load_config
 from epicost.costs import (BorderCost, CostCurveSet, OutbreakCost,
                            TransmissionCost)
 from epicost import _kernels, trajectory
 from epicost.errors import DomainError, NumericalFailure
+from epicost.fixtures import SCENARIOS, fixture_path
+from epicost.importation import expected_imports
 from epicost.trajectory import (MAX_SCHEDULE_DAYS, MAX_SCHEDULES, DynamicsParams,
                                 PolicySchedule, compare_monotone_vs_relax, daily_cost,
                                 r_grid, schedule_count, schedule_days, simulate,
                                 steady_state_holding_cost, step)
+from test_optimize import random_valid_set
 
 PARAMS = DynamicsParams()
 
@@ -111,6 +117,58 @@ class TestSimulate:
             PolicySchedule((0.5,), (1.0, 1.0), PARAMS)
         with pytest.raises(DomainError):
             PolicySchedule((0.5,), (1.5,), PARAMS)
+
+
+def daily_costs(traj, schedule, curves, threat):
+    """``daily_cost`` on each day of a simulated trajectory."""
+    return [daily_cost(curves, x, r, f, threat, schedule.params)
+            for x, r, f in zip(traj.cases.tolist(), schedule.reproduction,
+                               schedule.screening)]
+
+
+def linked_fixtures():
+    """The bundled fixtures whose dynamics region has an inbound link, each
+    with its parsed config and that link."""
+    out = []
+    for name in SCENARIOS:
+        cfg = load_config(fixture_path(name))
+        link = cfg.inbound_link(cfg.dynamics_region().name)
+        if link is not None:
+            out.append(pytest.param(cfg, link, id=name))
+    return out
+
+
+class TestDailyCostIsSimulatesOracle:
+    """Each day ``simulate`` reports costs what ``daily_cost`` gives for it.
+    ``daily_cost`` costs a day with a travel channel only, so autarky (and
+    ``one_region_quadratic``, which has no link) is left out."""
+
+    @pytest.mark.parametrize("cfg, link", linked_fixtures())
+    def test_bundled_fixtures_bit_for_bit(self, cfg, link):
+        region = cfg.dynamics_region()
+        schedule = cfg.dynamics.schedule()
+        threat = expected_imports(link.travelers, cfg.region(link.origin).prevalence)
+        traj = simulate(schedule, region.domestic_cases, region.curves, threat)
+        assert traj.total_costs.tolist() == daily_costs(traj, schedule, region.curves,
+                                                        threat)
+
+    def test_random_schedules_within_8_ulps(self):
+        # simulate raises the costs to a power with numpy's ``**`` over
+        # arrays and daily_cost with libm's ``pow``: they may differ in the
+        # last few places (3 ulps at most on these draws)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            curves = random_valid_set(rng)
+            params = DynamicsParams(stringency_exponent=float(rng.uniform(0.5, 2.0)))
+            days = 30
+            schedule = PolicySchedule(
+                tuple(rng.uniform(params.r_min, params.r0, days).tolist()),
+                tuple(rng.uniform(0.0, 1.0, days).tolist()), params)
+            threat = float(rng.uniform(0.0, curves.border.i_free))
+            traj = simulate(schedule, float(rng.uniform(0.0, 10.0)), curves, threat)
+            want = daily_costs(traj, schedule, curves, threat)
+            for got, cost in zip(traj.total_costs.tolist(), want):
+                assert abs(got - cost) <= 8 * math.ulp(max(abs(got), abs(cost))), seed
 
 
 class TestHoldingCost:
