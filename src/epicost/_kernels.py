@@ -52,8 +52,8 @@ class TwoSegmentScan:
     distinct grid values in row-major order, with switch days ``1 ..
     horizon - 1`` (``r1`` on the days before the switch, ``r2`` from it
     on). None has a pair over a one-day horizon, which leaves no day to
-    switch on. Only each grid value's first pair is held (``starts``):
-    the pairs of any row range are found from it when asked for.
+    switch on. The grid's values are distinct, so pair ``p`` is the
+    ``p % (n_r - 1)``-th value other than the ``p // (n_r - 1)``-th.
 
     Daily cost is ``c_T(x) * g(R) + c_O(x)`` with the stringency weight
     ``g`` of the dynamics ``params``, evaluated once per grid value.
@@ -61,7 +61,7 @@ class TwoSegmentScan:
     Schedules share prefixes. Where there are pairs, construction runs
     each constant-R trajectory once and keeps each day's cases, running
     total and running maximum: the ``(3, horizon + 1, n_r)`` ``prefixes``.
-    With the grid, its weights and ``starts``, that is all the scan holds,
+    With the grid and its weights, that is all the scan holds,
     whatever the number of schedules; ``rows`` computes the rows it is
     asked for and returns them.
 
@@ -76,22 +76,15 @@ class TwoSegmentScan:
         self.x0, self.ct, self.co = x0, curves.transmission, curves.outbreak
         self.g = params.weight(rs)
         n_r = rs.shape[0]
-        self.starts = np.zeros(n_r + 1, np.int64)
-        if horizon > 1:
-            np.cumsum(np.count_nonzero(rs[:, None] != rs[None, :], axis=1),
-                      out=self.starts[1:])
-        self.n = n_r + int(self.starts[-1]) * (horizon - 1)
+        self.n = n_r + n_r * (n_r - 1) * (horizon - 1)
         if self.n > n_r:
             self.prefixes = np.empty((3, horizon + 1, n_r))
             self._run_prefixes(rs, self.g, *self.prefixes)
 
     def _pairs(self, p, q):
         """Grid indices ``(first, second)`` of pairs ``p .. q - 1``."""
-        i = int(np.searchsorted(self.starts, p, "right")) - 1
-        j = int(np.searchsorted(self.starts, q, "left"))
-        first, second = np.nonzero(self.rs[i:j, None] != self.rs[None, :])
-        skip = p - int(self.starts[i])
-        return first[skip:skip + q - p] + i, second[skip:skip + q - p]
+        first, other = np.divmod(np.arange(p, q), self.rs.shape[0] - 1)
+        return first, other + (other >= first)
 
     def _day_cost(self, x, g):
         """``c_T(x) * g + c_O(x)``, in that order, for both passes."""

@@ -15,8 +15,9 @@ in CSV).
 
 Every table, CSV or JSON, is written a chunk of rows at a time by one
 writer (``_write_report``): a report of four chunks or more is formatted
-on up to one process per usable CPU, and the formatted rows wait in an
-unnamed file until this process writes the text around them. The
+on up to one process per usable CPU, and each process's formatted rows
+wait in an unnamed file of its own until this process writes the text
+around them. The
 ``compare-schedules`` table is never held whole: each process computes
 the rows of the chunks it formats from the schedule scan, with their part
 of the summary, and the report is written once the summary is known. The
@@ -59,8 +60,6 @@ from .trajectory import ScheduleScan, simulate, summarize
 _CHUNK_ROWS = 4096
 # rows of a CSV chunk whose cells are held at once
 _SLICE_ROWS = 512
-# characters copied per step from the spool to the report
-_COPY_CHARS = 1 << 16
 # largest accepted --mc-trials: sampling keeps a count per support value, not
 # a draw per trial, so the cap bounds time, not memory: the largest
 # perfbench imports job (three links, up to 100,000 travellers) took 20 s
@@ -281,17 +280,6 @@ def _frame(fmt: str, report, config_raw: dict, tables, summary: dict) -> list:
     return pieces
 
 
-def _ordered_map(fn, n: int, workers: int):
-    """``fn(k)`` for ``k = 0 .. n - 1`` in order: in this process with one
-    worker, else over ``workers`` processes (``_forkwrite``)."""
-    if workers == 1:
-        yield from map(fn, range(n))
-    else:
-        from ._forkwrite import forked_map   # compiled only by commands that fork
-
-        yield from forked_map(fn, n, workers)
-
-
 def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
     """Write a report, its tables a chunk of rows at a time.
 
@@ -300,57 +288,70 @@ def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
     ``json.dumps(indent=2, sort_keys=True)`` writes ``{"config":
     config_raw, **report}``, where each ``_Table`` it holds as a value is a
     list of row objects keyed by the header. The bytes are those of that
-    one dump, and in CSV those of a ``csv.writer`` over ``_cell`` values;
-    the two formats differ only in their row template (``_chunk_text``).
+    one dump, and in CSV those of a ``csv.writer`` over ``_cell`` values,
+    in UTF-8; the two formats differ only in their row template
+    (``_chunk_text``).
 
     The tables are taken as equal-length columns or as ``_Rows``, and
-    their chunks of ``_CHUNK_ROWS`` rows are one ordered map
-    (``_ordered_map``) over ``W = _workers(n_chunks)`` processes: process
-    0 is this one, the others are forked at its start and each does every
-    W-th chunk. Each chunk's rows are computed and formatted
-    (``_chunk_text``) in the process the chunk falls to, so a computed
-    table is never whole anywhere, nor a large table ever held as Python
-    objects all at once. This process spools the formatted chunks, in
-    order, to an unnamed file beside the report; when every chunk's
-    summary is in, it opens the report and writes the frame around the
-    tables (``_frame``) and the spooled rows, so the bytes do not depend
-    on W and a summary that fails leaves no report. A child starts as a
-    copy of this process, sharing its pages, and each process holds about
-    one chunk at a time. With W = 1 nothing is forked.
+    their chunks of ``_CHUNK_ROWS`` rows are shared among ``W =
+    _workers(n_chunks)`` processes: process 0 is this one, the others are
+    forked at its start (``_forkwrite``) and each does every W-th chunk.
+    A chunk's rows are computed, formatted (``_chunk_text``) and appended
+    to an unnamed spool file beside the report by the process the chunk
+    falls to, which passes on only its byte count and summary part; so a
+    computed table is never whole anywhere, nor held as Python objects.
+    When every summary part is in, this process opens the report and
+    writes the frame around the tables (``_frame``) and each chunk's
+    bytes from its process's spool, so the bytes do not depend on W and
+    a summary that fails leaves no report. A child starts as a copy of
+    this process, sharing its pages, and each process holds about one
+    chunk at a time. A spool's failed write names the report.
     """
     found = _json_tables(report) if fmt == "json" else [(report, 0)]
     tables = [(table, table.columns if isinstance(table.columns, _Rows)
                else _sliced(table.columns), depth) for table, depth in found]
     chunks = [(i, lo) for i, (_, rows, _) in enumerate(tables)
               for lo in range(0, rows.n, _CHUNK_ROWS)]
+    # table i's chunks are chunks[bounds[i]:bounds[i + 1]]
+    bounds = [0, *itertools.accumulate(-(-rows.n // _CHUNK_ROWS) for _, rows, _ in tables)]
 
-    def work(k: int):
+    def work(k: int, spool):
         i, lo = chunks[k]
         table, rows, depth = tables[i]
         chunk = rows.chunk(lo, min(lo + _CHUNK_ROWS, rows.n))
         columns, part = chunk if rows.summary else (chunk, None)
         text = _chunk_text(fmt, table.header, columns, depth)
-        return i, (text[1:] if fmt == "json" and not lo else text), part   # no comma first
+        text = text[1:] if fmt == "json" and not lo else text   # no comma first
+        return spool.write(text.encode()), part
 
-    sizes, parts, summary = [0] * len(tables), [[] for _ in tables], {}
-    results = _ordered_map(work, len(chunks), _workers(len(chunks)))
-    with (contextlib.closing(results),
-          tempfile.TemporaryFile("w+", dir=path.parent, newline="") as spool):
-        for i, text, part in results:
-            sizes[i] += spool.write(text)
-            parts[i].append(part)
-            del text   # before the next is made
-        for (_, rows, _), rows_parts in zip(tables, parts):
-            if rows.summary:
-                summary.update(rows.summary(rows_parts))
-        pieces = _frame(fmt, report, config_raw, tables, summary)
-        spool.seek(0)
-        with open(path, "w", newline="") as fh:
-            for piece, size in zip(pieces, sizes):
-                fh.write(piece)
-                while size:
-                    size -= fh.write(spool.read(min(size, _COPY_CHARS)))
-            fh.write(pieces[-1])
+    workers = _workers(len(chunks))
+    try:
+        with contextlib.ExitStack() as stack:
+            spools = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                      for _ in range(workers)]
+            if workers == 1:
+                done = [work(k, spools[0]) for k in range(len(chunks))]
+            else:
+                from ._forkwrite import forked_map   # compiled only by commands that fork
+
+                done = forked_map(work, len(chunks), spools)
+            summary = {}
+            for (_, rows, _), lo, hi in zip(tables, bounds, bounds[1:]):
+                if rows.summary:
+                    summary.update(rows.summary([part for _, part in done[lo:hi]]))
+            pieces = _frame(fmt, report, config_raw, tables, summary)
+            for spool in spools:
+                spool.seek(0)
+            with open(path, "wb") as fh:
+                for piece, lo, hi in zip(pieces, bounds, bounds[1:]):
+                    fh.write(piece.encode())
+                    for k in range(lo, hi):
+                        fh.write(spools[k % workers].read(done[k][0]))
+                fh.write(pieces[-1].encode())
+    except OSError as exc:
+        if exc.filename is None:   # a spool's: it has no name of its own
+            exc.filename = str(path)
+        raise
     return path
 
 
@@ -428,10 +429,13 @@ def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
         rows = _import_rows(scenario, seed, trials)
         tables.append(rows)
         if fmt == "json":
+            try:
+                limit = expected_imports(link.travelers, origin.prevalence)
+            except NumericalFailure:   # written "inf", as any non-finite float
+                limit = math.inf
             link_reports.append({
                 "origin": link.origin, "destination": link.destination,
-                "travelers": link.travelers,
-                "expected_imports": expected_imports(link.travelers, origin.prevalence),
+                "travelers": link.travelers, "expected_imports": limit,
                 "rows": _Table(header[2:], rows)})
 
     if fmt == "json":

@@ -224,11 +224,14 @@ def _minimize_on_axis(variable: str, curves: CostCurveSet, base_cases: float,
             if f_kink <= f_star:
                 x_star, f_star = q, f_kink
 
-    if x_star <= lo + width:
+    # an end costing as little, within the tie band, is tested too: a flat
+    # cost can leave the golden section short of the end it slopes down to
+    band = f_star * (1.0 + TIE_TOL)
+    if x_star <= lo + width or cost(lo) <= band:
         m = marginal(lo, "right")
         if m > foc_tol:
             return OptimizationResult(variable, lo, cost(lo), BOUNDARY_CLOSED, m)
-    if x_star >= hi - width:
+    if x_star >= hi - width or cost(hi) <= band:
         m = marginal(hi, "left")
         if m < -foc_tol:
             return OptimizationResult(variable, hi, cost(hi), BOUNDARY_OPEN, m)

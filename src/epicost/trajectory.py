@@ -406,9 +406,12 @@ class ScheduleScan:
 
         from . import _kernels
 
+        self.r_grid = r_grid(params, r_step)
+        if np.any(self.r_grid[1:] == self.r_grid[:-1]):
+            raise DomainError(f"an R grid of {n_r:,} values holds only "
+                              f"{len(np.unique(self.r_grid)):,} distinct ones; raise r_grid_step")
         self.x0, self.x_target, self.horizon = x0, x_target, horizon
         self.degenerate = horizon == 1
-        self.r_grid = r_grid(params, r_step)
         # a schedule whose cases overflow to inf is flagged runaway in rows
         with np.errstate(over="ignore", invalid="ignore"):
             self._kernel = _kernels.TwoSegmentScan(self.r_grid, horizon, x0, params, curves)
@@ -476,6 +479,8 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
     stringency for the whole horizon must reach it), and so are a schedule
     count of at most ``MAX_SCHEDULES`` and at most ``MAX_SCHEDULE_DAYS``
     schedule-days of work; all are checked before anything is allocated.
+    An R grid whose values coincide, its step below their float spacing or
+    their 12 decimals, is refused once it is built.
     Returns per-schedule cumulative costs and whether the cheapest feasible
     schedule containing a growth day is beaten by the best monotone one.
 

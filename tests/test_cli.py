@@ -234,10 +234,21 @@ class TestExitCodes:
         assert report["gap"] == 4.0
 
     def test_import_dist_needs_expected_imports_only_for_json(self, tmp_path):
+        # the JSON report alone carries the limit form, which overflows: it
+        # is written "inf", and the exit code does not depend on the format
         bad = self._overflowing_imports(tmp_path, 10_000, population=20_000)
         assert run_cli("import-dist", "--config", bad, "--out", str(tmp_path)) == 0
         assert run_cli("import-dist", "--config", bad, "--out", str(tmp_path),
-                       "--format", "json") == 2
+                       "--format", "json") == 0
+        link = json.loads((tmp_path / "import_dist.json").read_text())["links"][0]
+        assert link["expected_imports"] == "inf"
+        with open(tmp_path / "import_dist.csv") as fh:
+            rows = [row for row in csv.DictReader(line for line in fh if line[0] != "#")
+                    if (row["origin"], row["destination"])
+                    == (link["origin"], link["destination"])]
+        assert len(rows) == len(link["rows"]) == 2_001   # 2,000 infected
+        assert all(float(row["pmf"]) == got["pmf"] and float(row["tail_sum"]) == got["tail_sum"]
+                   for row, got in zip(rows, link["rows"]))
 
     def test_schedule_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
         # the fixture enumerates 12,201 schedules; lower the cap rather than
@@ -294,6 +305,28 @@ class TestExitCodes:
         rows = read_csv(tmp_path / "compare_schedules.csv")
         constants = [row["r_first"] for row in rows if row["switch_day"] == "30"]
         assert constants == ["0.5"] + [f"{k}e+299" for k in range(1, 10)] + ["1e+300"]
+
+    @pytest.mark.parametrize("dynamics, values, distinct", [
+        ({"r_min": 1e16, "r0": 1e16 + 8, "r_grid_step": 1.0, "horizon": 3,
+          "reproduction": 1e16}, 9, 5),
+        ({"r0": 0.5 + 1e-9, "r_grid_step": 1e-13, "horizon": 1}, "10,001", "1,001")])
+    def test_grid_of_coinciding_values_is_config_error(self, tmp_path, capsys, dynamics,
+                                                       values, distinct):
+        # 1e16 + 1 rounds to 1e16, and 0.5 + 1e-13 to 12 decimals to 0.5:
+        # the scan counted the 133 schedules of 5 values where the caps
+        # counted the 153 of 9 (schedule_count)
+        cfg = json.loads(fixture_path("one_region_quadratic").read_text())
+        cfg["regions"][0]["domestic_cases"] = 0.0
+        cfg["dynamics"].update(target_cases=0.0, **dynamics)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        for fmt in ("csv", "json"):
+            assert run_cli("compare-schedules", "--config", str(path), "--out",
+                           str(tmp_path / "out"), "--format", fmt) == 1
+            assert capsys.readouterr().err.startswith(
+                f"config error: an R grid of {values} values holds only {distinct} "
+                "distinct ones")
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_travelers_past_origin_population_is_config_error(self, tmp_path, capsys,

@@ -6,8 +6,11 @@ import errno
 import io
 import json
 import os
+import tempfile
+import time
 import tracemalloc
 from argparse import Namespace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from epicost import _forkwrite, cli
 from epicost.config import parse_config
+from epicost.errors import InvariantViolation
 from epicost.fixtures import fixture_path
 from epicost.importation import ImportScenario
 
@@ -308,19 +312,19 @@ def test_failing_formatter_child_is_invariant_violation(tmp_path, monkeypatch, c
     assert cli.main(schedules_args(tmp_path)) == 3
     err = capfd.readouterr().err
     assert err.startswith("invariant violation: CSV formatter process ")
-    assert err.endswith(" ended before sending chunk 1\n") and err.count("\n") == 1
+    assert err.endswith(" exited with 1\n") and err.count("\n") == 1
     assert_no_child_left()
 
 
 def test_child_exit_status_is_checked(tmp_path, monkeypatch, capfd):
-    # a child that sends every chunk and then exits 1
-    format_chunks, exit_ = _forkwrite._format_chunks, os._exit
+    # a child that sends its results and then exits 1
+    child, exit_ = _forkwrite._child, os._exit
 
     def sends_then_fails(*args):
         os._exit = lambda code: exit_(1)
-        format_chunks(*args)
+        child(*args)
 
-    monkeypatch.setattr(_forkwrite, "_format_chunks", sends_then_fails)
+    monkeypatch.setattr(_forkwrite, "_child", sends_then_fails)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
     monkeypatch.setattr(cli, "_workers", lambda n_chunks: 2)
     assert cli.main(schedules_args(tmp_path)) == 3
@@ -345,13 +349,12 @@ class FillingFile(io.BufferedWriter):
 
 
 def test_parent_write_error_mid_table_is_config_error(tmp_path, monkeypatch, capfd):
-    # the device fills after the header and some chunks, while the children
-    # still hold chunks to send
+    # the device fills after the header and some chunks of the report
     writes = []
 
-    def open_filling(file, mode, newline):
+    def open_filling(file, mode):
         writes.append(FillingFile(file, room=50_000))
-        return io.TextIOWrapper(writes[-1], newline=newline)
+        return writes[-1]
 
     monkeypatch.setattr(cli, "open", open_filling, raising=False)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 100)
@@ -360,6 +363,68 @@ def test_parent_write_error_mid_table_is_config_error(tmp_path, monkeypatch, cap
     err = capfd.readouterr().err
     assert err == f"config error: {tmp_path / 'compare_schedules.csv'}: No space left on device\n"
     assert 0 < writes[0].room < 50_000
+    assert_no_child_left()
+
+
+class FullSpool:
+    """A spool file on a device that is full for the processes ``full()``
+    names; an unnamed file's write error carries no file name."""
+
+    def __init__(self, file, full):
+        self.file, self.full = file, full
+
+    def write(self, data):
+        if self.full():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+@pytest.mark.parametrize("workers, where", [(1, "parent"), (2, "parent"), (2, "child")])
+def test_spool_write_error_names_the_report(tmp_path, monkeypatch, capfd, workers, where):
+    parent = os.getpid()
+    make = tempfile.TemporaryFile
+
+    def full_spool(dir):
+        return FullSpool(make(dir=dir), lambda: (os.getpid() == parent) == (where == "parent"))
+
+    monkeypatch.setattr(cli, "tempfile", SimpleNamespace(TemporaryFile=full_spool))
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: workers)
+    out = tmp_path / "out"
+    assert cli.main(schedules_args(out)) == 1
+    assert capfd.readouterr().err == (f"config error: {out / 'compare_schedules.csv'}: "
+                                      "No space left on device\n")
+    assert list(out.iterdir()) == []
+    assert_no_child_left()
+
+
+def test_parent_failure_stops_the_children(tmp_path, monkeypatch, capfd):
+    # the children would format for a minute; the parent fails at once
+    parent = os.getpid()
+    chunk_text = cli._chunk_text
+
+    def failing_in_parent(*args):
+        if os.getpid() == parent:
+            raise InvariantViolation("formatting failed")
+        time.sleep(60)
+        return chunk_text(*args)
+
+    monkeypatch.setattr(cli, "_chunk_text", failing_in_parent)
+    monkeypatch.setattr(cli, "_workers", lambda n_chunks: 3)
+    out = tmp_path / "out"
+    start = time.monotonic()
+    assert cli.main(schedules_args(out)) == 3
+    assert time.monotonic() - start < 30
+    assert capfd.readouterr().err == "invariant violation: formatting failed\n"
+    assert list(out.iterdir()) == []
     assert_no_child_left()
 
 

@@ -6,6 +6,8 @@ functions that make arrays. So these commands never load it, which saves
 most of their start-up, and their results hold Python floats, not numpy
 scalars. The package's records are plain classes (``epicost._record``),
 so neither ``dataclasses`` nor the ``inspect`` it imports is loaded.
+A report written by one process loads none of the writer's fork code
+(``_forkwrite``, and the ``pickle`` and ``signal`` it imports).
 """
 
 import json
@@ -38,9 +40,22 @@ with tempfile.TemporaryDirectory() as out:
                 code = cli.main([command, "--config", str(fixture_path(name)),
                                  "--out", out, "--format", fmt])
                 runs.append([name, command, fmt, code])
-print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules,
-                  "dataclasses": "dataclasses" in sys.modules,
-                  "inspect": "inspect" in sys.modules}))
+print(json.dumps({"runs": runs, **{name: name in sys.modules for name in (
+    "numpy", "dataclasses", "inspect", "epicost._forkwrite", "pickle", "signal")}}))
+"""
+
+# one process: a compare-schedules report of three chunks, written by this
+# process alone (numpy itself loads pickle)
+_ONE_WRITER = """
+import sys, tempfile
+from epicost import cli
+from epicost.fixtures import fixture_path
+
+assert cli._workers(3) == 1
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["compare-schedules", "--config",
+                     str(fixture_path("one_region_quadratic")), "--out", out])
+print(code, "epicost._forkwrite" in sys.modules, "signal" in sys.modules)
 """
 
 
@@ -54,17 +69,34 @@ def accepted_commands() -> dict:
     return out
 
 
-def test_solver_commands_never_import_numpy():
+@pytest.fixture(scope="module")
+def guarded():
+    """The solver commands each fixture accepts, and what ``_GUARD`` saw."""
     commands = accepted_commands()
     done = subprocess.run([sys.executable, "-c", _GUARD, json.dumps(commands)],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    result = json.loads(done.stdout.splitlines()[-1])
+    return commands, json.loads(done.stdout.splitlines()[-1])
+
+
+def test_solver_commands_never_import_numpy(guarded):
+    commands, result = guarded
     assert [run[3] for run in result["runs"]] == [0] * len(result["runs"])
     assert len(result["runs"]) == 2 * sum(map(len, commands.values()))
     assert result["numpy"] is False
     assert result["dataclasses"] is False
     assert result["inspect"] is False
+
+
+def test_one_process_report_loads_no_fork_code(guarded):
+    _, result = guarded
+    assert result["epicost._forkwrite"] is False
+    assert result["pickle"] is False
+    assert result["signal"] is False
+    done = subprocess.run([sys.executable, "-c", _ONE_WRITER],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "0 False False"
 
 
 def numeric_fields(obj, path: str):

@@ -108,6 +108,17 @@ class TestMinimizeOverScreening:
         assert res.classification == BOUNDARY_CLOSED
         assert res.argument == 0.0
 
+    def test_open_end_within_the_tie_band_of_a_flat_cost(self):
+        # a threat of 1.81e-8 makes the cost flat in F to 1e-12: the golden
+        # section stops at F = 0.99680, short of the open end, which costs
+        # as little and whose marginal -1.209e-6 is past foc_tol
+        curves = CostCurveSet(TransmissionCost(3.48, 77.4, 50.0, 5.0, 0.6, 1.5),
+                              BorderCost(180.3, 5.0, 2.0), OutbreakCost(1.0, 1.0), 2.0)
+        res = minimize_over_screening(curves, 1.81e-8, 58.73)
+        assert res.classification == BOUNDARY_OPEN
+        assert res.argument == 1.0
+        assert res.foc_residual < -1e-6
+
     def test_threat_outside_border_domain(self, quad_set):
         with pytest.raises(DomainError):
             minimize_over_screening(quad_set, import_threat=4.5)

@@ -7,9 +7,11 @@ deletion, validate in ``__post_init__`` (``_replace`` too), pickle, and
 come back from a forked child through ``forked_map``.
 """
 
+import contextlib
 import dataclasses
 import math
 import pickle
+import tempfile
 
 import pytest
 
@@ -169,9 +171,11 @@ def test_pickle_round_trip():
 
 
 def test_records_come_back_from_forked_children():
-    def made(k):
+    def made(k, spool):
         return RESULT._replace(argument=float(k))
 
-    got = list(_forkwrite.forked_map(made, 6, 3))
-    assert got == [made(k) for k in range(6)]
+    with contextlib.ExitStack() as stack:
+        spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(3)]
+        got = _forkwrite.forked_map(made, 6, spools)
+    assert got == [made(k, None) for k in range(6)]
     assert [type(r) for r in got] == [OptimizationResult] * 6

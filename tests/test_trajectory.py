@@ -264,15 +264,15 @@ class TestScheduleGridAndCap:
         assert cmp_.n_schedules == schedule_count(len(r_grid(PARAMS, r_step)), horizon)
 
     def test_grid_values_merged_by_rounding(self, quad_set):
-        # 300 steps of 1e-13 round to 31 distinct values, so pairs of equal
-        # values drop out: 87,316 rows, not schedule_count's 90,000, which
-        # the zero-start flags were sized by (a ValueError)
+        # 300 steps of 1e-13 round to 31 distinct values: pairs of equal
+        # values dropped out, for 87,316 rows where schedule_count and the
+        # caps counted 90,000. Such a grid is refused
         params = DynamicsParams(0.5 + 2.99e-11, 0.5)
         rs = r_grid(params, 1e-13)
         assert (len(rs), len(np.unique(rs))) == (300, 31)
-        cmp_ = compare_monotone_vs_relax(0.0, 0.0, 2, quad_set, params, r_step=1e-13)
-        assert cmp_.n_schedules == 300 + int(np.sum(rs[:, None] != rs[None, :])) == 87_316
-        assert not np.any(cmp_.contains_growth)
+        with pytest.raises(DomainError,
+                           match="an R grid of 300 values holds only 31 distinct ones"):
+            compare_monotone_vs_relax(0.0, 0.0, 2, quad_set, params, r_step=1e-13)
 
     @pytest.mark.parametrize("r_step", [0.0, -0.1, float("nan")])
     def test_step_must_be_positive(self, quad_set, r_step):
