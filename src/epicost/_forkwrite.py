@@ -5,8 +5,8 @@ over more than one process, so a report written by one process loads
 neither it nor ``pickle`` or ``signal``. Each child starts as a copy of
 the writer, with the tables' row sources and formatters and the open
 spool files, and writes its chunks to a spool of its own; only the
-writer opens the report. A failed child's error names it a ``CSV
-formatter process`` whatever the report's format.
+writer opens the report. A failed child's error names it a ``report
+writer process``, in either format.
 """
 
 import os
@@ -50,7 +50,7 @@ def forked_map(fn, n: int, spools) -> list:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     for pid, code in zip(pids, codes):
         if code:
-            raise InvariantViolation(f"CSV formatter process {pid} exited with {code}")
+            raise InvariantViolation(f"report writer process {pid} exited with {code}")
     results = [None] * n
     results[::workers] = mine
     for w, data in enumerate(sent, 1):

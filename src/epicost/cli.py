@@ -54,7 +54,7 @@ from .game import GameState, best_response, solve_game
 from .importation import (ImportScenario, _support_pmf, _tail_sums, expected_imports,
                           sample_counts)
 from .optimize import minimize_over_imports
-from .trajectory import ScheduleScan, simulate, summarize
+from .trajectory import simulate, summarize
 
 # rows computed and formatted per step of the report writer
 _CHUNK_ROWS = 4096
@@ -580,6 +580,8 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
 
 
 def cmd_compare(cfg: ScenarioConfig, fmt: str, args):
+    from ._kernels import ScheduleScan
+
     region = cfg.dynamics_region()
     dyn = cfg.dynamics
     # the table is computed a chunk at a time, in the writer's processes

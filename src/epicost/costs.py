@@ -13,7 +13,9 @@ safe. Each curve writes its formula for one point (``cost``); the
 transmission and outbreak curves, which the trajectory kernels cost a day
 of many schedules at a time, write it next to that for a numpy array of
 any shape (``cost_arr``). The optimizers and the shape gate use ``cost``
-only, so they import no numpy.
+only, so they import no numpy. The optimizers' first-order conditions
+read the transmission and border curves' ``marginal``; the outbreak
+burden is in no objective, so its curve has none.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class BorderCost(Record):
                 f"import level must lie in [0, {self.i_free}], got {imports}")
         return self.b0 * (1.0 - imports / self.i_free) ** self.curvature
 
-    def marginal(self, imports: float, side: str | None = None) -> float:
+    def marginal(self, imports: float) -> float:
         if not 0 <= imports <= self.i_free:
             raise DomainError(
                 f"import level must lie in [0, {self.i_free}], got {imports}")
@@ -218,11 +220,6 @@ class OutbreakCost(Record):
         import numpy as np
 
         return _power_arr(np.array(x, dtype=np.float64), self.exponent, self.per_case)
-
-    def marginal(self, x: float, side: str | None = None) -> float:
-        if x < 0:
-            raise DomainError(f"case level must be >= 0, got {x}")
-        return _power(x, self.exponent - 1.0, self.per_case * self.exponent)
 
 
 class CostBreakdown(Record):

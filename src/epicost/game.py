@@ -133,12 +133,6 @@ class GameOutcome(Record):
     decisions: tuple[PolicyDecision, PolicyDecision]
     total: float
 
-    def decision(self, name: str) -> PolicyDecision:
-        for d in self.decisions:
-            if d.region == name:
-                return d
-        raise DomainError(f"unknown region {name!r}")
-
 
 class NashResult(Record):
     state: GameState

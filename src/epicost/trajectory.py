@@ -10,12 +10,15 @@ without a travel channel carry no border term.
 
 The schedule comparator enumerates every one- and two-segment reproduction
 schedule on an R grid and checks whether any schedule that lets cases grow
-beats the best monotone one. ``ScheduleScan`` holds only the constant-R
-prefixes of the schedules and computes rows when a range of them is asked
-for; the reductions of row ranges (``ScheduleRows.least``) merge into the
-verdicts (``summarize``), so the comparison can run a range at a time.
+beats the best monotone one. Its scan, ``_kernels.ScheduleScan``, holds
+only the constant-R prefixes of the schedules and computes rows when a
+range of them is asked for, as ``ScheduleRows``; it reads this module's
+caps (``MAX_SCHEDULES``, ``MAX_SCHEDULE_DAYS``), grid (``r_grid``) and
+schedule count (``schedule_count``) each time it is made. The reductions
+of row ranges (``ScheduleRows.least``) merge into the verdicts
+(``summarize``), so the comparison can run a range at a time.
 ``compare_monotone_vs_relax`` is the scan's whole table and its one
-reduction.
+reduction; it imports the scan, and numpy with it, when it is called.
 """
 
 from __future__ import annotations
@@ -300,14 +303,15 @@ def schedule_count(n_r: int, horizon: int) -> int:
 
 
 def schedule_days(n_r: int, horizon: int) -> int:
-    """Schedule-days ``_kernels.TwoSegmentScan`` costs on an ``n_r``-value
+    """Schedule-days ``_kernels.ScheduleScan`` costs on an ``n_r``-value
     grid: each constant prefix over the whole horizon, then each ordered
     pair's suffixes, one per switch day ``s``, over ``horizon - s`` days."""
     return n_r * horizon + n_r * (n_r - 1) * horizon * (horizon - 1) // 2
 
 
 class ScheduleRows(NamedTuple):
-    """The columns of a range of rows of a ``ScheduleComparison``."""
+    """The columns of a range of rows of a ``ScheduleComparison``, as
+    ``_kernels.ScheduleScan.rows`` gives them."""
 
     first_code: np.ndarray
     second_code: np.ndarray
@@ -353,99 +357,6 @@ class ScheduleSummary(NamedTuple):
     monotone_beats_relax_then_tighten: bool
 
 
-class ScheduleScan:
-    """A schedule comparison as a scan and two row-range operations.
-
-    Construction checks the inputs and the caps (see
-    ``compare_monotone_vs_relax``) before anything is allocated, then runs
-    the constant-R prefix pass (``_kernels.TwoSegmentScan``): what it holds
-    grows with the grid and the horizon, not with the ``n`` schedules.
-    Rows are computed only when asked for: ``rows(lo, hi)`` gives the
-    columns of rows ``lo .. hi - 1``, and their ``least(lo)`` condenses
-    them to what the verdicts need. ``summarize`` merges the reductions of
-    consecutive row ranges, so the verdicts over every row can be reached
-    one range at a time, in any process. A one-day horizon is
-    ``degenerate``: every schedule is constant.
-    """
-
-    def __init__(self, x0: float, x_target: float, horizon: int,
-                 curves: CostCurveSet, params: DynamicsParams, r_step: float = 0.1):
-        if x_target > x0:
-            raise DomainError(f"target {x_target} exceeds the start level {x0}")
-        if x_target < 0:
-            raise DomainError(f"target must be >= 0, got {x_target}")
-        if horizon < 1:
-            raise DomainError(f"horizon must be >= 1, got {horizon}")
-        if not r_step > 0:
-            raise DomainError(f"r_step must be > 0, got {r_step}")
-        if x0 * params.r_min**horizon > x_target:
-            raise DomainError(
-                f"target {x_target} unreachable from {x0} in {horizon} days "
-                f"even at R={params.r_min}")
-        # every grid value is a constant schedule, and a grid of s steps has
-        # at least round(s) values: one past the cap is refused on its float
-        # step count, before numpy sees a count beyond int64 (or inf)
-        steps = (params.r0 - params.r_min) / r_step
-        if not steps < MAX_SCHEDULES + 1:
-            raise DomainError(
-                f"an R grid of {steps:.3g} steps gives more schedules than the cap "
-                f"of {MAX_SCHEDULES:,}; raise r_grid_step")
-        n_r = _grid_size(params, r_step)
-        n = schedule_count(n_r, horizon)
-        if n > MAX_SCHEDULES:
-            raise DomainError(
-                f"{n:,} schedules to compare exceed the cap of {MAX_SCHEDULES:,}; "
-                f"raise r_grid_step or shorten the horizon")
-        days = schedule_days(n_r, horizon)
-        if days > MAX_SCHEDULE_DAYS:
-            raise DomainError(
-                f"{days:,} schedule-days to cost exceed the cap of "
-                f"{MAX_SCHEDULE_DAYS:,}; raise r_grid_step or shorten the horizon")
-
-        import numpy as np
-
-        from . import _kernels
-
-        self.r_grid = r_grid(params, r_step)
-        if np.any(self.r_grid[1:] == self.r_grid[:-1]):
-            raise DomainError(f"an R grid of {n_r:,} values holds only "
-                              f"{len(np.unique(self.r_grid)):,} distinct ones; raise r_grid_step")
-        self.x0, self.x_target, self.horizon = x0, x_target, horizon
-        self.degenerate = horizon == 1
-        # a schedule whose cases overflow to inf is flagged runaway in rows
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._kernel = _kernels.TwoSegmentScan(self.r_grid, horizon, x0, params, curves)
-        self.n = self._kernel.n
-
-    def rows(self, lo: int, hi: int) -> ScheduleRows:
-        """The columns of rows ``lo .. hi - 1``: about 36 bytes a row."""
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            first, second, switch, totals, max_cases, finals = self._kernel.rows(lo, hi)
-        # an overflowed total reads inf also where 0 * inf made it nan (a
-        # zero weight or term)
-        totals[np.isnan(totals)] = np.inf
-
-        runaway = max_cases > RUNAWAY_CASES
-        feasible = (finals <= self.x_target) & ~runaway
-        if self.x0 > 0:
-            rs, horizon = self.r_grid, self.horizon
-            # every schedule runs r_first on day 0: its switch day is >= 1
-            grows = rs > 1.0
-            first_grows = grows[first]
-            second_grows = grows[second] & (switch < horizon) & (rs > 0.0)[first]
-            contains_growth = first_grows | second_grows
-            # the relax-to-save-costs pattern: cases grow, then measures
-            # tighten (the grid ascends, so a lower code is a lower R)
-            relax_then_tighten = first_grows & (second < first) & (switch < horizon)
-        else:
-            contains_growth = np.zeros(hi - lo, dtype=bool)
-            relax_then_tighten = np.zeros(hi - lo, dtype=bool)
-        return ScheduleRows(first, second, switch, totals, finals, max_cases, feasible,
-                            runaway, contains_growth, relax_then_tighten)
-
-
 def summarize(reductions) -> ScheduleSummary:
     """The verdicts over every row from ``ScheduleRows.least`` of
     consecutive row ranges that cover them, in row order: ``min`` keeps
@@ -486,13 +397,15 @@ def compare_monotone_vs_relax(x0: float, x_target: float, horizon: int,
 
     Rows come in a fixed order: the constant schedules in grid order, then
     for each ordered pair ``(r1, r2)`` of distinct grid values in row-major
-    order, switch days ``1 .. horizon - 1`` (``_kernels.TwoSegmentScan``).
-    This is ``ScheduleScan.rows`` over every row and ``summarize`` of its
+    order, switch days ``1 .. horizon - 1`` (``_kernels.ScheduleScan``).
+    This is the scan's ``rows`` over every row and ``summarize`` of its
     one reduction, so it holds the whole table: 24 bytes a schedule of
     costs and cases, 8 of grid codes and switch days and 4 of flags, about
     36 bytes a schedule in all. A caller that can take the rows a range at
-    a time uses ``ScheduleScan`` itself.
+    a time uses ``_kernels.ScheduleScan`` itself.
     """
+    from ._kernels import ScheduleScan
+
     scan = ScheduleScan(x0, x_target, horizon, curves, params, r_step)
     rows = scan.rows(0, scan.n)
     summary = summarize([rows.least(0)])

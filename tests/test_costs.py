@@ -165,23 +165,20 @@ class TestOverflow:
             assert curve.cost(x) == reference(x)
             assert curve.cost(np.float64(x)) == reference(np.float64(x))
 
-    @pytest.mark.parametrize("curve", [CURVES[0], CURVES[2]])
+    # the outbreak curve has no marginal: it is in no objective
+    @pytest.mark.parametrize("curve", CURVES[:1])
     def test_marginal_overflows_to_inf(self, curve):
         for x in (1e200, np.float64(1e200), 1.7e308):
             assert curve.marginal(x) == math.inf
 
-    @pytest.mark.parametrize("curve", CURVES)
+    @pytest.mark.parametrize("curve", CURVES[:2])
     def test_finite_marginals_keep_every_bit(self, curve):
         # the spelling before overflow was mapped: ``**`` on the load as given
-        if isinstance(curve, OutbreakCost):
-            def reference(x):
-                return curve.per_case * curve.exponent * x ** (curve.exponent - 1.0)
-        else:
-            def reference(x):
-                if x < curve.tti_capacity:
-                    return curve.tti_slope
-                return (curve.wide_slope * curve.wide_exponent
-                        * (x - curve.tti_capacity) ** (curve.wide_exponent - 1.0))
+        def reference(x):
+            if x < curve.tti_capacity:
+                return curve.tti_slope
+            return (curve.wide_slope * curve.wide_exponent
+                    * (x - curve.tti_capacity) ** (curve.wide_exponent - 1.0))
         rng = np.random.default_rng(12)
         # the random loads miss the breakdown kink, where a side is needed
         for x in np.exp(rng.uniform(-20, 14, 2000)).tolist():
@@ -198,7 +195,8 @@ class TestOverflow:
         for x in loads:
             assert curve.cost(x) == level
             assert curve.cost(np.float64(x)) == level
-            assert curve.marginal(x) == 0.0
+            if not isinstance(curve, OutbreakCost):
+                assert curve.marginal(x) == 0.0
         # no errstate here: the suite turns a numpy RuntimeWarning into an error
         assert curve.cost_arr(np.array(loads)).tolist() == [level] * len(loads)
 
@@ -220,7 +218,6 @@ class TestDerivativeAgainstFiniteDifference:
                                         breakdown_jump=1.0, wide_slope=0.9,
                                         wide_exponent=1.7)
         border = BorderCost(b0=2.5, i_free=6.0, curvature=2.2)
-        outbreak = OutbreakCost(per_case=0.8, exponent=1.6)
         for _ in range(100):
             x = float(rng.uniform(0.3, 15.0))
             if abs(x - 8.0) < 1e-3:
@@ -233,8 +230,6 @@ class TestDerivativeAgainstFiniteDifference:
             hy = 1e-6 * max(1.0, abs(y))
             fd = central_diff(border.cost, y, hy)
             assert border.marginal(y) == pytest.approx(fd, rel=1e-6)
-            fd = central_diff(outbreak.cost, x, h)
-            assert outbreak.marginal(x) == pytest.approx(fd, rel=1e-6)
 
 
 class TestMonotonicityProperties:

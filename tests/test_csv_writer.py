@@ -309,11 +309,14 @@ def test_failing_formatter_child_is_invariant_violation(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "_column_format", failing_in_children)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", SMALL_CHUNK)
     monkeypatch.setattr(cli, "_workers", lambda n_chunks: 3)
-    assert cli.main(schedules_args(tmp_path)) == 3
-    err = capfd.readouterr().err
-    assert err.startswith("invariant violation: CSV formatter process ")
-    assert err.endswith(" exited with 1\n") and err.count("\n") == 1
-    assert_no_child_left()
+    # the same words whatever the report's format
+    for fmt in ("csv", "json"):
+        assert cli.main([*schedules_args(tmp_path), "--format", fmt]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("invariant violation: report writer process ")
+        assert err.endswith(" exited with 1\n") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
 
 
 def test_child_exit_status_is_checked(tmp_path, monkeypatch, capfd):
@@ -329,7 +332,7 @@ def test_child_exit_status_is_checked(tmp_path, monkeypatch, capfd):
     monkeypatch.setattr(cli, "_workers", lambda n_chunks: 2)
     assert cli.main(schedules_args(tmp_path)) == 3
     err = capfd.readouterr().err
-    assert err.startswith("invariant violation: CSV formatter process ")
+    assert err.startswith("invariant violation: report writer process ")
     assert err.endswith(" exited with 1\n") and err.count("\n") == 1
     assert_no_child_left()
 

@@ -122,8 +122,8 @@ class TestNashIteration:
 
     def test_clean_region_screens_infected_region_opens(self, quad_set):
         result = nash_iterate(two_region_state(quad_set, 0.1, 0.0))
-        infected = result.outcome.decision("A")
-        clean = result.outcome.decision("B")
+        by_region = {d.region: d for d in result.outcome.decisions}
+        infected, clean = by_region["A"], by_region["B"]
         assert infected.screening == 1.0       # faces no threat from B
         assert clean.screening < 1.0           # screens traffic from A
 

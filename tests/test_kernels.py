@@ -149,27 +149,40 @@ def grid_rows(rs, horizon):
     return rows
 
 
-def scan_and_check(rs, horizon, x0, ct_params, co_params, exponent=1.0):
-    """Run the scan over the grid ``rs``; check every row, bit for bit, against
+def random_grid(rng, values):
+    """``(r_min, r0, r_step)`` of a random grid of about ``values`` values,
+    all short decimals, so no grid value rounds past ``r0``; ``r_min`` is at
+    most 1, so that the scan's start level is its own reachable target."""
+    r_min = round(float(rng.uniform(0.0, 1.0)), 2)
+    r0 = round(float(rng.uniform(r_min + 1.0, 3.0)), 2)
+    span = r0 - r_min
+    return r_min, r0, round(float(rng.uniform(span / values, span / (values - 1.5))), 3)
+
+
+def scan_and_check(grid, horizon, x0, ct_params, co_params, exponent=1.0):
+    """Run the scan over the R grid ``grid = (r_min, r0, r_step)``, with the
+    start level as the target; check every row, bit for bit, against
     ``python_recurrence`` and the curve formulas summed day by day."""
-    params = DynamicsParams(2.5, 0.5, exponent)
+    r_min, r0, r_step = grid
+    params = DynamicsParams(r0, r_min, exponent)
     ct, co = TransmissionCost(*ct_params), OutbreakCost(*co_params)
     curves = CostCurveSet(ct, BorderCost(1.0, 1.0), co)
-    grid = np.array(rs, dtype=np.float64)
-    scan = K.TwoSegmentScan(grid, horizon, x0, params, curves)
-    first, second, switch, *got = scan.rows(0, scan.n)
-    rows = grid_rows(grid.tolist(), horizon)
+    scan = K.ScheduleScan(x0, x0, horizon, curves, params, r_step)
+    rs, got = scan.r_grid, scan.rows(0, scan.n)
+    first, second, switch = got[:3]
+    rows = grid_rows(rs.tolist(), horizon)
     assert (first.dtype, second.dtype, switch.dtype) == (np.int16, np.int16, np.int32)
     assert list(zip(first.tolist(), second.tolist(), switch.tolist())) == rows
     want = [], [], []
     for i, j, s in rows:
-        r = np.where(np.arange(horizon) < s, grid[i], grid[j])
+        r = np.where(np.arange(horizon) < s, rs[i], rs[j])
         cases = np.array(python_recurrence(x0, r.tolist(), [0.0] * horizon, 1.0))
         live = cases[:horizon]
         daily = ct.cost_arr(live) * params.weight(r) + co.cost_arr(live)
         want[0].append(np.cumsum(daily)[-1])   # cumsum adds in sequence
         want[1].append(cases.max())
         want[2].append(cases[-1])
+    got = got.total_cost, got.max_cases, got.final_cases
     for name, a, b in zip(("totals", "max_cases", "final_cases"), got, want):
         np.testing.assert_array_equal(a, np.array(b), err_msg=name)
     return got
@@ -180,19 +193,19 @@ class TestTwoSegmentCosts:
 
     def test_random_schedules(self):
         rng = np.random.default_rng(5)
-        rs = np.sort(rng.uniform(0.5, 2.5, 6))
-        scan_and_check(rs, 25, 30.0, random_ct_params(rng), (0.5, 1.3),
+        scan_and_check(random_grid(rng, 6), 25, 30.0, random_ct_params(rng), (0.5, 1.3),
                        exponent=float(rng.uniform(0.8, 2.0)))
 
     def test_matches_single_trajectory(self):
         # each row equals simulate() of its schedule with no travel channel
         rng = np.random.default_rng(6)
-        rs = np.sort(rng.uniform(0.5, 2.5, 4))
-        params = DynamicsParams(2.5, 0.5, 1.0)
+        r_min, r0, r_step = random_grid(rng, 4)
+        params = DynamicsParams(r0, r_min, 1.0)
         curves = CostCurveSet(TransmissionCost(1.0, 0.3, 50.0, 5.0, 0.8, 1.5),
                               BorderCost(1.0, 1.0), OutbreakCost(1.0, 1.0))
-        scan = K.TwoSegmentScan(rs, 20, 80.0, params, curves)
-        _, _, _, totals, max_cases, finals = scan.rows(0, scan.n)
+        scan = K.ScheduleScan(80.0, 80.0, 20, curves, params, r_step)
+        rs, got = scan.r_grid, scan.rows(0, scan.n)
+        totals, max_cases, finals = got.total_cost, got.max_cases, got.final_cases
         for i, (first, second, s) in enumerate(grid_rows(rs.tolist(), 20)):
             r1, r2 = float(rs[first]), float(rs[second])
             schedule = PolicySchedule((r1,) * s + (r2,) * (20 - s), (1.0,) * 20, params)
@@ -204,24 +217,24 @@ class TestTwoSegmentCosts:
     def test_horizon_one(self):
         # only the constant schedules: one day at x0 each
         totals, max_cases, finals = scan_and_check(
-            [0.5, 1.0, 1.7, 2.5], 1, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
-        assert totals.shape == (4,)
-        assert finals.tolist() == [6.0, 12.0, 12.0 * 1.7, 30.0]
+            (0.5, 2.5, 0.5), 1, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
+        assert totals.shape == (5,)
+        assert finals.tolist() == [6.0, 12.0, 18.0, 24.0, 30.0]
 
     def test_one_value_grid(self):
-        totals, _, finals = scan_and_check([0.5], 10, 50.0,
+        totals, _, finals = scan_and_check((0.5, 2.5, 5.0), 10, 50.0,
                                            (1.0, 0.0, 0.0, 0.0, 1.0, 2.0), (0.5, 1.0))
         assert totals.shape == (1,) and finals[0] == 50.0 * 0.5**10
 
     def test_zero_start(self):
         # zero cases are absorbing: every row ends and peaks at 0
-        _, max_cases, finals = scan_and_check([0.5, 1.5, 2.5], 8, 0.0,
+        _, max_cases, finals = scan_and_check((0.5, 2.5, 1.0), 8, 0.0,
                                               (1.0, 0.3, 5.0, 2.0, 0.8, 1.5),
                                               (1.0, 1.0), exponent=2.0)
         assert not np.any(max_cases) and not np.any(finals)
 
     def test_runaway_rows(self):
-        _, max_cases, _ = scan_and_check(np.linspace(0.5, 2.5, 5), 40, 1e6,
+        _, max_cases, _ = scan_and_check((0.5, 2.5, 0.5), 40, 1e6,
                                          (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.5))
         runaway = max_cases > RUNAWAY_CASES
         assert np.any(runaway) and not np.all(runaway)
@@ -241,30 +254,32 @@ class TestScanBlocks:
         days = self.HORIZON - 1
         monkeypatch.setattr(K, "_BLOCK_CELLS", pairs_per_block * days + spare_cells)
         assert K._BLOCK_CELLS // days == pairs_per_block
-        scan_and_check([0.5, 0.9, 1.3, 1.8, 2.5], self.HORIZON, 40.0,
+        scan_and_check((0.5, 2.5, 0.5), self.HORIZON, 40.0,
                        (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.3), exponent=1.7)
 
     def test_block_smaller_than_one_pair(self, monkeypatch):
         # fewer cells than switch days still scan one pair a block
         monkeypatch.setattr(K, "_BLOCK_CELLS", 3)
-        scan_and_check([0.5, 1.5, 2.5], 30, 20.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5),
+        scan_and_check((0.5, 2.5, 1.0), 30, 20.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5),
                        (0.5, 1.0))
 
     @pytest.mark.parametrize("cells", [1, 2, 3])
     def test_horizon_one_and_one_value_grid(self, monkeypatch, cells):
         monkeypatch.setattr(K, "_BLOCK_CELLS", cells)
-        scan_and_check([0.5, 1.0, 2.5], 1, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
-        scan_and_check([1.2], 7, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
+        scan_and_check((0.5, 2.5, 1.0), 1, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
+        scan_and_check((1.0, 2.5, 5.0), 7, 12.0, (1.0, 0.3, 5.0, 2.0, 0.8, 1.5), (1.0, 1.0))
 
 
 def test_rows_code_large_grids_in_int32():
     # 2**15 grid values over one day: constants only, no pairs mask built
-    rs = np.linspace(0.5, 2.5, 2**15)
-    params = DynamicsParams(2.5, 0.5, 1.0)
+    step = 2.0 / (2**15 - 1)
     curves = CostCurveSet(TransmissionCost(1.0), BorderCost(1.0, 1.0), OutbreakCost(1.0))
-    first, second, switch, *_ = K.TwoSegmentScan(rs, 1, 0.0, params, curves).rows(0, 2**15)
+    scan = K.ScheduleScan(0.0, 0.0, 1, curves, DynamicsParams(2.5, 0.5, 1.0), step)
+    first, second, switch = scan.rows(0, 2**15)[:3]
     assert (first.dtype, second.dtype, switch.dtype) == (np.int32, np.int32, np.int32)
     assert first.tolist() == second.tolist() == list(range(2**15))
     assert np.all(switch == 1)
-    first, *_ = K.TwoSegmentScan(rs[:-1], 1, 0.0, params, curves).rows(0, 2**15 - 1)
+    # the same grid less its last value
+    scan = K.ScheduleScan(0.0, 0.0, 1, curves, DynamicsParams(2.5 - step, 0.5, 1.0), step)
+    first = scan.rows(0, 2**15 - 1).first_code
     assert first.dtype == np.int16 and first[-1] == 2**15 - 2

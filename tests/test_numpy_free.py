@@ -4,7 +4,8 @@
 and shape gate are scalar code, and numpy is imported only inside the
 functions that make arrays. So these commands never load it, which saves
 most of their start-up, and their results hold Python floats, not numpy
-scalars. The package's records are plain classes (``epicost._record``),
+scalars. Nor do they load ``epicost._kernels``, the schedule scan's
+module, which imports numpy when it is imported. The package's records are plain classes (``epicost._record``),
 so neither ``dataclasses`` nor the ``inspect`` it imports is loaded.
 A report written by one process loads none of the writer's fork code
 (``_forkwrite``, and the ``pickle`` and ``signal`` it imports).
@@ -41,7 +42,8 @@ with tempfile.TemporaryDirectory() as out:
                                  "--out", out, "--format", fmt])
                 runs.append([name, command, fmt, code])
 print(json.dumps({"runs": runs, **{name: name in sys.modules for name in (
-    "numpy", "dataclasses", "inspect", "epicost._forkwrite", "pickle", "signal")}}))
+    "numpy", "epicost._kernels", "dataclasses", "inspect", "epicost._forkwrite", "pickle",
+    "signal")}}))
 """
 
 # one process: a compare-schedules report of three chunks, written by this
@@ -84,6 +86,7 @@ def test_solver_commands_never_import_numpy(guarded):
     assert [run[3] for run in result["runs"]] == [0] * len(result["runs"])
     assert len(result["runs"]) == 2 * sum(map(len, commands.values()))
     assert result["numpy"] is False
+    assert result["epicost._kernels"] is False
     assert result["dataclasses"] is False
     assert result["inspect"] is False
 

@@ -23,14 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epicost import _kernels, cli, trajectory
+from epicost import _kernels, cli
+from epicost._kernels import ScheduleScan
 from epicost.config import parse_config
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.errors import NumericalFailure
 from epicost.fixtures import fixture_path, quadratic_set
 from epicost.importation import ImportScenario, expected_imports, pmf_support, sample_imports
-from epicost.trajectory import (DynamicsParams, ScheduleRows, ScheduleScan,
-                                compare_monotone_vs_relax, simulate, summarize)
+from epicost.trajectory import (DynamicsParams, ScheduleRows, compare_monotone_vs_relax,
+                                simulate, summarize)
 
 HEADER = ("index", "r_first", "r_second", "switch_day", "total_cost", "final_cases",
           "max_cases", "feasible", "runaway", "contains_growth", "relax_then_tighten")
@@ -442,7 +443,7 @@ def test_child_failing_at_either_step_is_invariant_violation(tmp_path, monkeypat
                      str(fixture_path("one_region_quadratic")), "--out", str(out),
                      "--format", fmt]) == 3
     err = capfd.readouterr().err
-    assert err.startswith("invariant violation: CSV formatter process ")
+    assert err.startswith("invariant violation: report writer process ")
     assert err.count("\n") == 1
     # the command stops before the report is opened
     assert list(out.iterdir()) == []

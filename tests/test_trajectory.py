@@ -19,6 +19,13 @@ from test_optimize import random_valid_set
 PARAMS = DynamicsParams()
 
 
+class Unreachable:
+    """A stand-in for the scan's numpy: any array it would make fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the cap was checked")
+
+
 class TestStep:
     def test_absorbing_zero(self):
         assert step(0.0, 2.5, 0.0, 1.0) == 0.0
@@ -294,7 +301,7 @@ class TestScheduleGridAndCap:
         monkeypatch.setattr(trajectory, "MAX_SCHEDULES", cap)
         if cap < 12_201:
             monkeypatch.setattr(trajectory, "r_grid", unreachable)
-            monkeypatch.setattr(_kernels, "TwoSegmentScan", unreachable)
+            monkeypatch.setattr(_kernels, "np", Unreachable())
             with pytest.raises(DomainError, match="12,201 schedules .* cap of 12,200"):
                 compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
         else:
@@ -305,9 +312,10 @@ class TestScheduleGridAndCap:
     def test_schedule_days_count_the_scan(self, quad_set, n_r, horizon):
         # each constant row runs every day; a row switching on day s adds its
         # horizon - s suffix days to a prefix that is costed once
-        rs = np.arange(n_r, dtype=np.float64)
-        scan = _kernels.TwoSegmentScan(rs, horizon, 0.0, PARAMS, quad_set)
-        _, _, switch, *_ = scan.rows(0, scan.n)
+        r_step = 2.0 / (n_r - 1) if n_r > 1 else 5.0   # r0 - r_min is 2
+        scan = _kernels.ScheduleScan(0.0, 0.0, horizon, quad_set, PARAMS, r_step)
+        assert scan.r_grid.shape == (n_r,)
+        switch = scan.rows(0, scan.n).switch_day
         assert schedule_days(n_r, horizon) == n_r * horizon + int(
             np.sum(horizon - switch[n_r:]))
 
@@ -329,7 +337,7 @@ class TestScheduleGridAndCap:
         monkeypatch.setattr(trajectory, "MAX_SCHEDULE_DAYS", cap)
         if cap < 183_330:
             monkeypatch.setattr(trajectory, "r_grid", unreachable)
-            monkeypatch.setattr(_kernels, "TwoSegmentScan", unreachable)
+            monkeypatch.setattr(_kernels, "np", Unreachable())
             with pytest.raises(DomainError,
                                match="183,330 schedule-days .* cap of 183,329"):
                 compare_monotone_vs_relax(100.0, 1.0, 30, quad_set, PARAMS)
