@@ -5,13 +5,13 @@ Commands: ``import-dist``, ``optimize``, ``game``, ``simulate``,
 for solution objects (``--format`` overrides). Each command writes one
 report, ``<command>.<format>`` in ``--out`` with ``-`` turned into ``_``
 (``compare_schedules.csv``): a handler returns the report body and its exit
-code, and ``run`` writes it. The body is a ``_Table`` for CSV and a dict
-for JSON, which may hold ``_Table`` values; each handler builds each table
-once, for either format. Floats are written with 12 significant digits
-and reports carry no timestamps, so identical inputs produce byte-identical
-files. Every report echoes the scenario config it
-was produced from (JSON key ``config``; leading ``# config:`` comment line
-in CSV).
+code, and ``run`` writes it. The body is a ``_Table``, or a list of
+``_Table``s of one header, for CSV, and a dict for JSON, which may hold
+``_Table`` values; each handler builds each table once, for either
+format. Floats are written with 12 significant digits and reports carry
+no timestamps, so identical inputs produce byte-identical files. Every
+report echoes the scenario config it was produced from (JSON key
+``config``; leading ``# config:`` comment line in CSV).
 
 Every table, CSV or JSON, is written a chunk of rows at a time by one
 writer (``_write_report``): a report of four chunks or more is formatted
@@ -21,10 +21,11 @@ around them. The
 ``compare-schedules`` table is never held whole: each process computes
 the rows of the chunks it formats from the schedule scan, with their part
 of the summary, and the report is written once the summary is known. The
-``import-dist`` table holds each link's pmf, tail sums (by
-``importation._tail_sums``, as ``import_tail_sum`` returns them) and Monte
-Carlo counts, one value each per support value; a chunk's ``nu`` values,
-link codes and frequencies are made when it is formatted. numpy is imported
+``import-dist`` report holds a table per link, with its pmf, tail sums
+(by ``importation._tail_sums``, as ``import_tail_sum`` returns them) and
+Monte Carlo counts, one value each per support value; a chunk's ``nu``
+values and frequencies, and in CSV the codes of its link's ``origin`` and
+``destination``, are made when it is formatted. numpy is imported
 inside the handlers and formatters that make arrays, so ``game``,
 ``optimize`` and ``validate``, whose tables are tuples of Python values,
 run without it.
@@ -189,31 +190,32 @@ def _workers(n_chunks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_chunks // 2))
 
 
-class _Rows(NamedTuple):
-    """A table body of ``n`` rows computed a chunk at a time.
+class _Table(NamedTuple):
+    """A table of ``n`` rows computed a chunk at a time, named by ``header``.
 
     ``chunk(lo, hi)`` gives the columns of rows ``lo .. hi - 1``. A table
     summarised over every row also gives ``summary``: its ``chunk`` then
     gives the columns and a picklable summary of their rows, and
     ``summary`` turns the summaries of every chunk, in row order, into the
     report's entries that hold them (a comment line each in CSV, keys at
-    the top of the document in JSON).
+    the top of the document in JSON). ``comments`` are the comment lines
+    of a CSV report whose first table this is.
     """
 
+    header: Sequence[str]
     n: int
     chunk: Callable
     summary: Optional[Callable] = None
+    comments: Sequence[str] = ()
 
 
-def _sliced(columns) -> _Rows:
-    """Equal-length columns as the ``_Rows`` that slices them."""
-    first = columns[0]
-
+def _table(header, columns, comments=()) -> _Table:
+    """Equal-length columns as the ``_Table`` that slices them."""
     def chunk(lo: int, hi: int):
         return [col._replace(codes=col.codes[lo:hi]) if isinstance(col, _Coded)
                 else col[lo:hi] for col in columns]
 
-    return _Rows(_n_rows(first), chunk)
+    return _Table(header, _n_rows(columns[0]), chunk, comments=comments)
 
 
 def _chunk_text(fmt: str, header, columns, depth: int) -> str:
@@ -243,48 +245,52 @@ def _chunk_text(fmt: str, header, columns, depth: int) -> str:
                    for lo in range(0, _n_rows(columns[0]), _SLICE_ROWS))
 
 
-def _json_tables(obj, depth: int = 0):
-    """The ``(table, depth)`` of each ``_Table`` in a JSON report, in the
-    order ``json.dumps(sort_keys=True)`` writes them."""
+def _tables(obj, depth: int = 0):
+    """The ``(table, depth)`` of each ``_Table`` in a report, in the order
+    ``json.dumps(sort_keys=True)`` writes them."""
     if isinstance(obj, _Table):
         yield obj, depth
     elif isinstance(obj, dict):
         for key in sorted(obj):
-            yield from _json_tables(obj[key], depth + 1)
+            yield from _tables(obj[key], depth + 1)
     elif isinstance(obj, list):
         for value in obj:
-            yield from _json_tables(value, depth + 1)
+            yield from _tables(value, depth + 1)
 
 
 def _frame(fmt: str, report, config_raw: dict, tables, summary: dict) -> list:
     """The text before each table of a report and after the last one.
 
-    For CSV: the config line, the comments and the summary's entries as
-    comment lines, then the header. For JSON: the document dumped once
-    with each table as a bare ``NaN`` (``_jsonable``), cut there, and the
-    table's brackets put in its place; no other value writes a bare
-    ``NaN`` at the end of a line, for ``_jsonable`` turns non-finite
-    floats into strings and a string holds no newline.
+    For CSV: the config line, the first table's comments and the
+    summary's entries as comment lines, then the first table's header;
+    nothing between tables or after the last. For JSON: the document
+    dumped once with each table as a bare ``NaN`` (``_jsonable``), cut
+    there, and the table's brackets put in its place; no other value
+    writes a bare ``NaN`` at the end of a line, for ``_jsonable`` turns
+    non-finite floats into strings and a string holds no newline.
     """
     if fmt == "csv":
-        lines = [f"# config: {_compact(config_raw)}", *report.comments,
+        first = tables[0][0]
+        lines = [f"# config: {_compact(config_raw)}", *first.comments,
                  *(f"# {key}: {_compact(value)}" for key, value in summary.items()),
-                 ",".join(_quote(name) for name in report.header)]
-        return ["".join(line + "\n" for line in lines), ""]
+                 ",".join(_quote(name) for name in first.header)]
+        return ["".join(line + "\n" for line in lines), *[""] * len(tables)]
     text = json.dumps(_jsonable({"config": config_raw, **report, **summary}),
                       indent=2, sort_keys=True) + "\n"
     pieces = re.split(r"(?<=: )NaN(?=,?\n)", text)
-    for i, (table, rows, depth) in enumerate(tables):
+    for i, (table, depth) in enumerate(tables):
         pieces[i] += "["
-        pieces[i + 1] = ("\n" + "  " * depth if rows.n else "") + "]" + pieces[i + 1]
+        pieces[i + 1] = ("\n" + "  " * depth if table.n else "") + "]" + pieces[i + 1]
     return pieces
 
 
 def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
     """Write a report, its tables a chunk of rows at a time.
 
-    A CSV report is one ``_Table``: a ``# config:`` line, its comments and
-    header, then its rows. A JSON report is a dict, written as
+    Both formats find a report's tables by one walk (``_tables``). A CSV
+    report is a ``_Table`` or a list of them, all of one header: a
+    ``# config:`` line, the first table's comments and header, then the
+    rows of every table in order. A JSON report is a dict, written as
     ``json.dumps(indent=2, sort_keys=True)`` writes ``{"config":
     config_raw, **report}``, where each ``_Table`` it holds as a value is a
     list of row objects keyed by the header. The bytes are those of that
@@ -292,8 +298,7 @@ def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
     in UTF-8; the two formats differ only in their row template
     (``_chunk_text``).
 
-    The tables are taken as equal-length columns or as ``_Rows``, and
-    their chunks of ``_CHUNK_ROWS`` rows are shared among ``W =
+    The tables' chunks of ``_CHUNK_ROWS`` rows are shared among ``W =
     _workers(n_chunks)`` processes: process 0 is this one, the others are
     forked at its start (``_forkwrite``) and each does every W-th chunk.
     A chunk's rows are computed, formatted (``_chunk_text``) and appended
@@ -307,19 +312,17 @@ def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
     this process, sharing its pages, and each process holds about one
     chunk at a time. A spool's failed write names the report.
     """
-    found = _json_tables(report) if fmt == "json" else [(report, 0)]
-    tables = [(table, table.columns if isinstance(table.columns, _Rows)
-               else _sliced(table.columns), depth) for table, depth in found]
-    chunks = [(i, lo) for i, (_, rows, _) in enumerate(tables)
-              for lo in range(0, rows.n, _CHUNK_ROWS)]
+    tables = list(_tables(report))
+    chunks = [(i, lo) for i, (table, _) in enumerate(tables)
+              for lo in range(0, table.n, _CHUNK_ROWS)]
     # table i's chunks are chunks[bounds[i]:bounds[i + 1]]
-    bounds = [0, *itertools.accumulate(-(-rows.n // _CHUNK_ROWS) for _, rows, _ in tables)]
+    bounds = [0, *itertools.accumulate(-(-table.n // _CHUNK_ROWS) for table, _ in tables)]
 
     def work(k: int, spool):
         i, lo = chunks[k]
-        table, rows, depth = tables[i]
-        chunk = rows.chunk(lo, min(lo + _CHUNK_ROWS, rows.n))
-        columns, part = chunk if rows.summary else (chunk, None)
+        table, depth = tables[i]
+        chunk = table.chunk(lo, min(lo + _CHUNK_ROWS, table.n))
+        columns, part = chunk if table.summary else (chunk, None)
         text = _chunk_text(fmt, table.header, columns, depth)
         text = text[1:] if fmt == "json" and not lo else text   # no comma first
         return spool.write(text.encode()), part
@@ -336,9 +339,9 @@ def _write_report(path: Path, fmt: str, report, config_raw: dict) -> Path:
 
                 done = forked_map(work, len(chunks), spools)
             summary = {}
-            for (_, rows, _), lo, hi in zip(tables, bounds, bounds[1:]):
-                if rows.summary:
-                    summary.update(rows.summary([part for _, part in done[lo:hi]]))
+            for (table, _), lo, hi in zip(tables, bounds, bounds[1:]):
+                if table.summary:
+                    summary.update(table.summary([part for _, part in done[lo:hi]]))
             pieces = _frame(fmt, report, config_raw, tables, summary)
             for spool in spools:
                 spool.seek(0)
@@ -373,15 +376,6 @@ def _decision_dict(d) -> dict:
     }
 
 
-class _Table(NamedTuple):
-    """A table: column names, equal-length columns (or ``_Rows``) and, for
-    a CSV report, comment lines."""
-
-    header: Sequence[str]
-    columns: Sequence | _Rows
-    comments: Sequence[str] = ()
-
-
 def cmd_validate(cfg: ScenarioConfig, fmt: str, args):
     regions = {}
     all_pass = True
@@ -398,12 +392,10 @@ def cmd_validate(cfg: ScenarioConfig, fmt: str, args):
         return {"all_pass": all_pass, "regions": regions}, code
     rows = [(name, c["name"], c["passed"], c["detail"])
             for name, rep in regions.items() for c in rep["checks"]]
-    return _Table(("region", "check", "passed", "detail"), list(zip(*rows))), code
+    return _table(("region", "check", "passed", "detail"), list(zip(*rows))), code
 
 
 def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
-    import numpy as np
-
     if not cfg.links:
         raise ConfigError(["links: import-dist needs at least one travel link"])
     trials = args.mc_trials
@@ -417,49 +409,26 @@ def cmd_import_dist(cfg: ScenarioConfig, fmt: str, args):
         raise ConfigError(
             ["solver.seed: required when Monte Carlo sampling is requested"])
 
-    header = ["origin", "destination", "nu", "pmf", "tail_sum"]
-    if trials > 0:
-        header.append("mc_freq")
-    tables = []
-    link_reports = []
+    per_link = []   # the link's table in CSV, its entry in JSON
     for link in cfg.links:
         origin = cfg.region(link.origin)
         scenario = ImportScenario.from_prevalence(
             origin.population, origin.prevalence, link.travelers)
         rows = _import_rows(scenario, seed, trials)
-        tables.append(rows)
-        if fmt == "json":
-            try:
-                limit = expected_imports(link.travelers, origin.prevalence)
-            except NumericalFailure:   # written "inf", as any non-finite float
-                limit = math.inf
-            link_reports.append({
-                "origin": link.origin, "destination": link.destination,
-                "travelers": link.travelers, "expected_imports": limit,
-                "rows": _Table(header[2:], rows)})
-
-    if fmt == "json":
-        return {"links": link_reports}, 0
-    # origin and destination take one name per link: code the rows by link
-    origins = np.array([link.origin for link in cfg.links], dtype=object)
-    destinations = np.array([link.destination for link in cfg.links], dtype=object)
-    starts = list(itertools.accumulate((rows.n for rows in tables), initial=0))
-
-    def chunk(lo: int, hi: int):
-        spans = [(i, max(lo, start), min(hi, end))
-                 for i, (start, end) in enumerate(zip(starts, starts[1:]))
-                 if start < hi and lo < end]
-        links = np.repeat(np.array([i for i, _, _ in spans], dtype=np.int32),
-                          [end - start for _, start, end in spans])
-        pieces = [tables[i].chunk(start - starts[i], end - starts[i])
-                  for i, start, end in spans]
-        return [_Coded(origins, links), _Coded(destinations, links),
-                *(np.concatenate(parts) for parts in zip(*pieces))]
-
-    return _Table(header, _Rows(starts[-1], chunk)), 0
+        if fmt == "csv":
+            per_link.append(_on_link(rows, link))
+            continue
+        try:
+            limit = expected_imports(link.travelers, origin.prevalence)
+        except NumericalFailure:   # written "inf", as any non-finite float
+            limit = math.inf
+        per_link.append({"origin": link.origin, "destination": link.destination,
+                         "travelers": link.travelers, "expected_imports": limit,
+                         "rows": rows})
+    return ({"links": per_link} if fmt == "json" else per_link), 0
 
 
-def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> _Rows:
+def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> _Table:
     """One link's ``nu, pmf, tail_sum`` rows (``import_tail_sum``'s tail
     sums), and ``mc_freq`` over ``trials`` Monte Carlo trials if any; it
     holds the pmf, its tail sums and the counts, one value each a support value."""
@@ -474,7 +443,22 @@ def _import_rows(scenario: ImportScenario, seed: Optional[int], trials: int) -> 
             columns.append(counts[lo:hi] / trials)
         return columns
 
-    return _Rows(probs.shape[0], chunk)
+    header = ("nu", "pmf", "tail_sum") + (("mc_freq",) if counts is not None else ())
+    return _Table(header, probs.shape[0], chunk)
+
+
+def _on_link(rows: _Table, link) -> _Table:
+    """A link's rows with its ``origin`` and ``destination`` first, each a
+    ``_Coded`` column of one value, so no string is held per row."""
+    import numpy as np
+
+    names = [np.array([name], dtype=object) for name in (link.origin, link.destination)]
+
+    def chunk(lo: int, hi: int):
+        codes = np.zeros(hi - lo, dtype=np.uint8)
+        return [*(_Coded(values, codes) for values in names), *rows.chunk(lo, hi)]
+
+    return rows._replace(header=("origin", "destination", *rows.header), chunk=chunk)
 
 
 def cmd_optimize(cfg: ScenarioConfig, fmt: str, args):
@@ -504,7 +488,7 @@ def cmd_optimize(cfg: ScenarioConfig, fmt: str, args):
         if scr is not None:
             rows.append((name, "screening", scr["screening"],
                          scr["objective"], scr["classification"], ""))
-    return _Table(("region", "variable", "argument", "cost", "classification",
+    return _table(("region", "variable", "argument", "cost", "classification",
                    "foc_residual"), list(zip(*rows))), 0
 
 
@@ -547,7 +531,7 @@ def cmd_game(cfg: ScenarioConfig, fmt: str, args):
     summary = (f"# summary: gap={_cell(solution.gap)} ratio={_cell(solution.ratio)} "
                f"converged={_cell(solution.converged)} "
                f"iterations={solution.iterations}")
-    return _Table(("solution", "region", "domestic_cases", "screening",
+    return _table(("solution", "region", "domestic_cases", "screening",
                    "import_threat", "imports", "cost_transmission", "cost_border",
                    "cost_outbreak", "cost_total"), list(zip(*rows)), (summary,)), 0
 
@@ -570,7 +554,7 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
     columns = (np.arange(days), traj.cases[:days], traj.transmission_costs,
                traj.border_costs, traj.outbreak_costs, traj.total_costs,
                traj.cumulative)
-    table = _Table(header, columns, (f"# final_cases: {_cell(traj.final_cases)}",))
+    table = _table(header, columns, (f"# final_cases: {_cell(traj.final_cases)}",))
     if fmt == "json":
         return {"region": region.name,
                 "days": table,
@@ -600,7 +584,7 @@ def cmd_compare(cfg: ScenarioConfig, fmt: str, args):
         return {"summary": {"degenerate": scan.degenerate, "n_schedules": scan.n,
                             **summarize(parts)._asdict()}}
 
-    table = _Table(header, _Rows(scan.n, chunk, summary))
+    table = _Table(header, scan.n, chunk, summary)
     return ({"schedules": table} if fmt == "json" else table), 0
 
 

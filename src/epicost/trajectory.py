@@ -205,16 +205,16 @@ def steady_state_holding_cost(curves: CostCurveSet, cases: float,
     """Daily cost of holding a constant case level with no travel channel.
 
     Holding zero cases needs no measures (zero is absorbing), so the
-    stringency term vanishes; any positive level must be held at R=1. The
-    border curve is costed at its free level ``i_free``, where it is 0.0.
+    stringency term vanishes; any positive level must be held at R=1. It is
+    ``daily_cost`` of an open channel at the border curve's free level
+    ``i_free``, where the border costs 0.0.
     """
     if cases < 0:
         raise DomainError(f"cases must be >= 0, got {cases}")
     if cases > 0 and not params.r_min <= 1.0 <= params.r0:
         raise DomainError("holding a positive level needs R=1 inside the bounds")
     r_hold = params.r0 if cases == 0 else 1.0
-    costs = curves.breakdown(cases, curves.border.i_free)
-    return costs.transmission * params.stringency(r_hold) + costs.border + costs.outbreak
+    return daily_cost(curves, cases, r_hold, 1.0, curves.border.i_free, params)
 
 
 class ScheduleComparison(Record):

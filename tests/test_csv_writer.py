@@ -55,7 +55,7 @@ def reference_write_json(path, header, rows, config_raw):
 
 def write_csv(path, header, columns, config_raw, comments=()):
     """The CLI's report writer on one CSV table."""
-    return cli._write_report(path, "csv", cli._Table(header, columns, comments), config_raw)
+    return cli._write_report(path, "csv", cli._table(header, columns, comments), config_raw)
 
 
 def table(n_rows):
@@ -133,9 +133,9 @@ def test_coded_text_and_range_columns(n_rows, tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
-# the import-dist table of the scenario below holds 16.2 bytes a row: the
+# the import-dist tables of the scenario below hold 16.2 bytes a row: the
 # pmf and the tail sums of each link; each chunk computes its nu column
-# and its link codes. A whole table of columns held 28 bytes a row (three
+# and its link's codes. A whole table of columns held 28 bytes a row (three
 # numeric columns and an int32 link code), and a str per row for origin
 # and destination 144
 IMPORT_TABLE_BYTES_PER_ROW = 17
@@ -154,18 +154,20 @@ def test_import_dist_table_holds_no_string_per_row():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    rows = table.columns
-    assert isinstance(rows, cli._Rows) and rows.n == 40_002
-    # a chunk across the boundary: the last 3 rows of the first link, the
-    # first 4 of the second
-    origin, destination, nus, probs, tails = rows.chunk(19_998, 20_005)
-    assert origin.values.tolist() == ["src", "dst"]
-    assert destination.values.tolist() == ["dst", "src"]
-    assert origin.codes is destination.codes
-    assert origin.codes.tolist() == [0] * 3 + [1] * 4
-    assert nus.tolist() == [19_998, 19_999, 20_000, 0, 1, 2, 3]
-    assert probs.shape == tails.shape == (7,)
-    assert held / rows.n < IMPORT_TABLE_BYTES_PER_ROW, f"{held / rows.n:.1f} B a row"
+    assert [rows.n for rows in table] == [20_001, 20_001]
+    n_rows = sum(rows.n for rows in table)
+    # the last 3 rows of the first link, the first 4 of the second: each
+    # link's origin and destination are one value, coded
+    for rows, (lo, hi), link in zip(table, [(19_998, 20_001), (0, 4)],
+                                    [("src", "dst"), ("dst", "src")]):
+        assert rows.header == ("origin", "destination", "nu", "pmf", "tail_sum")
+        origin, destination, nus, probs, tails = rows.chunk(lo, hi)
+        assert (origin.values.tolist(), destination.values.tolist()) == ([link[0]], [link[1]])
+        assert origin.codes is destination.codes
+        assert origin.codes.tolist() == [0] * (hi - lo)
+        assert nus == range(lo, hi)
+        assert probs.shape == tails.shape == (hi - lo,)
+    assert held / n_rows < IMPORT_TABLE_BYTES_PER_ROW, f"{held / n_rows:.1f} B a row"
 
 
 # tracemalloc peak of one link's import-dist rows: the pmf, its tail sums and
@@ -281,7 +283,7 @@ def test_forked_writer_same_bytes(workers, n_rows, fmt, tmp_path, monkeypatch):
         want = reference_write_csv(tmp_path / "rows.csv", header, rows, CONFIG, COMMENTS)
     else:
         got = cli._write_report(tmp_path / "forked.json", "json",
-                                {"rows": cli._Table(header, columns)}, CONFIG)
+                                {"rows": cli._table(header, columns)}, CONFIG)
         want = reference_write_json(tmp_path / "rows.json", header, rows, CONFIG)
     assert got.read_bytes() == want.read_bytes()
     assert_no_child_left()

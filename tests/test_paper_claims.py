@@ -9,6 +9,9 @@
   imports in exactly when the full-closure condition fails.
 - *With coordination, zero is cost-optimal*: ``tests/test_coop_sweep.py``
   checks ``cooperative_optimum``'s closed form against a brute-force sweep.
+- *Cooperation pays more as travel grows*: the Nash objective total never
+  falls as the travellers on a link grow, while the cooperative one stays
+  put.
 
 The draws are fixed: Hypothesis runs derandomized, and the curve sets come
 from one seeded generator.
@@ -16,9 +19,12 @@ from one seeded generator.
 
 import numpy as np
 from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from epicost.game import nash_iterate
-from epicost.optimize import FOC_TOL, closure_condition
+from epicost.fixtures import quadratic_set
+from epicost.game import (GameState, RegionState, TravelLink, cooperative_optimum,
+                          nash_iterate, solve_game)
+from epicost.optimize import FOC_TOL, WIDTH_FRAC, closure_condition
 from epicost.trajectory import (DynamicsParams, compare_monotone_vs_relax,
                                 steady_state_holding_cost)
 from test_optimize import random_valid_set
@@ -68,3 +74,61 @@ def test_nash_imports_are_nonzero_exactly_when_closure_fails(state):
             event("F = 0 marginal within FOC_TOL")
             continue
         assert (d.screening == 0.0) == report.holds, d
+
+
+def objectives(state):
+    """Each region's Nash objective, and cooperation's objective total."""
+    nash = [d.objective for d in nash_iterate(state, grid_points=400).outcome.decisions]
+    return nash, sum(d.objective for d in cooperative_optimum(state).outcome.decisions)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(state=games(), more=st.tuples(st.integers(0, 3000), st.integers(0, 3000)))
+def test_cooperation_saves_more_as_travel_grows(state, more):
+    """The Nash objective total (transmission plus border, summed over the
+    regions: what each region minimizes) never decreases as the travellers
+    on either link grow, and the cooperative one is c0 of each region
+    whatever the travel; so cooperation's saving on the objective grows
+    with travel.
+
+    Proof: a region facing threat theta minimizes T(alpha * theta * F) +
+    B(F) over F in [0, 1], with B the link border cost in screening terms.
+    For a fixed F this is nondecreasing in theta, since T is nondecreasing
+    in the load; a minimum over F of functions nondecreasing in theta is
+    nondecreasing in theta; and theta = ``expected_imports(k, L)`` grows
+    with the travellers k. Cooperation holds zero cases with open borders,
+    at T(0) + B(1) = c0 a region.
+
+    The slack is the golden section's: it stops at a bracket WIDTH_FRAC
+    wide on the F axis, so a reported minimum may lie above the true one
+    by the objective's rise over that bracket, and the test allows
+    WIDTH_FRAC of the objective. A 20,001-point F scan, refined near its
+    winner, found no point cheaper than the reported minimum by 2e-16,
+    relative, on 60 of these draws.
+
+    The price of noncooperation also counts the outbreak burden, and it
+    can fall as travel grows (the test below).
+    """
+    grown = state._replace(links=tuple(link._replace(travelers=link.travelers + k)
+                                       for link, k in zip(state.links, more)))
+    (before, coop_before), (after, coop_after) = objectives(state), objectives(grown)
+    for b, a in zip(before, after):
+        assert a >= b * (1.0 - WIDTH_FRAC), (b, a)
+    assert sum(after) >= sum(before) * (1.0 - WIDTH_FRAC)
+    c0 = sum(region.curves.transmission.c0 for region in state.regions)
+    assert coop_before == coop_after == c0
+
+
+def test_price_of_noncooperation_can_fall_as_travel_grows():
+    """``GameSolution.gap`` adds the outbreak burden at the chosen load,
+    which falls where a region screens harder against a larger threat.
+    With both regions on the quadratic set, prevalence 1e-3 and population
+    1e6, the gap is 4.1046 at 1,500 travellers a link and 4.0586 at 2,000,
+    every decision interior."""
+    regions = tuple(RegionState(name, 10**6, 1e-3, 0.0, quadratic_set()) for name in "AB")
+    solutions = [solve_game(GameState(regions, (TravelLink("A", "B", k),
+                                                TravelLink("B", "A", k))))
+                 for k in (1_500, 2_000)]
+    assert [round(sol.gap, 4) for sol in solutions] == [4.1046, 4.0586]
+    assert all(d.classification == "interior"
+               for sol in solutions for d in sol.nash.outcome.decisions)

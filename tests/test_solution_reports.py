@@ -2,7 +2,11 @@
 re-derived from the library.
 
 Each bundled fixture a command accepts is run in-process, in CSV and in
-JSON. Both reports must print, to 12 significant digits, what the library
+JSON, and so is each of a fixed draw of scenarios that
+``tests/test_exit_codes.py`` makes by replacing one leaf of a fixture,
+among those that parse; a drawn scenario that a command rejects (exit
+code 1 or 2 in both formats) is counted as a Hypothesis event instead.
+Both reports must print, to 12 significant digits, what the library
 computes for each cell one call at a time: an ``optimize`` entry is
 ``minimize_over_imports`` or ``best_response``; a ``game`` Nash decision
 is ``best_response`` to the other region, each total is the sum of its
@@ -14,17 +18,23 @@ carry the same numbers.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from epicost import cli
-from epicost.config import load_config
+from epicost.config import load_config, parse_config
+from epicost.errors import ConfigError
 from epicost.fixtures import SCENARIOS, fixture_path
 from epicost.game import (GameState, TravelLink, best_response, cooperative_optimum,
                           nash_iterate, price_of_noncooperation)
 from epicost.importation import expected_imports
 from epicost.optimize import minimize_over_imports
 from epicost.trajectory import daily_cost, step
+from test_exit_codes import CASES, replaced
 from test_table_cells import csv_table
 
 # relative distance a simulate day may lie from daily_cost: the 12-digit
@@ -35,16 +45,19 @@ TWO_REGIONS = [name for name in SCENARIOS
                if len(json.loads(fixture_path(name).read_text())["regions"]) == 2]
 
 
-def reports(tmp_path, command, name):
-    """The command's report on a bundled fixture: its CSV comment lines by
-    key and rows as dicts, and its JSON document."""
-    text = {}
+def reports(tmp_path, command, path):
+    """The command's report on the scenario at ``path``: its CSV comment
+    lines by key and rows as dicts, and its JSON document; None where the
+    command exits with the same nonzero code in both formats."""
+    text, codes = {}, set()
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
-        assert cli.main([command, "--config", str(fixture_path(name)), "--out", str(out),
-                         "--format", fmt]) == 0
-        text[fmt] = (out / f"{command}.{fmt}").read_text()
-    return csv_table(text["csv"]), json.loads(text["json"])
+        codes.add(cli.main([command, "--config", str(path), "--out", str(out),
+                            "--format", fmt]))
+        if codes == {0}:
+            text[fmt] = (out / f"{command}.{fmt}").read_text()
+    assert len(codes) == 1, codes
+    return (csv_table(text["csv"]), json.loads(text["json"])) if codes == {0} else None
 
 
 def shown(v):
@@ -78,10 +91,14 @@ def solver_args(cfg) -> dict:
     return {"grid_points": cfg.solver.grid_points, "foc_tol": cfg.solver.foc_tol}
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_optimize_entries_are_the_library_optima(tmp_path, name):
-    (_, rows), doc = reports(tmp_path, "optimize", name)
-    cfg = load_config(fixture_path(name))
+def check_optimize(tmp_path, path) -> bool:
+    """Whether ``optimize`` ran on the scenario at ``path``; if it did, its
+    entries are the library's optima."""
+    written = reports(tmp_path, "optimize", path)
+    if written is None:
+        return False
+    (_, rows), doc = written
+    cfg = load_config(path)
     want_rows, want_doc = [], {}
     for region in cfg.regions:
         imports = minimize_over_imports(region.curves, **solver_args(cfg))
@@ -97,12 +114,22 @@ def test_optimize_entries_are_the_library_optima(tmp_path, name):
         want_doc[region.name] = entry
     assert [list(row.values()) for row in rows] == want_rows
     assert shown(doc["regions"]) == want_doc
+    return True
 
 
-@pytest.mark.parametrize("name", TWO_REGIONS)
-def test_game_report_is_best_responses_and_their_sums(tmp_path, name):
-    (comments, rows), doc = reports(tmp_path, "game", name)
-    cfg = load_config(fixture_path(name))
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_optimize_entries_are_the_library_optima(tmp_path, name):
+    assert check_optimize(tmp_path, fixture_path(name))
+
+
+def check_game(tmp_path, path) -> bool:
+    """Whether ``game`` ran on the scenario at ``path``; if it did, its Nash
+    decisions are best responses and its totals their sums."""
+    written = reports(tmp_path, "game", path)
+    if written is None:
+        return False
+    (comments, rows), doc = written
+    cfg = load_config(path)
     state = GameState(tuple(cfg.regions), cfg.links)
     # a region with no inbound link responds to a link of no travellers
     nash = [best_response(region, state.opponent(region.name),
@@ -138,16 +165,26 @@ def test_game_report_is_best_responses_and_their_sums(tmp_path, name):
     gap_, ratio_, converged = shown([gap, ratio, solved.converged])
     assert comments["summary"] == (f"gap={gap_} ratio={ratio_} converged={converged} "
                                    f"iterations={solved.iterations}")
+    return True
+
+
+@pytest.mark.parametrize("name", TWO_REGIONS)
+def test_game_report_is_best_responses_and_their_sums(tmp_path, name):
+    assert check_game(tmp_path, fixture_path(name))
 
 
 def near(cell: str, exact: float) -> bool:
     return abs(float(cell) - exact) <= DAY_REL * abs(exact)
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_simulate_days_are_daily_costs(tmp_path, name):
-    (comments, rows), doc = reports(tmp_path, "simulate", name)
-    cfg = load_config(fixture_path(name))
+def check_simulate(tmp_path, path) -> bool:
+    """Whether ``simulate`` ran on the scenario at ``path``; if it did, its
+    days follow ``step`` and cost ``daily_cost``."""
+    written = reports(tmp_path, "simulate", path)
+    if written is None:
+        return False
+    (comments, rows), doc = written
+    cfg = load_config(path)
     region, schedule = cfg.dynamics_region(), cfg.dynamics.schedule()
     curves, params = region.curves, schedule.params
     link = cfg.inbound_link(region.name)
@@ -174,3 +211,31 @@ def test_simulate_days_are_daily_costs(tmp_path, name):
     assert len(rows) == schedule.horizon
     assert comments["final_cases"] == shown(doc["final_cases"]) == shown(cases[-1])
     assert near(shown(doc["cumulative_cost"]), running)
+    return True
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_simulate_days_are_daily_costs(tmp_path, name):
+    assert check_simulate(tmp_path, fixture_path(name))
+
+
+def parses(case) -> bool:
+    try:
+        parse_config(replaced(*case))
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=st.sampled_from(CASES))
+def test_drawn_scenarios_reports_are_the_library_values(case):
+    # a filter on sampled_from may test every case once its draws fail
+    assume(parses(case))
+    name, path, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(replaced(name, path, value)))
+        for check in (check_optimize, check_game, check_simulate):
+            ran = check(Path(tmp) / check.__name__, scenario)
+            event(f"{check.__name__}: {'checked' if ran else 'rejected'}")

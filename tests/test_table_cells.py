@@ -40,11 +40,14 @@ def schedules_config():
 
 
 def imports_config():
-    # two links of 121 and 301 support values
+    # three links of 301, 194 and 121 support values: the second link's
+    # table is two chunks exactly, so it ends on a chunk boundary
     cfg = json.loads(fixture_path("import_dist_small").read_text())
     cfg["regions"][0].update(population=2_000, prevalence=0.15)
     cfg["regions"][1].update(population=5_000, prevalence=0.05)
+    cfg["regions"].append(dict(cfg["regions"][1], id="hub"))
     cfg["links"] = [{"origin": "src", "destination": "dst", "travelers": 300},
+                    {"origin": "src", "destination": "hub", "travelers": 2 * CHUNK_ROWS - 1},
                     {"origin": "dst", "destination": "src", "travelers": 120}]
     return cfg
 
@@ -177,6 +180,7 @@ def test_import_cells_are_the_exact_pmf_and_tail_sums(tmp_path, monkeypatch):
     regions = {region["id"]: region for region in cfg["regions"]}
     assert [(link["origin"], link["destination"], link["travelers"]) for link in links] == [
         (link["origin"], link["destination"], link["travelers"]) for link in cfg["links"]]
+    assert len(links[1]["rows"]) == 2 * CHUNK_ROWS   # a table ending on a chunk boundary
 
     start = 0
     for link in links:
