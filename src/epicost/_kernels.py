@@ -2,13 +2,13 @@
 
 The schedule scan runs here: ``ScheduleScan``, the schedule comparison's
 one table class, from its input checks to its rows' flags. The optimizers
-and the shape gate are scalar code and do not use this module; the
-trajectory simulator steps cases over Python floats and costs its days
-with the curves' ``cost_arr``. The cost formulas themselves live on the
-curves in ``costs`` (``cost_arr``), so each kernel takes curve objects
-and combines them. The scan holds the constant-R prefixes of its
-schedules only: its one entry point, ``rows(lo, hi)``, computes the
-codes, switch days, costs and flags of a range of rows when they are
+and the shape gate are scalar code and do not use this module, nor does
+the trajectory simulator, which steps and costs its days over Python
+floats with the curves' scalar ``cost``. The cost formulas themselves
+live on the curves in ``costs`` (``cost_arr``), so each kernel takes
+curve objects and combines them. The scan holds the constant-R prefixes
+of its schedules only: its one entry point, ``rows(lo, hi)``, computes
+the codes, switch days, costs and flags of a range of rows when they are
 asked for, so no caller need hold the whole table. This is the one
 module that imports numpy when it is imported; the others import it, and
 this module, inside the functions that make arrays.
@@ -84,10 +84,10 @@ class ScheduleScan:
     With the grid and its weights, that is all the scan holds,
     whatever the number of schedules.
 
-    Every array handed to ``cost_arr`` or ``weight`` is contiguous, so
-    numpy's ``**`` takes one loop for every element, and each figure
-    equals a day-by-day scan of its schedule bit for bit, whatever range
-    it was computed in.
+    Every power, in ``cost_arr`` and ``weight``, is libm's ``pow``
+    (``float_power``, which has no SIMD loop), so each figure equals a
+    day-by-day scan of its schedule with the scalar curves bit for bit,
+    whatever range it was computed in.
     """
 
     def __init__(self, x0: float, x_target: float, horizon: int, curves,

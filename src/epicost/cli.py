@@ -28,7 +28,7 @@ values and frequencies, and in CSV the codes of its link's ``origin`` and
 ``destination``, are made when it is formatted. numpy is imported
 inside the handlers and formatters that make arrays, so ``game``,
 ``optimize`` and ``validate``, whose tables are tuples of Python values,
-run without it.
+and ``simulate``, whose columns are ``array('d')``, run without it.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 runtime
 invariant violation.
@@ -45,6 +45,7 @@ import os
 import re
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -151,10 +152,10 @@ def _column_format(column, fmt: str):
     slice to its cells.
 
     Numbers are filled in by the row template (ints and ``range`` columns
-    ``%d``, floats ``%.12g`` in CSV); a ``_Coded`` column formats each
-    value its rows use once, and takes the cells by code; bools index
-    their two cells; JSON floats and any other column are text, as
-    ``_quote`` or ``json.dumps`` writes them.
+    ``%d``, floats ``%.12g`` in CSV, an ``array('d')``'s too); a
+    ``_Coded`` column formats each value its rows use once, and takes the
+    cells by code; bools index their two cells; JSON floats and any other
+    column are text, as ``_quote`` or ``json.dumps`` writes them.
     """
     if isinstance(column, _Coded):
         import numpy as np
@@ -166,7 +167,8 @@ def _column_format(column, fmt: str):
         return "%s", lambda rows: cells.take(codes[rows]).tolist()
     if isinstance(column, range):
         return "%d", lambda rows: list(column[rows])
-    kind = column.dtype.kind if hasattr(column, "dtype") else "O"   # an ndarray's
+    kind = ("f" if isinstance(column, array) else   # simulate's columns
+            column.dtype.kind if hasattr(column, "dtype") else "O")   # an ndarray's
     if kind == "b":
         import numpy as np
 
@@ -537,8 +539,6 @@ def cmd_game(cfg: ScenarioConfig, fmt: str, args):
 
 
 def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
-    import numpy as np
-
     region = cfg.dynamics_region()
     schedule = cfg.dynamics.schedule()
     link = cfg.inbound_link(region.name)
@@ -551,7 +551,7 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str, args):
     header = ("day", "cases", "cost_transmission", "cost_border",
               "cost_outbreak", "cost_total", "cumulative")
     days = schedule.horizon
-    columns = (np.arange(days), traj.cases[:days], traj.transmission_costs,
+    columns = (range(days), traj.cases[:days], traj.transmission_costs,
                traj.border_costs, traj.outbreak_costs, traj.total_costs,
                traj.cumulative)
     table = _table(header, columns, (f"# final_cases: {_cell(traj.final_cases)}",))

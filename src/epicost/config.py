@@ -26,8 +26,10 @@ from .trajectory import DynamicsParams, PolicySchedule
 # costed), but a cost flat within the tie tolerance prunes nothing: one
 # such solve at the cap took 20 s, against 10.5 s for costing every point
 MAX_GRID_POINTS = 10_000_000
-# largest accepted dynamics.horizon: simulate takes about 3.5 us a day with
-# its report and a one-value-grid compare-schedules 6 us, so neither passes 1 s
+# largest accepted dynamics.horizon: at the cap, with a travel channel,
+# simulate took 0.43-0.71 s with its CSV report and 0.74-1.10 s with its JSON
+# one on a 2-core Xeon as its load varied (4-11 us a day), and a
+# one-value-grid compare-schedules 1.7 s (about 17 us a day)
 MAX_HORIZON = 100_000
 
 

@@ -10,12 +10,17 @@ starts at zero and grows with cases.
 
 All curves are immutable and evaluations are pure, so concurrent use is
 safe. Each curve writes its formula for one point (``cost``); the
-transmission and outbreak curves, which the trajectory kernels cost a day
-of many schedules at a time, write it next to that for a numpy array of
-any shape (``cost_arr``). The optimizers and the shape gate use ``cost``
-only, so they import no numpy. The optimizers' first-order conditions
-read the transmission and border curves' ``marginal``; the outbreak
-burden is in no objective, so its curve has none.
+transmission and outbreak curves, which the schedule scan costs a day of
+many schedules at a time, write it next to that for a numpy array of any
+shape (``cost_arr``). The optimizers, the shape gate and ``simulate`` use
+``cost`` only, so they import no numpy. Both forms take every power with
+the C library's ``pow``: Python's float ``**`` calls it, and so does
+numpy's ``float_power``, where numpy's array ``**`` may take a SIMD loop
+that differs from it in the last place. So ``cost_arr`` equals ``cost``
+bit for bit, and ``_pow`` gives the stringency weight of ``trajectory``
+the same ``pow`` for a float or an array. The optimizers' first-order
+conditions read the transmission and border curves' ``marginal``; the
+outbreak burden is in no objective, so its curve has none.
 """
 
 from __future__ import annotations
@@ -36,10 +41,20 @@ def _require(cond: bool, msg: str):
         raise DomainError(msg)
 
 
+def _pow(base, exponent: float):
+    """``base ** exponent`` with libm's ``pow``, for a float or a numpy
+    array (by ``float_power``) alike."""
+    if isinstance(base, float):
+        return base ** exponent
+    import numpy as np
+
+    return np.float_power(base, exponent)
+
+
 def _power(base: float, exponent: float, coef: float) -> float:
     """``coef * base ** exponent`` for ``base >= 0``: ``inf`` where the power
-    overflows, as the array ``**`` of ``cost_arr`` gives it, and 0 for a
-    zero ``coef`` whatever the power."""
+    overflows, as ``_power_arr`` gives it, and 0 for a zero ``coef``
+    whatever the power."""
     if coef == 0:
         return 0.0
     try:
@@ -48,15 +63,18 @@ def _power(base: float, exponent: float, coef: float) -> float:
         return math.inf
 
 
-def _power_arr(base: np.ndarray, exponent: float, coef: float) -> np.ndarray:
-    """``_power`` elementwise, computed in ``base``, which it overwrites and
-    returns; numpy warns where the power overflows."""
+def _power_arr(base: np.ndarray, exponent: float, coef: float, out=None) -> np.ndarray:
+    """``_power`` elementwise, into ``out`` (which may be ``base``) or a
+    new array; numpy warns where the power overflows."""
+    import numpy as np
+
     if coef == 0:
-        base[...] = 0.0
-    else:
-        base **= exponent
-        base *= coef
-    return base
+        out = np.empty_like(base, dtype=np.float64) if out is None else out
+        out[...] = 0.0
+        return out
+    out = np.float_power(base, exponent, out=out)
+    out *= coef
+    return out
 
 
 def _finite(v: float, name: str, allow_inf: bool = False):
@@ -104,14 +122,11 @@ class TransmissionCost(Record):
                 + _power(x - self.tti_capacity, self.wide_exponent, self.wide_slope))
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
-        """``cost`` elementwise, without the domain check.
-
-        numpy's array ``**`` may differ from the scalar ``**`` in the last
-        place for a non-integer exponent; every other operation is the same.
-        """
+        """``cost`` elementwise for a float64 load of any shape, or a float,
+        without the domain check: the same operations in the same order,
+        and the same ``pow`` (``_power_arr``), so the same bits."""
         import numpy as np
 
-        x = np.asarray(x, dtype=np.float64)
         cap = self.tti_capacity
         if cap == math.inf:   # no load is over: min(x, cap) is x
             out = x * self.tti_slope
@@ -121,13 +136,13 @@ class TransmissionCost(Record):
         out = np.minimum(x, cap, out=np.empty_like(x))
         out *= self.tti_slope
         out += self.c0
-        over = x > cap
+        over = np.greater(x, cap)
         if over.any():
             # the wide branch in place, 17 bytes a value with ``out`` and
-            # ``over``; a NaN load is never over, so it powers 0.0, not NaN
+            # ``over``; a load not over (NaN too) powers 0.0 (fmax)
             excess = np.subtract(x, cap, out=np.empty_like(x))
-            np.copyto(excess, 0.0, where=~over)
-            _power_arr(excess, self.wide_exponent, self.wide_slope)
+            np.fmax(excess, 0.0, out=excess)
+            _power_arr(excess, self.wide_exponent, self.wide_slope, out=excess)
             excess += self.c0 + self.tti_slope * cap + self.breakdown_jump
             np.copyto(out, excess, where=over)
         return out
@@ -217,9 +232,7 @@ class OutbreakCost(Record):
 
     def cost_arr(self, x: np.ndarray) -> np.ndarray:
         """``cost`` elementwise, without the domain check (see TransmissionCost)."""
-        import numpy as np
-
-        return _power_arr(np.array(x, dtype=np.float64), self.exponent, self.per_case)
+        return _power_arr(x, self.exponent, self.per_case)
 
 
 class CostBreakdown(Record):

@@ -23,11 +23,13 @@ reduction; it imports the scan, and numpy with it, when it is called.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from typing import NamedTuple, Optional
 
 from ._record import Record
-from .costs import CostCurveSet
+from .costs import CostCurveSet, _pow
 from .errors import DomainError, NumericalFailure
 
 RUNAWAY_CASES = 1e12
@@ -71,8 +73,9 @@ class DynamicsParams(Record):
         return self.weight(r)
 
     def weight(self, r):
-        """``stringency`` without the range check; ``r`` may be an array."""
-        return ((self.r0 - r) / (self.r0 - self.r_min)) ** self.stringency_exponent
+        """``stringency`` without the range check; ``r`` may be an array,
+        whose power is libm's ``pow`` as a float's is (``costs._pow``)."""
+        return _pow((self.r0 - r) / (self.r0 - self.r_min), self.stringency_exponent)
 
 
 class PolicySchedule(Record):
@@ -106,26 +109,27 @@ class PolicySchedule(Record):
 
 
 class Trajectory(Record):
-    """Daily cases with the per-day cost components they incur.
+    """Daily cases with the per-day cost components they incur, each an
+    ``array('d')``.
 
     ``cases`` has horizon+1 entries (start level included); each cost array
     has one entry per day, evaluated at that day's starting level.
     """
 
-    cases: np.ndarray
-    transmission_costs: np.ndarray
-    border_costs: np.ndarray
-    outbreak_costs: np.ndarray
-    total_costs: np.ndarray
-    cumulative: np.ndarray
+    cases: array
+    transmission_costs: array
+    border_costs: array
+    outbreak_costs: array
+    total_costs: array
+    cumulative: array
 
     @property
     def final_cases(self) -> float:
-        return float(self.cases[-1])
+        return self.cases[-1]
 
     @property
     def cumulative_cost(self) -> float:
-        return float(self.cumulative[-1]) if self.cumulative.size else 0.0
+        return self.cumulative[-1] if self.cumulative else 0.0
 
 
 def step(cases: float, r: float, imports: float, import_multiplier: float) -> float:
@@ -159,45 +163,45 @@ def simulate(schedule: PolicySchedule, x0: float, curves: CostCurveSet,
 
     ``import_threat`` is the channel's unscreened expected daily import
     level; ``None`` means no travel channel (no imports, no border term).
+    A day costs ``c_T(x) * g(R)``, then plus the border term, then plus
+    ``c_O(x)``, by the curves' scalar ``cost`` and ``params.weight``, and
+    ``cumulative`` sums the days in order: the figures of the schedule
+    scan's row for the same schedule, bit for bit.
     Raises NumericalFailure if cases run past 1e12 (runaway epidemic).
     """
-    import numpy as np
-
     if x0 < 0:
         raise DomainError(f"starting cases must be >= 0, got {x0}")
     T = schedule.horizon
-    r = np.asarray(schedule.reproduction, dtype=np.float64)
-    f = np.asarray(schedule.screening, dtype=np.float64)
-
     if import_threat is None:
-        imports = np.zeros(T)
-        border = np.zeros(T)
+        imports = border = array("d", [0.0]) * T
     else:
         if import_threat < 0:
             raise DomainError(f"import threat must be >= 0, got {import_threat}")
-        imports = import_threat * f
-        if np.any(imports > curves.border.i_free):
+        imports = array("d", (import_threat * f for f in schedule.screening))
+        if any(v > curves.border.i_free for v in imports):
             raise DomainError(
                 f"screened imports exceed the border-cost domain "
                 f"[0, {curves.border.i_free}]")
-        border = np.array([curves.border.cost(v) for v in imports.tolist()])
+        border = array("d", map(curves.border.cost, imports))
 
-    # an overflow to inf is a runaway, reported just below
-    cases = [float(x0)]
-    for r_t, imports_t in zip(r.tolist(), imports.tolist()):
-        cases.append(step(cases[-1], r_t, imports_t, curves.import_multiplier))
-    cases = np.array(cases)
-    if not np.all(np.isfinite(cases)) or np.any(cases > RUNAWAY_CASES):
+    # an overflow to inf, or a NaN start, is a runaway, reported just below
+    cases = array("d", [x0])
+    for r, imports_t in zip(schedule.reproduction, imports):
+        if not cases[-1] <= RUNAWAY_CASES:
+            break
+        cases.append(step(cases[-1], r, imports_t, curves.import_multiplier))
+    if not cases[-1] <= RUNAWAY_CASES:
         raise NumericalFailure(
             f"runaway epidemic: cases exceeded {RUNAWAY_CASES:g} within {T} days")
 
-    live = cases[:T]
-    transmission = curves.transmission.cost_arr(live) * schedule.params.weight(r)
-    outbreak = curves.outbreak.cost_arr(live)
-    total = transmission + border + outbreak
+    weight = schedule.params.weight
+    transmission = array("d", (curves.transmission.cost(x) * weight(r)
+                               for x, r in zip(cases, schedule.reproduction)))
+    outbreak = array("d", map(curves.outbreak.cost, cases[:T]))
+    total = array("d", (t + b + o for t, b, o in zip(transmission, border, outbreak)))
     return Trajectory(cases=cases, transmission_costs=transmission,
                       border_costs=border, outbreak_costs=outbreak,
-                      total_costs=total, cumulative=np.cumsum(total))
+                      total_costs=total, cumulative=array("d", itertools.accumulate(total)))
 
 
 def steady_state_holding_cost(curves: CostCurveSet, cases: float,

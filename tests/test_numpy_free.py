@@ -1,9 +1,12 @@
-"""The solver commands run without numpy, ``dataclasses`` or ``inspect``.
+"""The solver commands and ``simulate`` run without numpy, ``dataclasses``
+or ``inspect``.
 
 ``game``, ``optimize`` and ``validate`` use no table: their optimizer grid
 and shape gate are scalar code, and numpy is imported only inside the
-functions that make arrays. So these commands never load it, which saves
-most of their start-up, and their results hold Python floats, not numpy
+functions that make arrays. ``simulate`` steps and costs its days over
+Python floats with the curves' scalar ``cost`` and writes ``array('d')``
+columns. So these commands never load numpy, which saves most of their
+start-up, and the solvers' results hold Python floats, not numpy
 scalars. Nor do they load ``epicost._kernels``, the schedule scan's
 module, which imports numpy when it is imported. The package's records are plain classes (``epicost._record``),
 so neither ``dataclasses`` nor the ``inspect`` it imports is loaded.
@@ -24,9 +27,9 @@ from epicost._record import Record
 from epicost.game import GameState, best_response, solve_game
 from epicost.optimize import minimize_over_imports
 
-SOLVER_COMMANDS = ("game", "optimize", "validate")
+SOLVER_COMMANDS = ("game", "optimize", "validate", "simulate")
 
-# one process: import epicost, run every solver command on every bundled
+# one process: import epicost, run every command above on every bundled
 # fixture that accepts it, in both formats, then report what was loaded
 _GUARD = """
 import json, sys, tempfile
@@ -62,8 +65,8 @@ print(code, "epicost._forkwrite" in sys.modules, "signal" in sys.modules)
 
 
 def accepted_commands() -> dict:
-    """The solver commands each bundled fixture accepts: ``game`` needs
-    exactly two regions."""
+    """The commands of ``SOLVER_COMMANDS`` each bundled fixture accepts:
+    ``game`` needs exactly two regions."""
     out = {}
     for name in SCENARIOS:
         regions = json.loads(fixture_path(name).read_text())["regions"]
@@ -73,7 +76,7 @@ def accepted_commands() -> dict:
 
 @pytest.fixture(scope="module")
 def guarded():
-    """The solver commands each fixture accepts, and what ``_GUARD`` saw."""
+    """The commands each fixture accepts, and what ``_GUARD`` saw."""
     commands = accepted_commands()
     done = subprocess.run([sys.executable, "-c", _GUARD, json.dumps(commands)],
                           capture_output=True, text=True, timeout=300)

@@ -22,8 +22,8 @@ def reference_dense_costs(R, x0, params, curves):
     totals = np.zeros(n)
     max_cases = np.full(n, x0, dtype=np.float64)
     for t in range(T):
-        g = ((r0 - R[:, t]) / denom) ** g_exp
-        totals += ct.cost_arr(x) * g + co.per_case * x**co.exponent
+        g = np.float_power((r0 - R[:, t]) / denom, g_exp)
+        totals += ct.cost_arr(x) * g + co.per_case * np.float_power(x, co.exponent)
         x = R[:, t] * x
         np.maximum(max_cases, x, out=max_cases)
     return totals, max_cases, x

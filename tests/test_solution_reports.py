@@ -37,8 +37,9 @@ from epicost.trajectory import daily_cost, step
 from test_exit_codes import CASES, replaced
 from test_table_cells import csv_table
 
-# relative distance a simulate day may lie from daily_cost: the 12-digit
-# print adds up to 5e-12, and numpy's ``**`` against libm's ``pow`` a few ulps
+# relative distance a printed simulate day may lie from daily_cost: the
+# 12-digit print adds up to 5e-12; the figures printed equal daily_cost's
+# bit for bit, both costed by the scalar curves with libm's ``pow``
 DAY_REL = 1e-11
 
 TWO_REGIONS = [name for name in SCENARIOS

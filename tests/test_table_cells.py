@@ -154,7 +154,7 @@ def test_schedule_cells_are_simulated(tmp_path, monkeypatch):
             assert runaway and peak > RUNAWAY_CASES and not feasible_i
             runaways += 1
             continue
-        cases = traj.cases
+        cases = np.asarray(traj.cases)
         assert (total, final, peak) == (printed(traj.cumulative_cost),
                                         printed(traj.final_cases), printed(cases.max()))
         assert not runaway and feasible_i == (traj.final_cases <= target)
