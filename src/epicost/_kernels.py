@@ -7,11 +7,11 @@ the trajectory simulator, which steps and costs its days over Python
 floats with the curves' scalar ``cost``. The cost formulas themselves
 live on the curves in ``costs`` (``cost_arr``), so each kernel takes
 curve objects and combines them. The scan holds the constant-R prefixes
-of its schedules only: its one entry point, ``rows(lo, hi)``, computes
-the codes, switch days, costs and flags of a range of rows when they are
-asked for, so no caller need hold the whole table. This is the one
-module that imports numpy when it is imported; the others import it, and
-this module, inside the functions that make arrays.
+of its schedules only, built along the day axis by accumulates: its one
+entry point, ``rows(lo, hi)``, computes a range of rows, a day at a time
+from those prefixes, when asked, so no caller holds the whole table.
+This is the one module that imports numpy when it is imported; the others
+import it, and this module, inside the functions that make arrays.
 
 The scan checks its own inputs; the curves' array forms assume
 domain-valid ones, validated by their callers.
@@ -21,23 +21,6 @@ import numpy as np
 
 from . import trajectory
 from .errors import DomainError
-
-
-def _put(out, table, skip):
-    """Fill ``out`` with the cells ``skip ..`` of the 2-D ``table`` read in
-    row-major order, without a flat copy of the table: the end of one of
-    its rows, whole rows, then the start of the next."""
-    width, m = table.shape[1], out.shape[0]
-    row, col = divmod(skip, width)
-    head = min(m, width - col) if col else 0
-    if head:
-        out[:head] = table[row, col:col + head]
-        row += 1
-    whole = (m - head) // width
-    out[head:head + whole * width].reshape(whole, width)[...] = table[row:row + whole]
-    tail = m - head - whole * width
-    if tail:
-        out[m - tail:] = table[row + whole, :tail]
 
 
 # suffix-state cells (pairs x switch days) the scan holds per block: each of
@@ -78,11 +61,12 @@ class ScheduleScan:
     Daily cost is ``c_T(x) * g(R) + c_O(x)`` with the stringency weight
     ``g`` of the dynamics ``params``, evaluated once per grid value.
 
-    Schedules share prefixes. Where there are pairs, construction runs
-    each constant-R trajectory once and keeps each day's cases, running
-    total and running maximum: the ``(3, horizon + 1, n_r)`` ``prefixes``.
-    With the grid and its weights, that is all the scan holds,
-    whatever the number of schedules.
+    Schedules share prefixes. Over more than one day, construction runs
+    each constant-R trajectory once along the day axis (``_prefixes``) and
+    keeps its cases, running total and running maximum at the start of
+    days 0 .. horizon - 1: the ``(3, horizon, n_r)`` ``prefixes``. With the
+    grid and its weights, that is all the scan holds, whatever the number
+    of schedules.
 
     Every power, in ``cost_arr`` and ``weight``, is libm's ``pow``
     (``float_power``, which has no SIMD loop), so each figure equals a
@@ -134,9 +118,8 @@ class ScheduleScan:
         # a schedule whose cases overflow to inf is flagged runaway in rows
         with np.errstate(over="ignore", invalid="ignore"):
             self.g = params.weight(rs)
-            if n > n_r:
-                self.prefixes = np.empty((3, horizon + 1, n_r))
-                self._run_prefixes(rs, self.g, *self.prefixes)
+            if horizon > 1:
+                self.prefixes = self._prefixes(rs, self.g)
 
     def _pairs(self, p, q):
         """Grid indices ``(first, second)`` of pairs ``p .. q - 1``."""
@@ -150,59 +133,69 @@ class ScheduleScan:
         cost += self.co.cost_arr(x)
         return cost
 
-    def _run_prefixes(self, rs, g, xs, run, peak):
+    def _prefixes(self, rs, g):
         """Cases, running total and running maximum of the constant
-        schedules on ``rs`` at the start of each day 0 .. horizon, into
-        arrays of ``horizon + 1`` rows, or of one row advanced in place."""
-        last = xs.shape[0] - 1
-        xs[0], run[0], peak[0] = self.x0, 0.0, self.x0
-        for t in range(self.horizon):
-            now, nxt = min(t, last), min(t + 1, last)
-            np.add(run[now], self._day_cost(xs[now], g), out=run[nxt])
-            np.multiply(rs, xs[now], out=xs[nxt])
-            np.maximum(peak[now], xs[nxt], out=peak[nxt])
+        schedules on ``rs`` at the start of each day 0 .. horizon - 1, as
+        one ``(3, horizon, n_r)`` array: a running product, sum and maximum
+        along the day axis. Accumulates run in day order, never pairwise,
+        so each cell has the bits of ``_step`` run day by day."""
+        out = np.empty((3, self.horizon, rs.shape[0]))
+        xs, run, peak = out
+        xs[0], xs[1:] = self.x0, rs
+        np.multiply.accumulate(xs, axis=0, out=xs)
+        run[0], run[1:] = 0.0, self._day_cost(xs[:-1], g)
+        np.add.accumulate(run, axis=0, out=run)
+        np.maximum.accumulate(xs, axis=0, out=peak)
+        return out
+
+    def _step(self, x, total, peak, r, g):
+        """One day of the trajectories at cases ``x`` under ``r``, in place."""
+        total += self._day_cost(x, g)
+        np.multiply(r, x, out=x)
+        np.maximum(peak, x, out=peak)
 
     def _suffixes(self, f, s):
-        """``(totals, max_cases, finals)`` of the pairs ``(f, s)``,
-        switch-major ``(horizon - 1, pairs)``: the row of switch day ``s``
-        starts from its ``r1`` prefix at day ``s``, and day ``t``'s work is
-        the leading rows switched by then."""
+        """Final cases, totals and peaks of the pairs ``(f, s)`` in the
+        prefixes' order, switch-major ``(3, horizon - 1, pairs)``: the row of
+        switch day ``s`` starts from its ``r1`` prefix at day ``s``, and day
+        ``t``'s work is the leading rows switched by then."""
         r2, g2 = self.r_grid[s], self.g[s]
         state = np.empty((3, self.horizon - 1, f.shape[0]))
-        np.take(self.prefixes[:, 1:self.horizon], f, axis=2, out=state)
-        x, totals, max_cases = state
+        np.take(self.prefixes[:, 1:], f, axis=2, out=state)
         for t in range(1, self.horizon):
-            live = x[:t]
-            totals[:t] += self._day_cost(live, g2)
-            np.multiply(r2, live, out=live)
-            np.maximum(max_cases[:t], live, out=max_cases[:t])
-        return totals, max_cases, x
+            self._step(*state[:, :t], r2, g2)
+        return state
 
     def rows(self, lo: int, hi: int) -> "trajectory.ScheduleRows":
         """The columns of rows ``lo .. hi - 1``: about 36 bytes a row.
 
         The codes index ``r_grid`` (``r_first = r_grid[first_code]``) and
         are int16, or int32 on a grid of 2**15 values or more; switch days
-        are int32. The constant rows asked for run the prefix pass in the
-        output columns. The pair rows run over blocks of ``_BLOCK_CELLS //
-        (horizon - 1)`` pairs (at least one), whose codes, switch days and
-        transposed suffix state go straight into the output columns. So a
-        call holds its 36 bytes a row of output, a block of state and the
-        day's temporaries: about ``_BLOCK_CELLS`` cells.
+        are int32. The constant rows asked for take their last day in the
+        output columns, from their prefixes at the day before. The pair
+        rows run over blocks of ``_BLOCK_CELLS // (horizon - 1)`` pairs (at
+        least one); each block's codes, switch days and transposed suffix
+        state are copied flat, then sliced into the output columns. So a
+        call holds its 36 bytes a row of output, a block of state, its flat
+        copy and the day's temporaries: about ``_BLOCK_CELLS`` cells, or
+        one pair's ``horizon - 1`` where that is more.
         """
         rs, horizon = self.r_grid, self.horizon
         n_r = rs.shape[0]
         code = np.int16 if n_r < 2**15 else np.int32
+        ends = np.empty((3, hi - lo))   # in the prefixes' order
         cols = (np.empty(hi - lo, code), np.empty(hi - lo, code),
-                np.empty(hi - lo, np.int32), *(np.empty(hi - lo) for _ in range(3)))
-        first, second, switch, totals, max_cases, finals = cols
+                np.empty(hi - lo, np.int32), *ends)
+        first, second, switch, finals, totals, max_cases = cols
         with np.errstate(over="ignore", invalid="ignore"):
             k = min(hi, n_r) - lo   # constant rows asked for
             if k > 0:
                 first[:k] = second[:k] = np.arange(lo, lo + k)
                 switch[:k] = horizon
-                self._run_prefixes(rs[lo:lo + k], self.g[lo:lo + k], *(
-                    col[:k].reshape(1, k) for col in (finals, totals, max_cases)))
+                # each constant row's last day, from its prefix at the day before
+                ends[:, :k] = (self.prefixes[:, -1, lo:lo + k] if horizon > 1
+                               else np.array([[self.x0], [0.0], [self.x0]]))
+                self._step(*ends[:, :k], rs[lo:lo + k], self.g[lo:lo + k])
             # the pair rows asked for, counted from the first pair row
             a, b = max(lo, n_r) - n_r, hi - n_r
             if a < b:
@@ -215,8 +208,9 @@ class ScheduleScan:
                     tables = (f[:, None], s[:, None], np.arange(1, horizon),
                               *(state.T for state in self._suffixes(f, s)))
                     for col, table in zip(cols, tables):
-                        _put(col[n_r - lo + start:n_r - lo + stop],
-                             np.broadcast_to(table, (q - p, days)), start - p * days)
+                        flat = np.broadcast_to(table, (q - p, days)).reshape(-1)
+                        col[n_r - lo + start:n_r - lo + stop] = \
+                            flat[start - p * days:stop - p * days]
         # an overflowed total reads inf also where 0 * inf made it nan (a
         # zero weight or term)
         totals[np.isnan(totals)] = np.inf

@@ -29,7 +29,8 @@ MAX_GRID_POINTS = 10_000_000
 # largest accepted dynamics.horizon: at the cap, with a travel channel,
 # simulate took 0.43-0.71 s with its CSV report and 0.74-1.10 s with its JSON
 # one on a 2-core Xeon as its load varied (4-11 us a day), and a
-# one-value-grid compare-schedules 1.7 s (about 17 us a day)
+# one-value-grid compare-schedules 0.23-0.35 s in either format, about as
+# long as on a 30-day fixture
 MAX_HORIZON = 100_000
 
 

@@ -534,6 +534,45 @@ class TestExitCodes:
         assert run_cli("import-dist", "--config", fix, "--out", str(tmp_path),
                        "--mc-trials", "100", "--seed", "1") == 0
 
+    def test_support_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # the fixture's support is 0 .. 2: lower the cap around it
+        import epicost.importation as importation_module
+
+        fix = str(fixture_path("import_dist_small"))
+        for cap, code in ((3, 0), (2, 1)):
+            monkeypatch.setattr(importation_module, "MAX_SUPPORT", cap)
+            out = tmp_path / str(cap)
+            assert run_cli("import-dist", "--config", fix, "--out", str(out)) == code
+            assert (out / "import_dist.csv").exists() == (code == 0)
+        assert capsys.readouterr().err == (
+            "config error: a support of 3 import counts (3 travelers from 10 people, "
+            "2 infected) exceeds the cap of 2\n")
+
+    def test_huge_support_is_refused_before_allocation(self, tmp_path, capsys):
+        # a support of 1e20 values stopped with numpy's "Maximum allowed
+        # dimension exceeded" traceback; game and optimize read only the
+        # closed-form threat, which overflows
+        cfg = json.loads(fixture_path("import_dist_small").read_text())
+        for region in cfg["regions"]:
+            region["population"] = 10**21
+        cfg["links"][0]["travelers"] = 10**20
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        for fmt in ("csv", "json"):
+            assert run_cli("import-dist", "--config", str(path), "--out", str(tmp_path),
+                           "--format", fmt) == 1
+            assert capsys.readouterr().err == (
+                "config error: a support of 100,000,000,000,000,000,001 import counts "
+                "(100,000,000,000,000,000,000 travelers from "
+                "1,000,000,000,000,000,000,000 people, 200,000,000,000,000,000,000 "
+                "infected) exceeds the cap of 10,000,000\n")
+            assert not (tmp_path / f"import_dist.{fmt}").exists()
+        for command in ("game", "optimize"):
+            assert run_cli(command, "--config", str(path), "--out", str(tmp_path)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: expected imports overflow")
+            assert err.count("\n") == 1
+
     def test_grid_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
         # the cap holds for solver.grid_points in the file and for --grid
         import epicost.config as config_module

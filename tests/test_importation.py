@@ -243,6 +243,21 @@ class TestBlockedPmf:
             assert probs.tobytes() == want.tobytes(), f"block {block}"
 
 
+class TestSupportCap:
+    """A support past ``MAX_SUPPORT`` values is refused before anything is
+    allocated; no support between the cap and numpy's dimension limit is
+    ever built here, as its pmf would take gigabytes."""
+
+    @pytest.mark.parametrize("s", [ImportScenario(10**21, 2 * 10**20, 10**20),
+                                   ImportScenario(10**8, 5 * 10**7, 10**7)])
+    def test_over_the_cap_raises_domain_error(self, s):
+        lo, hi = s.support
+        assert hi - lo + 1 > importation.MAX_SUPPORT
+        for call in (importation._support_pmf, pmf_support, lambda s: import_tail_sum(s, 5)):
+            with pytest.raises(DomainError, match="exceeds the cap of 10,000,000"):
+                call(s)
+
+
 class TestTailSums:
     def test_matches_enumeration(self):
         s = ImportScenario(10, 2, 3)

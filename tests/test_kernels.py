@@ -2,6 +2,7 @@
 curves and plain-Python loops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicost import _kernels as K
+from epicost.config import MAX_HORIZON
 from epicost.costs import BorderCost, CostCurveSet, OutbreakCost, TransmissionCost
 from epicost.errors import NumericalFailure
 from epicost.trajectory import (RUNAWAY_CASES, DynamicsParams, PolicySchedule,
@@ -268,6 +270,77 @@ def test_scan_rows_match_python_recurrence(ct, co, grid, exponent, horizon, x0):
     want = python_scan(scan.r_grid.tolist(), horizon, x0, curves, params)
     got = zip(rows.total_cost.tolist(), rows.max_cases.tolist(), rows.final_cases.tolist())
     assert list(got) == want
+
+
+_LONG_CURVES = CostCurveSet(TransmissionCost(1.0, 0.3, 50.0, 5.0, 0.8, 1.5),
+                            BorderCost(1.0, 1.0), OutbreakCost(1.0, 1.3))
+_ONE_VALUE = DynamicsParams(1.5, 0.9999, 1.3)
+
+
+def one_value_scan(horizon):
+    # r_min alone: the next value at a step of 1, 1.9999, lies past r0
+    return K.ScheduleScan(80.0, 80.0, horizon, _LONG_CURVES, _ONE_VALUE, 1.0)
+
+
+class TestLongHorizons:
+    """The accumulated prefixes over long horizons, against the day-by-day
+    oracles."""
+
+    def test_one_value_grid_at_the_horizon_cap_is_simulate(self):
+        # 80 cases cross the capacity of 50 and decay to about 0.0036
+        scan = one_value_scan(MAX_HORIZON)
+        rows = scan.rows(0, scan.n)
+        assert scan.r_grid.tolist() == [0.9999]
+        schedule = PolicySchedule((0.9999,) * MAX_HORIZON, (1.0,) * MAX_HORIZON, _ONE_VALUE)
+        traj = simulate(schedule, 80.0, _LONG_CURVES)
+        assert rows.total_cost.tolist() == [traj.cumulative_cost]
+        assert rows.max_cases.tolist() == [max(traj.cases)]
+        assert rows.final_cases.tolist() == [traj.final_cases]
+
+    def test_two_value_grid_with_overflow_is_the_python_scan(self):
+        # 50 cases at R = 10 overflow to inf on day 307 of 400, where the
+        # zero weight of r0 makes the day's cost inf * 0 = nan: the scan
+        # writes such a total inf
+        params = DynamicsParams(10.0, 0.5, 1.7)
+        scan = K.ScheduleScan(50.0, 50.0, 400, _LONG_CURVES, params, 9.5)
+        assert scan.r_grid.tolist() == [0.5, 10.0]
+        rows = scan.rows(0, scan.n)
+        want = python_scan(scan.r_grid.tolist(), 400, 50.0, _LONG_CURVES, params)
+        totals = [math.inf if math.isnan(total) else total for total, _, _ in want]
+        assert any(math.isnan(total) for total, _, _ in want)
+        assert any(math.isinf(final) for _, _, final in want)
+        assert rows.total_cost.tolist() == totals
+        assert rows.max_cases.tolist() == [peak for _, peak, _ in want]
+        assert rows.final_cases.tolist() == [final for _, _, final in want]
+
+
+@pytest.mark.parametrize("horizon", [1, 10, 10_000])
+def test_prefix_pass_makes_no_per_day_calls(monkeypatch, horizon):
+    # one day cost over the prefix block and one for the constant row's
+    # last day, at any horizon; a day loop would make one a day
+    calls = []
+    day_cost = K.ScheduleScan._day_cost
+
+    def counted(self, x, g):
+        calls.append(x.shape)
+        return day_cost(self, x, g)
+
+    monkeypatch.setattr(K.ScheduleScan, "_day_cost", counted)
+    scan = one_value_scan(horizon)
+    scan.rows(0, scan.n)
+    assert calls == ([] if horizon == 1 else [(horizon - 1, 1)]) + [(1,)]
+
+
+def test_prefixes_at_the_horizon_cap_are_bounded():
+    # the (3, horizon, 1) prefixes take 2.4 MB; their build peaked at 4.1 MB
+    tracemalloc.start()
+    try:
+        scan = one_value_scan(MAX_HORIZON)
+        scan.rows(0, scan.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestScanBlocks:
